@@ -2,7 +2,8 @@
 point with JSON/TSV/text reports.
 
 Exit codes: 0 when all requested checks pass, 1 on a verification failure
-(the report carries a witness), 2 on usage errors.  Given the same
+(the report carries a witness), 2 on usage errors and on I/O errors such as
+an --out path that cannot be written.  Given the same
 arguments and seed the emitted bytes are identical run to run; elapsed
 times are isolated in dedicated fields excluded from that contract.
 """
@@ -413,10 +414,7 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         return run(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NihoPermError as exc:
+    except (NihoPermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

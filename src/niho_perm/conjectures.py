@@ -21,11 +21,11 @@ from .errors import GuardExceededError, NihoPermError, UsageError
 from .field import (CHAR, FieldElement, in_subfield, make_field, norm,
                     trace, tower_field)
 from .report import VerificationReport, combine_reports, timed
-from .trinomials import (EXHAUSTIVE_GUARD_K, eval_trinomial,
+from .trinomials import (EXHAUSTIVE_GUARD_K, eval_trinomial, field_values,
                          induced_mu_map, is_permutation_exhaustive,
                          is_permutation_via_criterion, theorem_family)
-from .unity import (build_map, eval_on_unity, maps_agree_report, unity_group,
-                    _sparse_on_unity)
+from .unity import (build_map, maps_agree_report, pointwise_agreement_report,
+                    unity_group, _sparse_on_unity)
 
 SUBFIELD_SWEEP_GUARD_K = 8      # conjecture-1 domain is GF(5^k) itself
 MU_GUARD_K = 8                  # circle-only checks (modulus table caps at 6)
@@ -88,7 +88,7 @@ def conjecture1_check(k: int, force: bool = False) -> VerificationReport:
         wit = {"type": "collision",
                "x1": field.from_index(int(x_ids[positions[0]])).csv(),
                "x2": field.from_index(int(x_ids[positions[-1]])).csv()
-               if positions.size > 1 else "0" * 1}
+               if positions.size > 1 else field.zero.csv()}
         return VerificationReport(subject=subject, method="exhaustive",
                                   passed=False, witness=wit,
                                   counts={"elements": field.order})
@@ -187,6 +187,18 @@ def profile_of(x: FieldElement, family: str = "P1") -> TraceNormProfile:
                             gamma=gamma)
 
 
+def _p1_image_off_subfield(field):
+    """Logs of every x outside GF(5^k) (x^q != x), and the family-P1
+    image f(x) at each, as handles.  Needs acceleration tables."""
+    n1 = field.order - 1
+    logs = np.arange(n1, dtype=np.int64)
+    off = logs[(logs * field.q) % n1 != logs]
+    f = theorem_family("P1", field.subfield_degree)
+    vals = field_values(field, [(sign, e) for (sign, _), e
+                                in zip(f.terms, f.exponents)])
+    return off, vals[off + 1]           # vals[0] is f(0)
+
+
 @timed
 def profile_sweep_report(k: int) -> VerificationReport:
     """Profile chain over every x outside the subfield, vectorized."""
@@ -199,18 +211,11 @@ def profile_sweep_report(k: int) -> VerificationReport:
     q = field.q
     n1 = kern.n1
     subject = f"trace/norm profile chain over GF(5^{2*k}) minus GF(5^{k})"
-    logs = np.arange(n1, dtype=np.int64)
-    off = logs[(logs * q) % n1 != logs]        # x with x^q != x
+    off, fx = _p1_image_off_subfield(field)
     x_ids = kern.antilog[off]
     xq_ids = kern.antilog[(off * q) % n1]
     a = kern.badd(x_ids, xq_ids)
     b = kern.antilog[(off * (q + 1)) % n1]
-    f = theorem_family("P1", k)
-    fx = None
-    for (sign, _), e in zip(f.terms, f.exponents):
-        rows = kern.antilog[(off * (e % n1)) % n1]
-        rows = rows if sign > 0 else kern.bneg(rows)
-        fx = rows if fx is None else kern.badd(fx, rows)
     if np.any(fx == 0):
         bad = int(np.nonzero(fx == 0)[0][0])
         return VerificationReport(
@@ -282,14 +287,7 @@ def subfield_stability_report(k: int) -> VerificationReport:
     q = field.q
     n1 = kern.n1
     subject = f"P1 maps GF(5^{2*k}) minus GF(5^{k}) into itself"
-    logs = np.arange(n1, dtype=np.int64)
-    off = logs[(logs * q) % n1 != logs]
-    f = theorem_family("P1", k)
-    fx = None
-    for (sign, _), e in zip(f.terms, f.exponents):
-        rows = kern.antilog[(off * (e % n1)) % n1]
-        rows = rows if sign > 0 else kern.bneg(rows)
-        fx = rows if fx is None else kern.badd(fx, rows)
+    off, fx = _p1_image_off_subfield(field)
     in_sub = fx == 0
     nz = ~in_sub
     lf = kern.logt[fx[nz]]
@@ -316,11 +314,8 @@ def quartic_obstruction_report(k: int) -> VerificationReport:
     g13 = math.gcd(13, q + 1)
     vals = _sparse_on_unity(group, range(group.n),
                             ((1, 4), (2, 3), (1, 2), (2, 1), (1, 0)))
-    if isinstance(vals, np.ndarray):
-        zero = np.nonzero(vals == 0)[0]
-        bad = int(zero[0]) if zero.size else None
-    else:
-        bad = next((i for i, v in enumerate(vals) if v == 0), None)
+    zero = np.flatnonzero(vals == 0)
+    bad = int(zero[0]) if zero.size else None
     subject = f"no circle root of x^4+2x^3+x^2+2x+1 at k={k}"
     if bad is not None or g13 != 1:
         return VerificationReport(
@@ -361,29 +356,10 @@ def proposition_check(prop_id: str, k: int) -> VerificationReport:
             method="integer", passed=g3 == 1,
             witness=None if g3 == 1 else {"type": "gcd", "gcd": g3},
             counts={"gcd_3_q_plus_1": g3}))
-        g10 = build_map("g10", k)
-        bridge = build_map("p2_bridge", k)
-        cube_indices = [(3 * i) % n for i in range(n)]
-        va, bad_a = eval_on_unity(g10, group, cube_indices)
-        vb, bad_b = eval_on_unity(bridge, group, range(n))
-        subject = f"g10 after the cube map matches its closed form at k={k}"
-        if bad_a is not None or bad_b is not None:
-            i = bad_a if bad_a is not None else bad_b
-            reports.append(VerificationReport(
-                subject=subject, method="enumeration", passed=False,
-                witness={"type": "zero_or_pole", "index": i},
-                counts={"points": n}))
-        else:
-            if isinstance(va, np.ndarray):
-                diff = np.nonzero(np.asarray(va) != np.asarray(vb))[0]
-                bad = int(diff[0]) if diff.size else None
-            else:
-                bad = next((p for p in range(n) if va[p] != vb[p]), None)
-            reports.append(VerificationReport(
-                subject=subject, method="enumeration", passed=bad is None,
-                witness=None if bad is None else
-                {"type": "mismatch", "index": bad},
-                counts={"points": n}))
+        reports.append(pointwise_agreement_report(
+            f"g10 after the cube map matches its closed form at k={k}", group,
+            build_map("g10", k), [(3 * i) % n for i in range(n)],
+            build_map("p2_bridge", k), range(n)))
     return combine_reports(f"{prop_id} at k={k} (conditional family)",
                            "criterion+oracle+reductions", reports)
 

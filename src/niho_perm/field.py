@@ -689,32 +689,6 @@ def tower_field(k: int, modulus_override=None) -> FieldParams:
     return make_field(2 * k, modulus_override)
 
 
-# spec-level operation wrappers -------------------------------------------
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a - b
-
-
-def neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def power(a: FieldElement, e: int) -> FieldElement:
-    return a ** e
-
-
 def frobenius(x: FieldElement) -> FieldElement:
     """x^(5^k) in the tower GF(5^k) < GF(5^{2k}); an involution."""
     return FieldElement(x.field, x.field.frob_handle(x.handle))

@@ -2,11 +2,19 @@
 named fractional maps, and permutation verdicts.
 
 The circle mu_{q+1} is enumerated once per field as the powers of
-zeta = g^(q-1); the square half Omega+ sits at even power indices and its
-negation Omega- at odd ones.  Maps come in two shapes: closed rational
-forms sign * x^pre * (num/den)^outer, and (q-1)-power forms x * h(x)^(q-1)
-driven by a sparse signed h.  Power forms on the circle never leave it
-unless h vanishes, which is reported as a zero witness.
+zeta = g^(q-1), so as a set of exponents it is just Z/(q+1); the square
+half Omega+ sits at even power indices and its negation Omega- at odd ones.
+Maps come in two shapes: closed rational forms sign * x^pre * (num/den)^outer,
+and (q-1)-power forms x * h(x)^(q-1) driven by a sparse signed h.  Power
+forms on the circle never leave it unless h vanishes, which is reported as
+a zero witness.
+
+Batched evaluation speaks circle indices: at domain indices i it returns an
+int64 array of j with image zeta^j, and -1 where a closed form leaves the
+circle.  Only the producers (_sparse_on_unity, _power_indices,
+_ratio_indices) know whether the field has log tables or packed handles;
+every verdict compares index arrays, and turns an index into an element
+only to write a witness.
 """
 
 from __future__ import annotations
@@ -273,12 +281,16 @@ def build_map(name: str, k: int) -> FractionalMap:
 # ---------------------------------------------------------------------------
 # batched evaluation over unity indices
 
-def _sparse_on_unity(group: UnityGroup, indices, terms):
-    """Values of sum coeff * x^e at x = zeta^i for i in indices."""
+def _sparse_on_unity(group: UnityGroup, indices, terms) -> np.ndarray:
+    """Handles of sum coeff * x^e at x = zeta^i for i in indices.
+
+    int64 on table fields, object dtype (packed handles) otherwise; zero is
+    0 on both.
+    """
     n = group.n
     kern = group.field.kernel
+    idx = np.asarray(indices, dtype=np.int64)
     if kern.has_tables:
-        idx = np.asarray(indices, dtype=np.int64)
         acc = None
         for coeff, e in terms:
             rows = kern.digit_rows[group.ids[(idx * (e % n)) % n]]
@@ -296,84 +308,79 @@ def _sparse_on_unity(group: UnityGroup, indices, terms):
             varying.append((coeff % CHAR, e % n))
     add, scale = kern.add, kern.scale
     out = []
-    for i in indices:
+    for i in idx.tolist():
         acc = const
         for coeff, e in varying:
             v = elems[(i * e) % n]
             acc = add(acc, v if coeff == 1 else scale(v, coeff))
         out.append(acc)
-    return out
+    return np.array(out, dtype=object)
+
+
+def _power_indices(group: UnityGroup, h: np.ndarray) -> np.ndarray:
+    """Circle index of h^(q-1) for each nonzero handle in h."""
+    kern = group.field.kernel
+    if kern.has_tables:
+        # h^(q-1) = g^((q-1) log h) = zeta^(log h)
+        return kern.logt[h] % group.n
+    # h^(q-1) = h^q / h
+    frob, mul, index = group.field.frob_handle, kern.mul, group.index
+    hs = h.tolist()
+    return np.array([index[mul(frob(v), w)]
+                     for v, w in zip(hs, batch_inverse(kern, hs))],
+                    dtype=np.int64)
+
+
+def _ratio_indices(group: UnityGroup, num: np.ndarray, den: np.ndarray,
+                   outer: int) -> np.ndarray:
+    """Circle index of (num/den)^outer, -1 where it is off the circle."""
+    kern = group.field.kernel
+    if kern.has_tables:
+        # g^L lies on the circle iff (q-1) | L, and is then zeta^(L/(q-1))
+        logs = outer * (kern.logt[num] - kern.logt[den]) % kern.n1
+        on = (num != 0) & (logs % (group.q - 1) == 0)
+        return np.where(on, logs // (group.q - 1), -1)
+    mul, index = kern.mul, group.index
+    out = []
+    for a, b in zip(num.tolist(), batch_inverse(kern, den.tolist())):
+        r = val = mul(a, b)
+        for _ in range(outer - 1):
+            val = mul(val, r)
+        out.append(index.get(val, -1))
+    return np.array(out, dtype=np.int64)
 
 
 def eval_power_on_unity(map_: PowerFormMap, group: UnityGroup, indices):
-    """Power-form values on unity points; returns (values, zero_index).
+    """Power-form circle indices; returns (values, zero_index).
 
-    Values are handles.  If h vanishes at some point the first such index is
+    x * h(x)^(q-1) at x = zeta^i is zeta^(i + index of h^(q-1)), so it stays
+    on the circle.  If h vanishes at some point the first such index is
     returned and values is None (the image would leave the circle).
     """
+    idx = np.asarray(indices, dtype=np.int64)
     terms = tuple((1 if s > 0 else CHAR - 1, c) for s, c in map_.h_terms)
-    h_vals = _sparse_on_unity(group, indices, terms)
-    kern = group.field.kernel
-    n = group.n
-    if kern.has_tables:
-        idx = np.asarray(indices, dtype=np.int64)
-        zeros = np.nonzero(h_vals == 0)[0]
-        if zeros.size:
-            return None, int(idx[zeros[0]])
-        # x * h^(q-1) = zeta^(i + log_g h mod n): stays on the circle
-        j = (idx + kern.logt[h_vals]) % n
-        return group.ids[j], None
-    out = []
-    for pos, i in enumerate(indices):
-        if h_vals[pos] == 0:
-            return None, i
-    inverses = batch_inverse(kern, h_vals)
-    field = group.field
-    for pos, i in enumerate(indices):
-        hq = field.frob_handle(h_vals[pos])
-        out.append(kern.mul(group.elements[i], kern.mul(hq, inverses[pos])))
-    return out, None
+    h = _sparse_on_unity(group, idx, terms)
+    zeros = np.flatnonzero(h == 0)
+    if zeros.size:
+        return None, int(idx[zeros[0]])
+    return (idx + _power_indices(group, h)) % group.n, None
 
 
 def eval_closed_on_unity(map_: ClosedFormMap, group: UnityGroup, indices):
-    """Closed-form values on unity points; returns (values, pole_index)."""
-    kern = group.field.kernel
+    """Closed-form circle indices (-1 off the circle); returns
+    (values, pole_index) as eval_power_on_unity does."""
+    idx = np.asarray(indices, dtype=np.int64)
+    num = _sparse_on_unity(group, idx, map_.num)
+    den = _sparse_on_unity(group, idx, map_.den)
+    poles = np.flatnonzero(den == 0)
+    if poles.size:
+        return None, int(idx[poles[0]])
     n = group.n
-    num_vals = _sparse_on_unity(group, indices, map_.num)
-    den_vals = _sparse_on_unity(group, indices, map_.den)
-    if kern.has_tables:
-        idx = np.asarray(indices, dtype=np.int64)
-        poles = np.nonzero(den_vals == 0)[0]
-        if poles.size:
-            return None, int(idx[poles[0]])
-        r = kern.bmul(num_vals, kern.binv(den_vals))
-        val = r
-        for _ in range(map_.outer - 1):
-            val = kern.bmul(val, r)
-        val = kern.bmul(val, group.ids[(idx * (map_.pre_exp % n)) % n])
-        if map_.sign < 0:
-            val = kern.bneg(val)
-        return val, None
-    for pos, i in enumerate(indices):
-        if den_vals[pos] == 0:
-            return None, i
-    inverses = batch_inverse(kern, den_vals)
-    out = []
-    mul, neg_, one = kern.mul, kern.neg, kern.one
-    pre, outer, negate = map_.pre_exp % n, map_.outer, map_.sign < 0
-    elems = group.elements
-    for pos, i in enumerate(indices):
-        r = mul(num_vals[pos], inverses[pos])
-        val = r
-        for _ in range(outer - 1):
-            val = mul(val, r)
-        factor = elems[(i * pre) % n]
-        if factor != one:
-            val = mul(val, factor)
-        if negate:
-            val = neg_(val)
-        out.append(val)
-    return out, None
+    ratio = _ratio_indices(group, num, den, map_.outer)
+    # x^pre = zeta^(i*pre) and -1 = zeta^(n/2) keep a point on the circle
+    shift = n // 2 if map_.sign < 0 else 0
+    vals = (ratio + idx * (map_.pre_exp % n) + shift) % n
+    return np.where(ratio < 0, -1, vals), None
 
 
 def eval_on_unity(map_: FractionalMap, group: UnityGroup, indices):
@@ -389,73 +396,53 @@ def _first_collision(values) -> tuple[int, int] | None:
     """Earliest (i, j), i < j with values[i] == values[j], by second position."""
     arr = np.asarray(values)
     order = np.argsort(arr, kind="stable")
-    dup = np.nonzero(arr[order][1:] == arr[order][:-1])[0]
+    ranked = arr[order]
+    dup = np.flatnonzero(ranked[1:] == ranked[:-1])
     if not dup.size:
         return None
-    starts = dup[np.r_[True, np.diff(dup) != 1]]
-    best = min(starts, key=lambda s: order[s + 1])
-    return int(order[best]), int(order[best + 1])
+    # a stable sort puts every repeat after its first occurrence
+    second = int(order[dup + 1].min())
+    return int(np.argmax(arr == arr[second])), second
 
 
-def _verdict(subject: str, method: str, group: UnityGroup, indices,
-             values, failure_index, failure_type: str,
-             domain_set=None) -> VerificationReport:
-    """Shared pass/fail logic: pole/zero beats escape beats collision order."""
-    n_points = len(indices)
-    counts = {"points": n_points}
-    idx_list = list(indices)
+def _verdict(subject: str, group: UnityGroup, map_: FractionalMap, indices,
+             values, failure_index) -> VerificationReport:
+    """Shared pass/fail logic: pole/zero beats escape beats collision order.
+
+    values are the circle indices of the images of the domain indices; an
+    image escapes when it is off the circle or outside the domain.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    counts = {"points": len(idx)}
+
+    def fail(witness):
+        return VerificationReport(subject=subject, method="enumeration",
+                                  passed=False, witness=witness, counts=counts)
+
     if values is None:
-        x = group.element(failure_index)
-        return VerificationReport(
-            subject=subject, method=method, passed=False,
-            witness={"type": failure_type, "x": x.csv(),
-                     "index": failure_index},
-            counts=counts)
-    if domain_set is not None:
-        if isinstance(values, np.ndarray):
-            member = np.isin(values, domain_set)
-            esc = np.nonzero(~member)[0]
-            escape_pos = int(esc[0]) if esc.size else None
-        else:
-            escape_pos = None
-            for pos, v in enumerate(values):
-                if v not in domain_set:
-                    escape_pos = pos
-                    break
-        if escape_pos is not None:
-            i = idx_list[escape_pos]
-            x = group.element(i)
-            img = FieldElement(group.field, int(values[escape_pos])
-                               if isinstance(values, np.ndarray)
-                               else values[escape_pos])
-            return VerificationReport(
-                subject=subject, method=method, passed=False,
-                witness={"type": "escape", "x": x.csv(), "index": i,
-                         "image": img.csv()},
-                counts=counts)
-    if isinstance(values, np.ndarray):
-        coll = _first_collision(values)
-    else:
-        seen: dict = {}
-        coll = None
-        for pos, v in enumerate(values):
-            if v in seen:
-                coll = (seen[v], pos)
-                break
-            seen[v] = pos
+        return fail({"type": ("zero" if isinstance(map_, PowerFormMap)
+                              else "pole"),
+                     "x": group.element(failure_index).csv(),
+                     "index": failure_index})
+    # slot n stays False, so an off-circle -1 reads as outside the domain
+    inside = np.zeros(group.n + 1, dtype=bool)
+    inside[idx] = True
+    escapes = np.flatnonzero(~inside[values])
+    if escapes.size:
+        i = int(idx[escapes[0]])
+        x = group.element(i)
+        return fail({"type": "escape", "x": x.csv(), "index": i,
+                     "image": map_.eval_at(x).csv()})
+    coll = _first_collision(values)
     if coll is not None:
         p1, p2 = coll
-        i1, i2 = idx_list[p1], idx_list[p2]
-        x1, x2 = group.element(i1), group.element(i2)
-        img = FieldElement(group.field, int(values[p2])
-                           if isinstance(values, np.ndarray) else values[p2])
-        return VerificationReport(
-            subject=subject, method=method, passed=False,
-            witness={"type": "collision", "x1": x1.csv(), "x2": x2.csv(),
-                     "index1": i1, "index2": i2, "value": img.csv()},
-            counts=counts)
-    return VerificationReport(subject=subject, method=method, passed=True,
-                              counts=counts)
+        i1, i2 = int(idx[p1]), int(idx[p2])
+        return fail({"type": "collision", "x1": group.element(i1).csv(),
+                     "x2": group.element(i2).csv(), "index1": i1,
+                     "index2": i2,
+                     "value": group.element(int(values[p2])).csv()})
+    return VerificationReport(subject=subject, method="enumeration",
+                              passed=True, counts=counts)
 
 
 @timed
@@ -465,19 +452,7 @@ def unity_permutation_report(map_: FractionalMap, group: UnityGroup,
     indices = group.domain_indices(domain)
     subject = f"{map_.name} on {domain} over {group.field!r}"
     values, bad = eval_on_unity(map_, group, indices)
-    failure_type = "zero" if isinstance(map_, PowerFormMap) else "pole"
-    if domain == "mu":
-        if isinstance(map_, PowerFormMap):
-            domain_set = None        # power forms cannot leave the circle
-        else:
-            domain_set = (group.ids if group.field.kernel.has_tables
-                          else group.index)
-    else:
-        members = [group.elements[i] for i in indices]
-        domain_set = (np.asarray(members, dtype=np.int64)
-                      if group.field.kernel.has_tables else set(members))
-    return _verdict(subject, "enumeration", group, indices, values, bad,
-                    failure_type, domain_set)
+    return _verdict(subject, group, map_, indices, values, bad)
 
 
 def is_permutation_of(domain: Sequence[FieldElement],
@@ -554,6 +529,7 @@ def reciprocal_identity_report(name_a: str, name_b: str,
     group = unity_group(tower_field(k))
     map_a, map_b = build_map(name_a, k), build_map(name_b, k)
     subject = f"{name_a}*{name_b} = 1 on mu over GF(5^{2*k})"
+    counts = {"points": group.n}
     va, bad_a = eval_on_unity(map_a, group, range(group.n))
     vb, bad_b = eval_on_unity(map_b, group, range(group.n))
     if bad_a is not None or bad_b is not None:
@@ -561,58 +537,65 @@ def reciprocal_identity_report(name_a: str, name_b: str,
         return VerificationReport(
             subject=subject, method="enumeration", passed=False,
             witness={"type": "zero", "x": group.element(i).csv(), "index": i},
-            counts={"points": group.n})
-    kern = group.field.kernel
-    if kern.has_tables:
-        prod = kern.bmul(np.asarray(va), np.asarray(vb))
-        bad = np.nonzero(prod != kern.one)[0]
-        bad_pos = int(bad[0]) if bad.size else None
-    else:
-        bad_pos = None
-        for pos in range(group.n):
-            if kern.mul(va[pos], vb[pos]) != kern.one:
-                bad_pos = pos
-                break
-    if bad_pos is not None:
+            counts=counts)
+    # zeta^a * zeta^b = 1 iff a + b = 0 mod n
+    bad = np.flatnonzero((va < 0) | (vb < 0) | ((va + vb) % group.n != 0))
+    if bad.size:
+        i = int(bad[0])
         return VerificationReport(
             subject=subject, method="enumeration", passed=False,
             witness={"type": "product_not_one",
-                     "x": group.element(bad_pos).csv(), "index": bad_pos},
-            counts={"points": group.n})
+                     "x": group.element(i).csv(), "index": i},
+            counts=counts)
     return VerificationReport(subject=subject, method="enumeration",
-                              passed=True, counts={"points": group.n})
+                              passed=True, counts=counts)
 
 
 @timed
+def pointwise_agreement_report(subject: str, group: UnityGroup,
+                               map_a: FractionalMap, indices_a,
+                               map_b: FractionalMap,
+                               indices_b) -> VerificationReport:
+    """map_a at zeta^indices_a[p] equals map_b at zeta^indices_b[p] for all p.
+
+    A zero or pole (map_a's first) is reported at its own circle point; a
+    mismatch at the point zeta^indices_b[p].
+    """
+    idx_a = np.asarray(indices_a, dtype=np.int64)
+    idx_b = np.asarray(indices_b, dtype=np.int64)
+    counts = {"points": len(idx_b)}
+    va, bad_a = eval_on_unity(map_a, group, idx_a)
+    vb, bad_b = eval_on_unity(map_b, group, idx_b)
+    failure = None
+    if bad_a is not None or bad_b is not None:
+        failure = ("zero_or_pole", bad_a if bad_a is not None else bad_b)
+    else:
+        diff = va != vb
+        # two off-circle images carry no index: compare them exactly
+        for p in np.flatnonzero((va < 0) & (vb < 0)):
+            diff[p] = (map_a.eval_at(group.element(int(idx_a[p])))
+                       != map_b.eval_at(group.element(int(idx_b[p]))))
+        mism = np.flatnonzero(diff)
+        if mism.size:
+            failure = ("mismatch", int(idx_b[mism[0]]))
+    if failure is None:
+        return VerificationReport(subject=subject, method="enumeration",
+                                  passed=True, counts=counts)
+    kind, i = failure
+    return VerificationReport(
+        subject=subject, method="enumeration", passed=False,
+        witness={"type": kind, "x": group.element(i).csv(), "index": i},
+        counts=counts)
+
+
 def maps_agree_report(map_a: FractionalMap, map_b: FractionalMap,
                       group: UnityGroup, domain: str) -> VerificationReport:
     """Pointwise equality of two maps on a unity subset."""
     indices = group.domain_indices(domain)
     subject = (f"{map_a.name} = {map_b.name} on {domain} "
                f"over {group.field!r}")
-    va, bad_a = eval_on_unity(map_a, group, indices)
-    vb, bad_b = eval_on_unity(map_b, group, indices)
-    if bad_a is not None or bad_b is not None:
-        i = bad_a if bad_a is not None else bad_b
-        return VerificationReport(
-            subject=subject, method="enumeration", passed=False,
-            witness={"type": "zero_or_pole", "x": group.element(i).csv(),
-                     "index": i},
-            counts={"points": len(indices)})
-    if isinstance(va, np.ndarray):
-        diff = np.nonzero(np.asarray(va) != np.asarray(vb))[0]
-        bad_pos = int(diff[0]) if diff.size else None
-    else:
-        bad_pos = next((p for p in range(len(va)) if va[p] != vb[p]), None)
-    if bad_pos is not None:
-        i = list(indices)[bad_pos]
-        return VerificationReport(
-            subject=subject, method="enumeration", passed=False,
-            witness={"type": "mismatch", "x": group.element(i).csv(),
-                     "index": i},
-            counts={"points": len(indices)})
-    return VerificationReport(subject=subject, method="enumeration",
-                              passed=True, counts={"points": len(indices)})
+    return pointwise_agreement_report(subject, group, map_a, indices,
+                                      map_b, indices)
 
 
 @timed

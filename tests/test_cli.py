@@ -181,6 +181,16 @@ class TestOutFile:
         payload = json.loads(target.read_text())
         assert payload["command"] == "lemma1"
 
+    def test_out_missing_directory_is_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "field-info", "--m", "2",
+                                 "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not target.exists()
+
 
 class TestWitnessReplay:
     def test_broken_trinomial_witness_replays(self, capsys):

@@ -3,7 +3,7 @@ and the search harness."""
 
 import pytest
 
-from niho_perm.errors import GuardExceededError, UsageError
+from niho_perm.errors import GuardExceededError, PoleError, UsageError
 from niho_perm.conjectures import (ProfileMismatchError, SearchHit,
                                    conjecture1_check, conjecture2_check,
                                    is_square, profile_of, profile_sweep_report,
@@ -13,7 +13,9 @@ from niho_perm.conjectures import (ProfileMismatchError, SearchHit,
 from niho_perm.field import make_field, tower_field, trace
 from niho_perm.trinomials import (induced_mu_map,
                                   is_permutation_exhaustive, theorem_family)
-from niho_perm.unity import build_map, maps_agree_report, unity_group
+from niho_perm.unity import (ClosedFormMap, build_map, eval_map,
+                             maps_agree_report, pointwise_agreement_report,
+                             unity_group)
 
 
 class TestConjecture1:
@@ -156,6 +158,31 @@ class TestPropositions:
         rep = maps_agree_report(induced_mu_map(f), build_map("p1_bridge", k),
                                 group, "mu")
         assert rep.passed
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_p2_witness_replays(self, k):
+        # the P2 comparison with a wrong closed form: g10(x^3) vs -x^-1
+        group = unity_group(tower_field(k))
+        n = group.n
+        g10, wrong = build_map("g10", k), build_map("half_f_inv", k)
+        rep = pointwise_agreement_report(
+            "g10 after the cube map vs a wrong closed form", group,
+            g10, [(3 * i) % n for i in range(n)], wrong, range(n))
+        assert not rep.passed
+        wit = rep.witness
+        assert wit["type"] == "mismatch"
+        x = group.field.from_csv(wit["x"])
+        assert x == group.element(wit["index"])
+        assert eval_map(g10, x ** 3) != eval_map(wrong, x)
+        # a pole is reported at its own circle point
+        polar = ClosedFormMap(name="polar", sign=1, pre_exp=0,
+                              num=((1, 0),), den=((1, 1), (4, 0)), outer=1)
+        rep = pointwise_agreement_report("pole", group, g10,
+                                         range(n), polar, range(n))
+        assert rep.witness["type"] == "zero_or_pole"
+        x = group.field.from_csv(rep.witness["x"])
+        with pytest.raises(PoleError):
+            eval_map(polar, x)
 
     def test_parity_guards(self):
         with pytest.raises(UsageError):

@@ -1,0 +1,67 @@
+"""CLI output pinned byte for byte against recorded digests.
+
+Each command's stdout, with every "elapsed_ms" value blanked, is hashed
+with sha256 and compared with tests/golden_cli.json together with the exit
+code.  Re-record (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from niho_perm.cli import main
+
+GOLDEN_PATH = Path(__file__).with_name("golden_cli.json")
+
+GOLDEN_COMMANDS = (
+    [["mu-check", "--map", f"g{i}", "--k", str(k)]
+     for i in range(1, 11) for k in range(1, 6)]
+    + [["verify", "--terms", terms, "--k", "5", "--method", "criterion"]
+       for terms in ("+0,+7,-14", "+0,+1,+2")]
+    + [["proposition", "--id", "P1", "--k", "3"],
+       ["proposition", "--id", "P1", "--k", "5"],
+       ["proposition", "--id", "P2", "--k", "2"],
+       ["proposition", "--id", "P2", "--k", "4"],
+       ["table1", "--k", "2"]]
+)
+
+
+def golden_digest(argv) -> dict:
+    """Exit code and sha256 of stdout with elapsed times blanked."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    text = re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": X', out.getvalue())
+    return {"exit": code,
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def _key(argv) -> str:
+    return " ".join(argv)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_golden_covers_every_command(golden):
+    assert sorted(golden) == sorted(_key(a) for a in GOLDEN_COMMANDS)
+
+
+@pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=_key)
+def test_cli_bytes_match_golden(golden, argv):
+    assert golden_digest(argv) == golden[_key(argv)]
+
+
+if __name__ == "__main__":
+    record = {_key(a): golden_digest(a) for a in GOLDEN_COMMANDS}
+    GOLDEN_PATH.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

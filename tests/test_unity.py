@@ -4,14 +4,20 @@ import math
 
 import pytest
 
-from niho_perm.errors import ResidueError, UsageError
+from niho_perm.errors import PoleError, ResidueError, UsageError
 from niho_perm.field import make_field, tower_field
-from niho_perm.unity import (ClosedFormMap, OMEGA_SPECIALIZATIONS,
-                             build_map, check_circle_claim, eval_map,
-                             eval_on_unity, is_permutation_of,
-                             maps_agree_report, mu_check_report,
-                             reciprocal_identity_report, unity_group,
-                             unity_permutation_report)
+from niho_perm.unity import (MAP_SPECS, OMEGA_SPECIALIZATIONS,
+                             ClosedFormMap, PowerFormMap, build_map,
+                             check_circle_claim, eval_map, eval_on_unity,
+                             is_permutation_of, maps_agree_report,
+                             mu_check_report, reciprocal_identity_report,
+                             unity_group, unity_permutation_report)
+
+
+def x_plus(c):
+    """x + c, a closed form that leaves the circle at most points."""
+    return ClosedFormMap(name=f"x+{c}", sign=1, pre_exp=0,
+                         num=((1, 1), (c, 0)), den=((1, 0),), outer=1)
 
 
 @pytest.fixture(scope="module")
@@ -105,23 +111,68 @@ class TestMapEvaluation:
         assert eval_map(f, one) == one
         assert eval_map(f, -one) == -one
 
-    def test_scalar_matches_batch(self, mu6):
-        for name in ("g1", "g2", "g3", "g5", "half_f", "half_g"):
-            map_ = build_map(name, 1)
-            vals, bad = eval_on_unity(map_, mu6, range(6))
-            assert bad is None
-            for i in range(6):
-                scalar = eval_map(map_, mu6.element(i))
-                assert scalar.handle == int(vals[i])
+    # off-catalog shapes that leave the circle, hit a pole or vanish
+    EXTRA_MAPS = (
+        x_plus(1),
+        ClosedFormMap(name="mixed", sign=-1, pre_exp=3,
+                      num=((1, 2), (1, 1), (2, 0)), den=((1, 1), (3, 0))),
+        ClosedFormMap(name="polar", sign=1, pre_exp=0,
+                      num=((1, 0),), den=((1, 1), (4, 0)), outer=1),
+        ClosedFormMap(name="x^3-1", sign=1, pre_exp=0,
+                      num=((1, 3), (4, 0)), den=((2, 1), (1, 0)), outer=1),
+        PowerFormMap(name="vanishing", h_terms=((1, 0), (1, 2), (1, 4))),
+    )
+
+    @classmethod
+    def assert_batch_matches_scalar(cls, k, indices):
+        """Every catalog map and EXTRA_MAPS: batch circle indices vs one
+        scalar evaluation per point; zeros and poles are dropped and
+        checked by hand."""
+        g = unity_group(tower_field(k))
+        maps = list(cls.EXTRA_MAPS)
+        for name in MAP_SPECS:
+            try:
+                maps.append(build_map(name, k))
+            except ResidueError:
+                continue                  # parity-bound residue, e.g. g10
+        for map_ in maps:
+            name = map_.name
+            idx = list(indices)
+            vals, bad = eval_on_unity(map_, g, idx)
+            while bad is not None:
+                x = g.element(bad)
+                try:
+                    assert eval_map(map_, x).is_zero, (name, k, bad)
+                except PoleError:
+                    pass
+                idx.remove(bad)
+                vals, bad = eval_on_unity(map_, g, idx)
+            for pos, i in enumerate(idx):
+                scalar = eval_map(map_, g.element(i))
+                if vals[pos] < 0:
+                    assert not g.contains_handle(scalar.handle), (name, k, i)
+                else:
+                    assert g.handle(vals[pos]) == scalar.handle, (name, k, i)
+
+    def test_scalar_matches_batch(self):
+        for k in (1, 2):
+            self.assert_batch_matches_scalar(k, range(5 ** k + 1))
 
     def test_scalar_matches_batch_poly_kernel(self):
-        g = unity_group(tower_field(5))
-        map_ = build_map("g1", 5)
-        idx = list(range(0, g.n, 97))
-        vals, bad = eval_on_unity(map_, g, idx)
-        assert bad is None
-        for pos, i in enumerate(idx):
-            assert eval_map(map_, g.element(i)).handle == vals[pos]
+        self.assert_batch_matches_scalar(5, range(0, 5 ** 5 + 1, 97))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_off_circle_escape_replays(self, k):
+        g = unity_group(tower_field(k))
+        shift = x_plus(1)
+        rep = unity_permutation_report(shift, g, "mu")
+        assert not rep.passed
+        wit = rep.witness
+        assert wit["type"] == "escape"
+        x = g.field.from_csv(wit["x"])
+        assert x == g.element(wit["index"])
+        assert eval_map(shift, x).csv() == wit["image"]
+        assert wit["image"] == (x + 1).csv()
 
     def test_unknown_map(self):
         with pytest.raises(UsageError, match="g1"):
@@ -166,6 +217,19 @@ class TestPermutationChecker:
         rep = unity_permutation_report(bad, mu6, "mu")
         assert not rep.passed
         assert rep.witness["type"] == "pole"
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_escape_from_half_stays_on_circle(self, k):
+        # -x sends the squares onto the negated squares
+        g = unity_group(tower_field(k))
+        minus = ClosedFormMap(name="-x", sign=-1, pre_exp=1, num=((1, 0),),
+                              den=((1, 0),), outer=1)
+        rep = unity_permutation_report(minus, g, "omega_plus")
+        wit = rep.witness
+        assert wit["type"] == "escape"
+        x = g.field.from_csv(wit["x"])
+        assert wit["image"] == (-x).csv()
+        assert g.contains_handle((-x).handle)
 
     def test_empty_domain_rejected(self):
         with pytest.raises(UsageError):
@@ -234,6 +298,14 @@ class TestStructure:
                 rep = maps_agree_report(build_map(name, k),
                                         build_map(closed_name, k), g, dom)
                 assert rep.passed, (name, dom, k)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_off_circle_images_compared_exactly(self, k):
+        g = unity_group(tower_field(k))
+        assert maps_agree_report(x_plus(1), x_plus(1), g, "mu").passed
+        rep = maps_agree_report(x_plus(1), x_plus(2), g, "mu")
+        assert rep.witness == {"type": "mismatch", "x": g.element(0).csv(),
+                               "index": 0}
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_half_map_image_containment(self, k):
