@@ -3,7 +3,8 @@ point with JSON/TSV/text reports.
 
 Exit codes: 0 when all requested checks pass, 1 on a verification failure
 (the report carries a witness), 2 on usage errors and on I/O errors such as
-an --out path that cannot be written.  Given the same
+an --out path that cannot be written, 3 on any other (internal) error, so
+that 1 always means a witness.  Given the same
 arguments and seed the emitted bytes are identical run to run; elapsed
 times are isolated in dedicated fields excluded from that contract.
 """
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field as dc_field
 
 from .errors import NihoPermError, UsageError
@@ -409,6 +411,10 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one CLI invocation and return its exit code: 0 pass, 1 a
+    verification failed (with a witness), 2 usage or I/O error, 3 any other
+    (internal) error, reported on stderr as its traceback and an
+    ``internal error:`` line."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -417,6 +423,10 @@ def main(argv=None) -> int:
     except (NihoPermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

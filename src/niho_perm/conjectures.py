@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,23 +310,32 @@ def quartic_obstruction_report(k: int) -> VerificationReport:
     and 13 never divides q+1 for odd k)."""
     if k % 2 == 0:
         raise UsageError(f"obstruction fact needs odd k (got {k})")
-    group = unity_group(tower_field(k))
-    q = group.q
-    g13 = math.gcd(13, q + 1)
+    return _quartic_report(unity_group(tower_field(k)))
+
+
+def _quartic_report(group) -> VerificationReport:
+    """The quartic obstruction on any circle: a root witness carries the
+    circle index and point; with no root, gcd(13, q+1) must still be 1."""
+    g13 = math.gcd(13, group.n)
     vals = _sparse_on_unity(group, range(group.n),
                             ((1, 4), (2, 3), (1, 2), (2, 1), (1, 0)))
     zero = np.flatnonzero(vals == 0)
-    bad = int(zero[0]) if zero.size else None
-    subject = f"no circle root of x^4+2x^3+x^2+2x+1 at k={k}"
-    if bad is not None or g13 != 1:
+    subject = f"no circle root of x^4+2x^3+x^2+2x+1 at k={group.k}"
+    counts = {"points": group.n}
+    if zero.size:
+        bad = int(zero[0])
         return VerificationReport(
             subject=subject, method="enumeration", passed=False,
             witness={"type": "root", "index": bad,
-                     "gcd_13": g13},
-            counts={"points": group.n})
+                     "x": group.element(bad).csv(), "gcd_13": g13},
+            counts=counts)
+    if g13 != 1:
+        return VerificationReport(
+            subject=subject, method="enumeration", passed=False,
+            witness={"type": "gcd", "gcd_13": g13}, counts=counts)
     return VerificationReport(
         subject=subject, method="enumeration", passed=True,
-        counts={"points": group.n}, notes=[f"gcd(13, q+1) = {g13}"])
+        counts=counts, notes=[f"gcd(13, q+1) = {g13}"])
 
 
 # ---------------------------------------------------------------------------
@@ -389,53 +399,85 @@ def _patterns_of(sign_pattern: str) -> tuple[tuple[int, int], ...]:
         f"sign pattern must be two of +/- or 'all', got {sign_pattern!r}")
 
 
-def _t_values(s: int, constraint: str, n: int) -> range | list[int]:
+def _t_values(s: int, constraint: str, n: int) -> range:
     if constraint == "none":
         return range(n)
     if constraint == "sum_zero":
-        return [(-s) % n]
-    if constraint == "sum_half":
-        return [(n // 2 - s) % n]
-    raise UsageError(
-        f"unknown constraint {constraint!r}; valid: {', '.join(CONSTRAINTS)}")
+        t = (-s) % n
+    elif constraint == "sum_half":
+        t = (n // 2 - s) % n
+    else:
+        raise UsageError(
+            f"unknown constraint {constraint!r}; valid: {', '.join(CONSTRAINTS)}")
+    return range(t, t + 1)
+
+
+def _swap_closed(patterns) -> bool:
+    """(s, t, l1, l2) and (t, s, l2, l1) give the same h; a pattern set
+    closed under that swap lets the search evaluate t >= s only."""
+    return all((l2, l1) in patterns for l1, l2 in patterns)
+
+
+def _evaluated_t(s: int, constraint: str, n: int, mirror: bool) -> range:
+    ts = _t_values(s, constraint, n)
+    return range(max(ts.start, s), ts.stop) if mirror else ts
+
+
+def _hit(s: int, t: int, l1: int, l2: int) -> SearchHit:
+    return SearchHit(s=s, t=t, sign1="+" if l1 > 0 else "-",
+                     sign2="+" if l2 > 0 else "-")
 
 
 def _search_range_table(k: int, s_lo: int, s_hi: int, constraint: str,
                         patterns) -> list[SearchHit]:
-    field = tower_field(k)
-    kern = field.accel_tables
-    group = unity_group(field)
-    n = group.n
-    mu_digits = kern.digit_rows[group.ids]
-    eye = np.arange(n, dtype=np.int64)
-    ones_row = np.zeros((1, field.m), dtype=np.int16)
-    ones_row[0, 0] = 1
+    """Criterion hits for s in [s_lo, s_hi), in logs only.
+
+    sigma*zeta^j has log (q-1)*j, plus n1/2 when sigma = -1.  With
+    u = 1 + l1*zeta^(si) and w = l2*zeta^(ti), h(zeta^i) = u + w has
+    log h = lu + zech[lw - lu], where lu = zech[log(l1*zeta^(si))], and
+    x*h^(q-1) maps zeta^i to zeta^(i + log h).  zech < 0 marks a zero; where
+    u = 0, h = w.  A t-row passes when its n images fill the n circle slots
+    once each.  For a swap-closed pattern set only t >= s is evaluated and
+    each off-diagonal hit is also emitted as (t, s, l2, l1), which may lie
+    outside [s_lo, s_hi).
+    """
+    kern = tower_field(k).accel_tables
+    n1 = kern.n1
+    n = CHAR ** k + 1
+    half = n1 // 2                                  # log of -1
+    mirror = _swap_closed(patterns)
+    i = np.arange(n, dtype=np.int64)
+    # lw[sign][t, i] = log(sign*zeta^(ti)), built once and shared by every
+    # s-row (row s of it is the argument of lu)
+    lw = {1: (np.outer(i, i) % n) * (n1 // n)}
+    lw[-1] = (lw[1] + half) % n1
+    # zn[d] + col[i] is the circle index, col = (i + lu) mod n: at
+    # d = lw - lu + n1 (u != 0) zn is zech[lw - lu] mod n, at d = 2*n1 + lw
+    # (u = 0, col = i) it is lw mod n; 2n sends a zero of h past both slot
+    # copies, so the folded row then has an empty slot
+    zech = kern.zech
+    ext = np.concatenate([zech, zech, np.arange(n1)])
+    zn = np.where(ext < 0, 2 * n, ext % n).astype(np.int16)
+    width = 3 * n                                   # two slot copies + sink
+    row_base = np.arange(n, dtype=np.int64)[:, None] * width
     hits: list[SearchHit] = []
     for s in range(s_lo, s_hi):
-        s_rows = {}
+        ts = _evaluated_t(s, constraint, n, mirror)
+        rows = len(ts)
+        if not rows:
+            continue
         for l1, l2 in patterns:
-            key = 1 if l1 > 0 else CHAR - 1
-            if key not in s_rows:
-                s_rows[key] = mu_digits[(eye * s) % n].astype(np.int16) * key
-        t_list = np.asarray(list(_t_values(s, constraint, n)), dtype=np.int64)
-        idx_t = (t_list[:, None] * eye[None, :]) % n
-        rows_t = mu_digits[idx_t].astype(np.int16)
-        for l1, l2 in patterns:
-            a_rows = s_rows[1 if l1 > 0 else CHAR - 1]
-            b_rows = rows_t if l2 > 0 else rows_t * (CHAR - 1)
-            h = (ones_row[None, :, :] + a_rows[None, :, :] + b_rows) % CHAR
-            ids = h.astype(np.int64) @ kern.pow5
-            zero_rows = (ids == 0).any(axis=1)
-            logs_h = kern.logt[ids]
-            j = (eye[None, :] + logs_h) % n
-            offs = j + (np.arange(len(t_list))[:, None]) * n
-            cnt = np.bincount(offs.ravel(), minlength=len(t_list) * n)
-            ok = (cnt.reshape(len(t_list), n).max(axis=1) == 1) & ~zero_rows
-            for pos in np.nonzero(ok)[0]:
-                hits.append(SearchHit(
-                    s=s, t=int(t_list[pos]),
-                    sign1="+" if l1 > 0 else "-",
-                    sign2="+" if l2 > 0 else "-"))
+            lu = zech[lw[l1][s]]
+            u_zero = lu < 0
+            d = lw[l2][ts.start:ts.stop] + np.where(u_zero, 2 * n1, n1 - lu)
+            col = np.where(u_zero, i, (i + lu) % n) + row_base[:rows]
+            cnt = np.bincount((zn[d] + col).ravel(), minlength=rows * width)
+            cnt = cnt.reshape(rows, 3, n)
+            ok = (cnt[:, 0] + cnt[:, 1]).min(axis=1) == 1
+            for t in (ts.start + np.flatnonzero(ok)).tolist():
+                hits.append(_hit(s, t, l1, l2))
+                if mirror and t != s:
+                    hits.append(_hit(t, s, l2, l1))
     hits.sort()
     return hits
 
@@ -450,9 +492,7 @@ def _search_range_scalar(k: int, s_lo: int, s_hi: int, constraint: str,
             for l1, l2 in patterns:
                 f = build_trinomial(k, [(1, 0), (l1, s), (l2, t)])
                 if is_permutation_via_criterion(f).passed:
-                    hits.append(SearchHit(
-                        s=s, t=t, sign1="+" if l1 > 0 else "-",
-                        sign2="+" if l2 > 0 else "-"))
+                    hits.append(_hit(s, t, l1, l2))
     hits.sort()
     return hits
 
@@ -464,6 +504,15 @@ def _search_chunk(args) -> list[SearchHit]:
     return _search_range_scalar(k, s_lo, s_hi, constraint, patterns)
 
 
+def _split_by_work(work, parts: int) -> list[tuple[int, int]]:
+    """Contiguous s-ranges of about equal total work that cover every row
+    with work; empty ranges are dropped."""
+    prefix = np.concatenate([[0], np.cumsum(work)])
+    cuts = np.searchsorted(prefix, prefix[-1] * np.arange(parts + 1) / parts)
+    return [(int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:])
+            if lo < hi]
+
+
 def search_problem_instances(k: int, constraint: str = "none",
                              sign_pattern: str = "all",
                              guard: int = SEARCH_GUARD_K, force: bool = False,
@@ -472,7 +521,10 @@ def search_problem_instances(k: int, constraint: str = "none",
 
     t is determined by s under the sum constraints; the full square is
     enumerated otherwise.  Output order is ascending (s, t, sign pattern)
-    and is independent of the worker count.
+    and is independent of the worker count.  The s-range is split into
+    chunks of equal work (the table kernel evaluates t >= s only when the
+    pattern set is swap-closed), one per worker; the worker count is
+    clamped to the CPU count and to the number of non-empty chunks.
     """
     if constraint not in CONSTRAINTS:
         raise UsageError(
@@ -484,17 +536,15 @@ def search_problem_instances(k: int, constraint: str = "none",
     field = tower_field(k)
     unity_group(field)                 # build before any fork
     use_tables = field.accel_tables is not None
+    mirror = use_tables and _swap_closed(patterns)
     n = CHAR ** k + 1
-    threads = max(1, int(threads))
-    if threads == 1:
-        return _search_chunk((k, 0, n, constraint, patterns, use_tables))
-    bounds = np.linspace(0, n, threads + 1, dtype=int)
-    chunks = [(k, int(lo), int(hi), constraint, patterns, use_tables)
-              for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
+    workers = min(max(1, int(threads)), os.cpu_count() or 1)
+    work = [len(_evaluated_t(s, constraint, n, mirror)) for s in range(n)]
+    chunks = [(k, lo, hi, constraint, patterns, use_tables)
+              for lo, hi in _split_by_work(work, workers)]
+    if len(chunks) == 1:
+        return _search_chunk(chunks[0])
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=threads) as pool:
+    with ctx.Pool(processes=len(chunks)) as pool:
         parts = pool.map(_search_chunk, chunks)
-    out: list[SearchHit] = []
-    for part in parts:
-        out.extend(part)
-    return out
+    return sorted(hit for part in parts for hit in part)

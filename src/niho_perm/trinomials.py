@@ -301,6 +301,9 @@ def random_trinomial(k: int, rng: random.Random) -> NihoTrinomial:
 def oracle_agreement_report(k: int, samples: int,
                             seed: int) -> VerificationReport:
     """Criterion verdict vs exhaustive verdict on seeded random trinomials."""
+    if samples < 1:
+        raise UsageError(f"agreement run needs at least one sample "
+                         f"(got {samples})")
     if k > EXHAUSTIVE_GUARD_K:
         raise GuardExceededError(
             f"agreement run needs the exhaustive oracle (k <= "

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from niho_perm import cli
 from niho_perm.cli import main
 from niho_perm.field import tower_field
 from niho_perm.trinomials import build_trinomial, eval_trinomial
@@ -125,6 +126,25 @@ class TestReportShapes:
         assert code == 0
         payload = json.loads(out)
         assert payload["report"]["counts"]["agreements"] == 100
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_oracle_compare_needs_a_sample(self, capsys, samples):
+        code, out, err = run_cli(capsys, "oracle-compare", "--k", "1",
+                                 "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_unexpected_error_is_three(self, capsys, monkeypatch):
+        def boom(cfg):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setitem(cli._HANDLERS, "lemma1", boom)
+        code, out, err = run_cli(capsys, "lemma1", "--k", "1")
+        assert code == 3
+        assert out == ""
+        assert "Traceback" in err
+        assert err.endswith("\ninternal error: RuntimeError: handler bug\n")
 
     def test_lemma1(self, capsys):
         code, out, _ = run_cli(capsys, "lemma1", "--k", "1")

@@ -1,15 +1,22 @@
 """Conjecture sweeps, the trace/norm profile chain, conditional families,
 and the search harness."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from niho_perm import conjectures
+from niho_perm.cli import main
 from niho_perm.errors import GuardExceededError, PoleError, UsageError
-from niho_perm.conjectures import (ProfileMismatchError, SearchHit,
-                                   conjecture1_check, conjecture2_check,
-                                   is_square, profile_of, profile_sweep_report,
-                                   proposition_check, quartic_obstruction_report,
+from niho_perm.conjectures import (CONSTRAINTS, ProfileMismatchError,
+                                   SearchHit, conjecture1_check,
+                                   conjecture2_check, is_square, profile_of,
+                                   profile_sweep_report, proposition_check,
+                                   quartic_obstruction_report,
                                    search_problem_instances,
-                                   subfield_stability_report, _search_chunk)
+                                   subfield_stability_report, _patterns_of,
+                                   _quartic_report, _search_chunk)
 from niho_perm.field import make_field, tower_field, trace
 from niho_perm.trinomials import (induced_mu_map,
                                   is_permutation_exhaustive, theorem_family)
@@ -150,6 +157,26 @@ class TestPropositions:
         assert rep.passed
         assert "gcd(13, q+1) = 1" in rep.notes[0]
 
+    def test_quartic_root_witness_replays(self):
+        # at k=2, 13 divides q+1 = 26, so the quartic has circle roots
+        group = unity_group(tower_field(2))
+        rep = _quartic_report(group)
+        assert not rep.passed
+        wit = rep.witness
+        assert wit["type"] == "root" and wit["gcd_13"] == 13
+        assert isinstance(wit["index"], int)
+        x = group.field.from_csv(wit["x"])
+        assert x == group.element(wit["index"])
+        assert (x ** 4 + 2 * x ** 3 + x ** 2 + 2 * x + 1).is_zero
+
+    def test_quartic_gcd_witness(self, monkeypatch):
+        group = unity_group(tower_field(2))
+        monkeypatch.setattr(conjectures, "_sparse_on_unity",
+                            lambda g, idx, terms: np.ones(g.n, dtype=np.int64))
+        rep = _quartic_report(group)
+        assert not rep.passed
+        assert rep.witness == {"type": "gcd", "gcd_13": 13}
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_circle_bridge(self, k):
         # the induced circle map of P1 equals its closed form pointwise
@@ -193,6 +220,15 @@ class TestPropositions:
             proposition_check("P9", 1)
 
 
+def run_search_cli(capsys, k, threads=None):
+    argv = ["search", "--k", str(k)]
+    if threads is not None:
+        argv += ["--threads", str(threads)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestSearch:
     def test_sum_zero_contains_known_pair(self):
         hits = search_problem_instances(1, "sum_zero", "+-")
@@ -224,9 +260,72 @@ class TestSearch:
         assert a == b
 
     def test_scalar_path_matches_table_path(self):
-        fast = _search_chunk((1, 0, 6, "none", ((1, -1), (-1, -1)), True))
-        slow = _search_chunk((1, 0, 6, "none", ((1, -1), (-1, -1)), False))
-        assert fast == slow
+        # the scalar path evaluates every (s, t, pattern) on its own, so its
+        # all-pattern square filtered by pattern is the reference for each
+        sign = {"+": 1, "-": -1}
+        for k in (1, 2):
+            for constraint in CONSTRAINTS:
+                slow = _search_chunk((k, 0, 5 ** k + 1, constraint,
+                                      _patterns_of("all"), False))
+                for signs in ("all", "++", "+-", "-+", "--"):
+                    patterns = _patterns_of(signs)
+                    fast = _search_chunk((k, 0, 5 ** k + 1, constraint,
+                                          patterns, True))
+                    assert fast == [
+                        h for h in slow
+                        if (sign[h.sign1], sign[h.sign2]) in patterns], \
+                        (k, constraint, signs)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    @pytest.mark.parametrize("signs", ["all", "++", "--"])
+    def test_hits_closed_under_swap(self, k, constraint, signs):
+        # (s, t, l1, l2) and (t, s, l2, l1) give the same h
+        hits = set(search_problem_instances(k, constraint, signs))
+        assert hits
+        assert {SearchHit(h.t, h.s, h.sign2, h.sign1) for h in hits} == hits
+
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    @pytest.mark.parametrize("signs", ["all", "+-"])
+    def test_uneven_split_merges_to_one_chunk(self, constraint, signs):
+        patterns = _patterns_of(signs)
+        whole = _search_chunk((2, 0, 26, constraint, patterns, True))
+        parts = [_search_chunk((2, lo, hi, constraint, patterns, True))
+                 for lo, hi in ((0, 5), (5, 6), (6, 26))]
+        assert sorted(h for part in parts for h in part) == whole
+
+    @pytest.mark.parametrize("cpus, threads, env, k, expected", [
+        (2, 10 ** 6, None, 2, 2),      # clamped to the CPU count
+        (2, None, "1000000", 2, 2),    # NIHO_PERM_THREADS likewise
+        (64, 64, None, 1, 6),          # clamped to the non-empty chunks
+    ])
+    def test_worker_count_is_clamped(self, capsys, monkeypatch, cpus,
+                                     threads, env, k, expected):
+        _, single, _ = run_search_cli(capsys, k, 1)
+        if env is not None:
+            monkeypatch.setenv("NIHO_PERM_THREADS", env)
+        started = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(conjectures.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(conjectures.multiprocessing, "get_context",
+                            lambda method: SimpleNamespace(Pool=RecordingPool))
+        code, out, _ = run_search_cli(capsys, k, threads)
+        assert code == 0
+        assert started == [expected]
+        assert out == single
 
     def test_guard(self):
         with pytest.raises(GuardExceededError):

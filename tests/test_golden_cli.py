@@ -30,6 +30,11 @@ GOLDEN_COMMANDS = (
        ["proposition", "--id", "P2", "--k", "2"],
        ["proposition", "--id", "P2", "--k", "4"],
        ["table1", "--k", "2"]]
+    + [["search", "--k", str(k), "--signs", signs, "--format", fmt]
+       for k in (1, 2, 3) for signs in ("all", "++", "+-")
+       for fmt in ("tsv", "json")]
+    + [["search", "--k", "3", "--constraint", constraint, "--format", fmt]
+       for constraint in ("sum-zero", "sum-half") for fmt in ("tsv", "json")]
 )
 
 
