@@ -35,6 +35,22 @@ GOLDEN_COMMANDS = (
        for fmt in ("tsv", "json")]
     + [["search", "--k", "3", "--constraint", constraint, "--format", fmt]
        for constraint in ("sum-zero", "sum-half") for fmt in ("tsv", "json")]
+    + [["verify", "--terms", terms, "--k", str(k), *method]
+       for k in (1, 2, 3, 4) for terms in ("+0,+1,+2", "+0,+1,-2")
+       for method in ([], ["--method", "criterion"],
+                      ["--method", "exhaustive"])]
+    + [["verify", "--terms", "+0,+1,+2", "--k", "5", "--method",
+        "exhaustive"]]
+    + [["table1", "--k", str(k), "--format", fmt]
+       for k in (3, 4, 5) for fmt in ("tsv", "json")]
+    + [["conjecture", "--id", "1", "--k", "1,3,5,7"],
+       ["conjecture", "--id", "2", "--k", "2,4,6"]]
+    + [["lemma1", "--k", str(k)] for k in (1, 2, 3, 4)]
+    + [["lemma1", "--k", "4", "--force"]]
+    + [["oracle-compare", "--k", str(k), "--samples", "40"]
+       for k in (1, 2, 3)]
+    + [["equivalents", "--family", "T1", "--k", "3"],
+       ["field-info", "--m", "4"], ["field-info", "--m", "10"]]
 )
 
 
