@@ -659,7 +659,9 @@ class FieldElement:
 
 @lru_cache(maxsize=None)
 def _make_field_cached(m: int, modulus: tuple[int, ...]) -> FieldParams:
-    return FieldParams(m, modulus, _token=_FIELD_TOKEN)
+    # validated once per (m, modulus); a failure is not cached and raises
+    # again on the next call
+    return FieldParams(m, _validate_modulus(m, modulus), _token=_FIELD_TOKEN)
 
 
 def make_field(m: int, modulus_override: Sequence[int] | str | None = None
@@ -678,7 +680,6 @@ def make_field(m: int, modulus_override: Sequence[int] | str | None = None
         modulus = tuple(int(t) for t in modulus_override.split(","))
     else:
         modulus = tuple(int(c) for c in modulus_override)
-    modulus = _validate_modulus(m, modulus)
     return _make_field_cached(m, modulus)
 
 

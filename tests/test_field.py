@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from niho_perm import field as field_mod
 from niho_perm.errors import (FieldConstructionError, GuardExceededError,
                               UsageError)
 from niho_perm.field import (PRIMITIVE_MODULI, PolyKernel, make_field,
@@ -70,6 +71,35 @@ class TestConstruction:
 
     def test_cached_identity(self, gf25):
         assert make_field(2) is gf25
+
+    def test_modulus_validated_once_per_field(self, monkeypatch):
+        calls = []
+        real = field_mod._validate_modulus
+
+        def counting(m, modulus):
+            calls.append((m, tuple(modulus)))
+            return real(m, modulus)
+
+        monkeypatch.setattr(field_mod, "_validate_modulus", counting)
+        # x^3 + 4x^2 + 4x + 2: primitive, and built by no other test
+        fields = [make_field(3, [2, 4, 4, 1]) for _ in range(3)]
+        fields.append(make_field(3, "2,4,4,1"))
+        assert all(f is fields[0] for f in fields)
+        assert calls == [(3, (2, 4, 4, 1))]
+
+    def test_bad_override_raises_on_every_call(self, monkeypatch):
+        calls = []
+        real = field_mod._validate_modulus
+
+        def counting(m, modulus):
+            calls.append(m)
+            return real(m, modulus)
+
+        monkeypatch.setattr(field_mod, "_validate_modulus", counting)
+        for _ in range(2):
+            with pytest.raises(FieldConstructionError, match="reducible"):
+                make_field(2, [1, 0, 1])
+        assert calls == [2, 2]
 
     def test_subfield_degree_marking(self):
         assert make_field(4).subfield_degree == 2
