@@ -124,12 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", default=None,
                    choices=("both", "exhaustive", "criterion"))
-    p.add_argument("--force", action="store_true")
     add_common(p)
 
     p = sub.add_parser("table1", help="reproduce the pair table at one k")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--force", action="store_true")
     add_common(p, fmt_default="tsv")
 
     p = sub.add_parser("equivalents", help="transform-equivalent pairs")
@@ -183,6 +181,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"--k must be an integer list, got {args.k!r}")
         if not cfg.k_list:
             raise UsageError("--k must name at least one k")
+        if min(cfg.k_list) < 1:
+            raise UsageError(f"every k must be >= 1 (got {min(cfg.k_list)})")
         cfg.k = None
     if getattr(args, "threads", None) is None and cfg.subcommand == "search":
         cfg.threads = _default_threads()
@@ -246,8 +246,7 @@ def _cmd_verify(cfg: RunConfig):
         trin = build_trinomial(cfg.k, _parse_terms(cfg.terms))
     method = cfg.method
     if method is None:
-        method = "both" if (cfg.k <= EXHAUSTIVE_GUARD_K or cfg.force) \
-            else "criterion"
+        method = "both" if cfg.k <= EXHAUSTIVE_GUARD_K else "criterion"
     methods: dict = {}
     passed = True
     if method in ("both", "criterion"):
@@ -259,7 +258,7 @@ def _cmd_verify(cfg: RunConfig):
         crit_witness = None
     orac_witness = None
     if method in ("both", "exhaustive"):
-        rep = is_permutation_exhaustive(trin, force=cfg.force)
+        rep = is_permutation_exhaustive(trin)
         methods["exhaustive"] = rep.passed
         passed = passed and rep.passed
         orac_witness = rep.witness
@@ -281,7 +280,7 @@ _TABLE_COLUMNS = ("row", "pair", "condition", "criterion_pass", "oracle_pass",
 
 
 def _cmd_table1(cfg: RunConfig):
-    overall, rows = table_report(cfg.k, force=cfg.force)
+    overall, rows = table_report(cfg.k)
     payload = {"k": cfg.k, "pass": overall.passed, "rows": rows,
                "summary": _report_json(overall)}
     tsv = [_TABLE_COLUMNS]

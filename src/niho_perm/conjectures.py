@@ -28,8 +28,7 @@ from .trinomials import (EXHAUSTIVE_GUARD_K, eval_trinomial, field_values,
 from .unity import (build_map, maps_agree_report, pointwise_agreement_report,
                     unity_group, _sparse_on_unity)
 
-SUBFIELD_SWEEP_GUARD_K = 8      # conjecture-1 domain is GF(5^k) itself
-MU_GUARD_K = 8                  # circle-only checks (modulus table caps at 6)
+SUBFIELD_SWEEP_GUARD_K = 8      # GF(5^k) itself: the table limit is 5^8
 SEARCH_GUARD_K = 4
 
 
@@ -52,25 +51,22 @@ def is_square(x: FieldElement) -> bool:
 # conjecture 1: x*((x^2-x+2)/(x^2+x+2))^2 on GF(5^k), odd k
 
 @timed
-def conjecture1_check(k: int, force: bool = False) -> VerificationReport:
+def conjecture1_check(k: int) -> VerificationReport:
     """Exhaustive permutation and square-class stability sweep on GF(5^k)."""
     if k % 2 == 0:
         raise UsageError(f"the subfield map claim needs odd k (got {k})")
-    if k > SUBFIELD_SWEEP_GUARD_K and not force:
+    if k > SUBFIELD_SWEEP_GUARD_K:
         raise GuardExceededError(
             f"subfield sweep guarded at k <= {SUBFIELD_SWEEP_GUARD_K}")
     field = make_field(k)
     kern = field.accel_tables
-    if kern is None:
-        raise UsageError("subfield sweep needs acceleration tables (k <= 8)")
     subject = f"x*((x^2-x+2)/(x^2+x+2))^2 permutes GF(5^{k})"
     n1 = kern.n1
     logs = np.arange(n1, dtype=np.int64)
     x_ids = kern.antilog[logs]
     sq = kern.bpow(x_ids, 2)
-    two = kern.from_digits([2])
-    num = kern.badd(kern.badd(sq, kern.bneg(x_ids)), np.full(n1, two))
-    den = kern.badd(kern.badd(sq, x_ids), np.full(n1, two))
+    num = kern.bsum(((1, sq), (-1, x_ids), (2, kern.one)))
+    den = kern.bsum(((1, sq), (1, x_ids), (2, kern.one)))
     poles = np.nonzero(den == 0)[0]
     if poles.size:
         x = field.from_index(int(x_ids[poles[0]]))
@@ -117,8 +113,6 @@ def conjecture1_check(k: int, force: bool = False) -> VerificationReport:
 def conjecture2_check(k: int) -> VerificationReport:
     if k % 2 == 1:
         raise UsageError(f"the circle map claim needs even k (got {k})")
-    if k > MU_GUARD_K:
-        raise GuardExceededError(f"circle checks guarded at k <= {MU_GUARD_K}")
     group = unity_group(tower_field(k))
     from .unity import unity_permutation_report
     return unity_permutation_report(build_map("conj2_map", k), group, "mu")
@@ -215,7 +209,7 @@ def profile_sweep_report(k: int) -> VerificationReport:
     off, fx = _p1_image_off_subfield(field)
     x_ids = kern.antilog[off]
     xq_ids = kern.antilog[(off * q) % n1]
-    a = kern.badd(x_ids, xq_ids)
+    a = kern.bsum(((1, x_ids), (1, xq_ids)))
     b = kern.antilog[(off * (q + 1)) % n1]
     if np.any(fx == 0):
         bad = int(np.nonzero(fx == 0)[0][0])
@@ -226,16 +220,14 @@ def profile_sweep_report(k: int) -> VerificationReport:
             counts={"points": off.size})
     lf = kern.logt[fx]
     fxq = kern.antilog[(lf * q) % n1]
-    alpha_d = kern.badd(fx, fxq)
+    alpha_d = kern.bsum(((1, fx), (1, fxq)))
     beta_d = kern.bmul(fx, fxq)
     rr = kern.bmul(kern.bpow(a, 2), kern.binv(b))     # a^2/b
-    three = np.full(off.size, kern.from_digits([3]), dtype=np.int64)
-    alpha_f = kern.bmul(a, kern.badd(kern.badd(three, rr),
-                                     kern.bneg(kern.bpow(rr, 2))))
-    one = np.full(off.size, kern.one, dtype=np.int64)
-    beta_f = kern.bmul(b, kern.badd(
-        kern.badd(one, kern.bneg(kern.bpow(rr, 4))),
-        kern.badd(kern.bscale(kern.bpow(rr, 3), 3), rr)))
+    rr2 = kern.bpow(rr, 2)
+    one = kern.one
+    alpha_f = kern.bmul(a, kern.bsum(((3, one), (1, rr), (-1, rr2))))
+    beta_f = kern.bmul(b, kern.bsum(((1, one), (-1, kern.bpow(rr, 4)),
+                                     (3, kern.bpow(rr, 3)), (1, rr))))
     mism = np.nonzero((alpha_d != alpha_f) | (beta_d != beta_f))[0]
     if mism.size:
         bad = int(mism[0])
@@ -252,9 +244,8 @@ def profile_sweep_report(k: int) -> VerificationReport:
                      "x": field.from_index(int(x_ids[bad])).csv()},
             counts={"points": off.size})
     gamma = kern.bmul(kern.bpow(alpha_d, 2), kern.binv(beta_d))
-    two = np.full(off.size, kern.from_digits([2]), dtype=np.int64)
-    num = kern.badd(kern.badd(kern.bpow(rr, 2), kern.bneg(rr)), two)
-    den = kern.badd(kern.badd(kern.bpow(rr, 2), rr), two)
+    num = kern.bsum(((1, rr2), (-1, rr), (2, one)))
+    den = kern.bsum(((1, rr2), (1, rr), (2, one)))
     if np.any(den == 0):
         bad = int(np.nonzero(den == 0)[0][0])
         return VerificationReport(
@@ -262,8 +253,8 @@ def profile_sweep_report(k: int) -> VerificationReport:
             witness={"type": "pole", "x": field.from_index(
                 int(x_ids[bad])).csv()},
             counts={"points": off.size})
-    closed = kern.bneg(kern.bmul(rr, kern.bpow(kern.bmul(num, kern.binv(den)),
-                                               2)))
+    ratio2 = kern.bpow(kern.bmul(num, kern.binv(den)), 2)
+    closed = kern.bsum(((-1, kern.bmul(rr, ratio2)),))
     mism = np.nonzero(gamma != closed)[0]
     if mism.size:
         bad = int(mism[0])
@@ -514,8 +505,7 @@ def _split_by_work(work, parts: int) -> list[tuple[int, int]]:
 
 
 def search_problem_instances(k: int, constraint: str = "none",
-                             sign_pattern: str = "all",
-                             guard: int = SEARCH_GUARD_K, force: bool = False,
+                             sign_pattern: str = "all", force: bool = False,
                              threads: int = 1) -> list[SearchHit]:
     """All residue pairs whose trinomial passes the subgroup criterion.
 
@@ -529,9 +519,9 @@ def search_problem_instances(k: int, constraint: str = "none",
     if constraint not in CONSTRAINTS:
         raise UsageError(
             f"unknown constraint {constraint!r}; valid: {', '.join(CONSTRAINTS)}")
-    if k > guard and not force:
+    if k > SEARCH_GUARD_K and not force:
         raise GuardExceededError(
-            f"search guarded at k <= {guard}; pass force to override")
+            f"search guarded at k <= {SEARCH_GUARD_K}; pass force to override")
     patterns = _patterns_of(sign_pattern)
     field = tower_field(k)
     unity_group(field)                 # build before any fork

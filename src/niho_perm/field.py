@@ -10,7 +10,6 @@ way and the two representations are cross-checkable.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -382,12 +381,6 @@ class TableKernel:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def scale(self, a: int, c: int) -> int:
-        c %= CHAR
-        if c == 0 or a == 0:
-            return 0
-        return self.mul(a, self.from_digits([c]))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -402,33 +395,22 @@ class TableKernel:
             raise ZeroDivisionError("inverse of zero")
         return int(self.antilog[(-int(self.logt[a])) % self.n1])
 
-    def linear_map(self, cols: Sequence[int], a: int) -> int:
-        acc = 0
-        for i in range(self.m):
-            a, d = divmod(a, CHAR)
-            if d:
-                acc = self.add(acc, self.scale(cols[i], d))
-        return acc
-
     # -- batch ops on int64 arrays of handles -------------------------------
     def bmul(self, a, b):
         out = self.antilog[(self.logt[a] + self.logt[b]) % self.n1]
         zero = (a == 0) | (b == 0)
         return np.where(zero, 0, out)
 
+    def bsum(self, terms):
+        """Handles of sum coeff * a over (coeff, handles) pairs, where a
+        may be an array or one handle: one digit-row gather per term and
+        one reduction mod 5."""
+        acc = sum(np.multiply(self.digit_rows[a], c % CHAR, dtype=np.int16)
+                  for c, a in terms)
+        return (acc % CHAR).astype(np.int64) @ self.pow5
+
     def badd(self, a, b):
-        s = (self.digit_rows[a] + self.digit_rows[b]) % CHAR
-        return s.astype(np.int64) @ self.pow5
-
-    def bscale(self, a, c):
-        c %= CHAR
-        if c == 0:
-            return np.zeros_like(np.asarray(a, dtype=np.int64))
-        s = (self.digit_rows[a] * c) % CHAR
-        return s.astype(np.int64) @ self.pow5
-
-    def bneg(self, a):
-        return self.bscale(a, CHAR - 1)
+        return self.bsum(((1, a), (1, b)))
 
     def bpow(self, a, e: int):
         a = np.asarray(a, dtype=np.int64)
@@ -470,7 +452,6 @@ class FieldParams:
         self.signature = (m, modulus)
         self._frob_cols: tuple[int, ...] | None = None
         self._unity = None          # filled lazily by unity.unity_group
-        self._poly_twin: PolyKernel | None = None
 
     def __repr__(self):
         return f"GF(5^{self.m})"
@@ -548,12 +529,6 @@ class FieldParams:
 
     def norm_handle(self, h: int) -> int:
         return self.kernel.mul(h, self.frob_handle(h))
-
-    def polynomial_twin(self) -> PolyKernel:
-        """Packed power-basis kernel over the same modulus, for cross-checks."""
-        if self._poly_twin is None:
-            self._poly_twin = PolyKernel(self.m, self.modulus)
-        return self._poly_twin
 
 
 _FIELD_TOKEN = object()
@@ -675,18 +650,21 @@ def make_field(m: int, modulus_override: Sequence[int] | str | None = None
     if not isinstance(m, int) or not 1 <= m <= MAX_DEGREE:
         raise UsageError(f"degree m must be an integer in 1..{MAX_DEGREE}")
     if modulus_override is None:
-        modulus = PRIMITIVE_MODULI[m]
-    elif isinstance(modulus_override, str):
-        modulus = tuple(int(t) for t in modulus_override.split(","))
-    else:
-        modulus = tuple(int(c) for c in modulus_override)
+        return _make_field_cached(m, PRIMITIVE_MODULI[m])
+    digits = (modulus_override.split(",") if isinstance(modulus_override, str)
+              else modulus_override)
+    try:
+        modulus = tuple(int(c) for c in digits)
+    except (TypeError, ValueError):
+        raise UsageError(f"modulus digits must be integers, got "
+                         f"{modulus_override!r}") from None
     return _make_field_cached(m, modulus)
 
 
 def tower_field(k: int, modulus_override=None) -> FieldParams:
     """GF(5^{2k}) with its subfield tower marked."""
-    if not isinstance(k, int) or k < 1:
-        raise UsageError("k must be a positive integer")
+    if not isinstance(k, int) or not 1 <= k <= MAX_DEGREE // 2:
+        raise UsageError(f"k must be an integer in 1..{MAX_DEGREE // 2}")
     return make_field(2 * k, modulus_override)
 
 
@@ -722,15 +700,18 @@ TRACE_POWER_IDENTITIES: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
 )
 
 
+IDENTITY_GUARD_K = 3
+
+
 @timed
-def trace_power_identity_report(k: int, guard: int = 3,
+def trace_power_identity_report(k: int,
                                 force: bool = False) -> VerificationReport:
     """Check all five Tr(x^e)-in-(Tr, N) identities over every x in GF(5^{2k})."""
     if k < 1:
         raise UsageError("k must be >= 1")
-    if k > guard and not force:
+    if k > IDENTITY_GUARD_K and not force:
         raise GuardExceededError(
-            f"exhaustive identity sweep guarded at k <= {guard}; "
+            f"exhaustive identity sweep guarded at k <= {IDENTITY_GUARD_K}; "
             f"pass force to override")
     field = tower_field(k)
     kern = field.accel_tables
@@ -742,19 +723,17 @@ def trace_power_identity_report(k: int, guard: int = 3,
     logs = np.arange(n1, dtype=np.int64)
 
     def tr_of_power(e: int):
-        a = kern.antilog[(logs * (e % n1)) % n1]
-        b = kern.antilog[(logs * ((e * q) % n1)) % n1]
-        return kern.badd(a, b)
+        return kern.bsum([(1, kern.antilog[(logs * ((e * p) % n1)) % n1])
+                          for p in (1, q)])
 
     t_ids = tr_of_power(1)
     n_ids = kern.antilog[(logs * ((q + 1) % n1)) % n1]
     subject = f"power-trace identity suite over GF(5^{2*k})"
     for e, terms in TRACE_POWER_IDENTITIES:
         lhs = tr_of_power(e)
-        rhs = np.zeros_like(lhs)
-        for coeff, a_exp, b_exp in terms:
-            term = kern.bmul(kern.bpow(t_ids, a_exp), kern.bpow(n_ids, b_exp))
-            rhs = kern.badd(rhs, kern.bscale(term, coeff))
+        rhs = kern.bsum([(coeff, kern.bmul(kern.bpow(t_ids, a_exp),
+                                           kern.bpow(n_ids, b_exp)))
+                         for coeff, a_exp, b_exp in terms])
         bad = np.nonzero(lhs != rhs)[0]
         if bad.size:
             x = field.from_index(int(kern.antilog[bad[0]]))
@@ -768,54 +747,3 @@ def trace_power_identity_report(k: int, guard: int = 3,
     return VerificationReport(
         subject=subject, method="exhaustive", passed=True,
         counts={"elements": field.order, "identities": 5})
-
-
-# ---------------------------------------------------------------------------
-# dual-representation agreement
-
-@timed
-def representation_agreement_report(field: FieldParams,
-                                    samples: int = 10_000,
-                                    seed: int = 0) -> VerificationReport:
-    """Table arithmetic vs packed power-basis arithmetic on random pairs.
-
-    Exhaustive over all ordered pairs when the field has at most 5^4
-    elements; otherwise a seeded sample of the given size.
-    """
-    import random as _random
-    kern = field.kernel
-    if not kern.has_tables:
-        raise UsageError("agreement check applies to table-backed fields")
-    twin = field.polynomial_twin()
-    if field.order <= CHAR ** 4:
-        pairs: Iterable[tuple[int, int]] = itertools.product(
-            range(field.order), repeat=2)
-        total = field.order ** 2
-        method = "exhaustive"
-    else:
-        rng = _random.Random(seed)
-        pairs = ((rng.randrange(field.order), rng.randrange(field.order))
-                 for _ in range(samples))
-        total = samples
-        method = f"sampled(seed={seed})"
-    checked = 0
-    for ia, ib in pairs:
-        a_t, b_t = kern.from_index(ia), kern.from_index(ib)
-        a_p, b_p = twin.from_index(ia), twin.from_index(ib)
-        ops = (
-            ("mul", kern.mul(a_t, b_t), twin.mul(a_p, b_p)),
-            ("add", kern.add(a_t, b_t), twin.add(a_p, b_p)),
-            ("sub", kern.sub(a_t, b_t), twin.sub(a_p, b_p)),
-        )
-        for name, via_table, via_poly in ops:
-            if kern.digits(via_table) != twin.digits(via_poly):
-                return VerificationReport(
-                    subject=f"representation agreement over {field!r}",
-                    method=method, passed=False,
-                    witness={"type": "representation_mismatch", "op": name,
-                             "a": str(ia), "b": str(ib)},
-                    counts={"pairs": total})
-        checked += 1
-    return VerificationReport(
-        subject=f"representation agreement over {field!r}",
-        method=method, passed=True, counts={"pairs": checked})

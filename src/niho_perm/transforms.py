@@ -230,8 +230,7 @@ def _row_admits(row: PairTableRow, k: int) -> bool:
             or (row.condition == "odd") == (k % 2 == 1))
 
 
-def table_report(k: int, oracle_guard: int = EXHAUSTIVE_GUARD_K,
-                 force: bool = False) -> tuple[VerificationReport, list[dict]]:
+def table_report(k: int) -> tuple[VerificationReport, list[dict]]:
     """Reproduce every admissible table row at this k.
 
     Per row: resolve the pair, run the criterion (and the oracle within
@@ -240,7 +239,7 @@ def table_report(k: int, oracle_guard: int = EXHAUSTIVE_GUARD_K,
     excludes k appear with a skip reason.
     """
     q = CHAR ** k
-    use_oracle = k <= oracle_guard or force
+    use_oracle = k <= EXHAUSTIVE_GUARD_K
     rows: list[dict] = []
     reports: list[VerificationReport] = []
     for row in PAIR_TABLE:
@@ -259,7 +258,7 @@ def table_report(k: int, oracle_guard: int = EXHAUSTIVE_GUARD_K,
         crit = is_permutation_via_criterion(trin)
         reports.append(crit)
         if use_oracle:
-            orac = is_permutation_exhaustive(trin, force=force)
+            orac = is_permutation_exhaustive(trin)
             reports.append(orac)
             oracle_pass: bool | str = orac.passed
         else:
@@ -272,7 +271,7 @@ def table_report(k: int, oracle_guard: int = EXHAUSTIVE_GUARD_K,
             reports.append(pr)
             equiv_ok = equiv_ok and pr.passed
             if use_oracle:
-                orp = is_permutation_exhaustive(p.trinomial(k), force=force)
+                orp = is_permutation_exhaustive(p.trinomial(k))
                 reports.append(orp)
                 equiv_ok = equiv_ok and orp.passed
         transcribed = sorted(

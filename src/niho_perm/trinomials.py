@@ -4,13 +4,12 @@ GF(5^{2k}), with permutation verdicts by two independent routes.
 Every exponent is congruent to 1 mod q-1, so f(x) = x * h(x^(q-1)) with h
 the signed coefficient polynomial in the residues c.  The exhaustive oracle
 marks a full seen-table over the field; the subgroup criterion reduces the
-question to whether x * h(x)^(q-1) permutes the (q+1)-circle, plus a gcd
-condition that is computed rather than assumed.
+question to whether x * h(x)^(q-1) permutes the (q+1)-circle (the other
+condition, gcd(1, q-1) = 1, always holds).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Sequence
 
@@ -20,8 +19,7 @@ from .errors import GuardExceededError, UsageError
 from .field import CHAR, FieldElement, FieldParams, tower_field
 from .report import VerificationReport, timed
 from .residues import resolve_residue
-from .unity import (PowerFormMap, unity_group, unity_permutation_report,
-                    is_permutation_of)
+from .unity import PowerFormMap, unity_group, unity_permutation_report
 
 EXHAUSTIVE_GUARD_K = 4
 
@@ -107,19 +105,11 @@ def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
         raise UsageError(
             "exhaustive evaluation needs acceleration tables (k <= 4)")
     logs = np.arange(kern.n1, dtype=np.int64)
-    acc = None
-    at_zero = 0
-    for sign, e in abs_terms:
-        coeff = 1 if sign > 0 else CHAR - 1
-        rows = kern.digit_rows[kern.antilog[(logs * (e % kern.n1)) % kern.n1]]
-        rows = rows.astype(np.int16) * coeff
-        acc = rows if acc is None else acc + rows
-        if e == 0:
-            at_zero += coeff
-    vals = (acc % CHAR).astype(np.int64) @ kern.pow5
+    at_zero = sum(sign for sign, e in abs_terms if e == 0)    # 0^0 = 1
     out = np.empty(field.order, dtype=np.int64)
-    out[0] = kern.from_digits([at_zero % CHAR])
-    out[1:] = vals
+    out[0] = kern.from_digits([at_zero])
+    out[1:] = kern.bsum([(sign, kern.antilog[(logs * (e % kern.n1)) % kern.n1])
+                         for sign, e in abs_terms])
     return out
 
 
@@ -153,12 +143,11 @@ def exhaustive_permutation_report(field: FieldParams,
         counts={"elements": field.order})
 
 
-def is_permutation_exhaustive(f: NihoTrinomial, guard: int = EXHAUSTIVE_GUARD_K,
-                              force: bool = False) -> VerificationReport:
-    if f.k > guard and not force:
+def is_permutation_exhaustive(f: NihoTrinomial) -> VerificationReport:
+    if f.k > EXHAUSTIVE_GUARD_K:
         raise GuardExceededError(
-            f"exhaustive oracle guarded at k <= {guard} "
-            f"(5^{2*f.k} elements); use the criterion method or force")
+            f"exhaustive oracle guarded at k <= {EXHAUSTIVE_GUARD_K} "
+            f"(5^{2*f.k} elements); use the criterion method")
     abs_terms = list(zip((s for s, _ in f.terms), f.exponents))
     return exhaustive_permutation_report(f.field, abs_terms, f.subject())
 
@@ -172,61 +161,21 @@ def induced_mu_map(f: NihoTrinomial) -> PowerFormMap:
 
 
 @timed
-def power_residue_criterion(field: FieldParams, l: int, s: int,
-                            g_terms: Sequence[tuple[int, int]],
-                            subject: str) -> VerificationReport:
-    """Permutation test for f(x) = x^l * g(x^((Q-1)/s)), Q the field size.
-
-    Condition 1 is gcd(l, (Q-1)/s) = 1, computed and logged; condition 2 is
-    that x^l * g(x)^((Q-1)/s) permutes the s-th roots of unity, decided by
-    enumeration.  A zero of g on that subgroup fails condition 2 with a
-    witness (the image would leave the subgroup).
-    """
-    big = field.order - 1
-    if big % s:
-        raise UsageError(f"s = {s} does not divide {big}")
-    d = big // s
-    g_val = math.gcd(l, d)
-    cond1 = g_val == 1
-    note1 = f"condition 1: gcd(l={l}, {d}) = {g_val}"
-    if s == field.q + 1 and l == 1:
-        group = unity_group(field)
-        map_ = PowerFormMap(name="induced", h_terms=tuple(
-            (sign, c % s) for sign, c in g_terms))
-        rep2 = unity_permutation_report(map_, group, "mu")
-    else:
-        kern = field.kernel
-        base = kern.pow(kern.generator_handle, d)
-        elems = [FieldElement(field, kern.one)]
-        cur = kern.one
-        for _ in range(s - 1):
-            cur = kern.mul(cur, base)
-            elems.append(FieldElement(field, cur))
-
-        def the_map(x: FieldElement) -> FieldElement:
-            gx = x.field.zero
-            for sign, c in g_terms:
-                t = x ** c
-                gx = gx + t if sign > 0 else gx - t
-            return x ** l * gx ** d
-
-        rep2 = is_permutation_of(elems, the_map,
-                                 subject=f"x^{l}*g(x)^{d} on mu_{s}")
-    passed = cond1 and rep2.passed
-    witness = None
-    if not cond1:
-        witness = {"type": "gcd", "l": l, "modulus": d, "gcd": g_val}
-    elif not rep2.passed:
-        witness = rep2.witness
-    return VerificationReport(
-        subject=subject, method="criterion", passed=passed, witness=witness,
-        counts={"subgroup_order": s, **rep2.counts},
-        notes=[note1, f"condition 2: {'pass' if rep2.passed else 'fail'}"])
-
-
 def is_permutation_via_criterion(f: NihoTrinomial) -> VerificationReport:
-    return power_residue_criterion(
-        f.field, 1, f.q + 1, f.terms, subject=f.subject())
+    """Subgroup criterion: f(x) = x * h(x^(q-1)) permutes GF(q^2) iff
+    gcd(1, q-1) = 1 (condition 1, which always holds) and x * h(x)^(q-1)
+    permutes the (q+1)-circle (condition 2, decided by enumeration).  A
+    zero of h on the circle fails condition 2 with a witness (the image
+    would leave the circle).
+    """
+    circle = unity_permutation_report(
+        PowerFormMap(name="induced", h_terms=f.terms), unity_group(f.field))
+    return VerificationReport(
+        subject=f.subject(), method="criterion", passed=circle.passed,
+        witness=circle.witness,
+        counts={"subgroup_order": f.q + 1, **circle.counts},
+        notes=[f"condition 1: gcd(l=1, {f.q - 1}) = 1",
+               f"condition 2: {'pass' if circle.passed else 'fail'}"])
 
 
 # ---------------------------------------------------------------------------

@@ -291,12 +291,8 @@ def _sparse_on_unity(group: UnityGroup, indices, terms) -> np.ndarray:
     kern = group.field.kernel
     idx = np.asarray(indices, dtype=np.int64)
     if kern.has_tables:
-        acc = None
-        for coeff, e in terms:
-            rows = kern.digit_rows[group.ids[(idx * (e % n)) % n]]
-            rows = rows.astype(np.int16) * (coeff % CHAR)
-            acc = rows if acc is None else acc + rows
-        return (acc % CHAR).astype(np.int64) @ kern.pow5
+        return kern.bsum([(coeff, group.ids[(idx * (e % n)) % n])
+                          for coeff, e in terms])
     elems = group.elements
     # constant terms (exponent 0 mod n) are the same at every circle point
     const = kern.zero
@@ -358,8 +354,7 @@ def eval_power_on_unity(map_: PowerFormMap, group: UnityGroup, indices):
     returned and values is None (the image would leave the circle).
     """
     idx = np.asarray(indices, dtype=np.int64)
-    terms = tuple((1 if s > 0 else CHAR - 1, c) for s, c in map_.h_terms)
-    h = _sparse_on_unity(group, idx, terms)
+    h = _sparse_on_unity(group, idx, map_.h_terms)     # signs are coefficients
     zeros = np.flatnonzero(h == 0)
     if zeros.size:
         return None, int(idx[zeros[0]])

@@ -51,6 +51,41 @@ class TestExitCodes:
             main(["verify"])    # missing --k
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--terms", "+0,+1,+2", "--k", "5", "--force"],
+        ["table1", "--k", "5", "--force"]])
+    def test_removed_force_flags_are_usage_errors(self, capsys, argv):
+        # the oracle needs tables at k <= 4, so --force could only fail
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
+
+    def test_non_integer_modulus_digit_is_two(self, capsys):
+        code, out, err = run_cli(capsys, "field-info", "--m", "2",
+                                 "--modulus", "9,z")
+        assert code == 2
+        assert out == ""
+        assert err == "error: modulus digits must be integers, got '9,z'\n"
+
+    @pytest.mark.parametrize("klist", ["0", "-1", "1,0,3"])
+    def test_conjecture_k_below_one_is_two(self, capsys, klist):
+        code, out, err = run_cli(capsys, "conjecture", "--id", "1",
+                                 "--k", klist)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: every k must be >= 1 (got ")
+
+    @pytest.mark.parametrize("argv", [
+        ["mu-check", "--map", "g1"], ["verify", "--family", "T1"],
+        ["proposition", "--id", "P1"], ["table1"],
+        ["equivalents", "--family", "T1"]])
+    def test_k_above_tower_limit_names_k(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--k", "7")
+        assert code == 2
+        assert out == ""
+        assert err == "error: k must be an integer in 1..6\n"
+
 
 class TestReportShapes:
     def test_mu_check_schema(self, capsys):

@@ -71,6 +71,10 @@ class TestConjecture2:
         with pytest.raises(UsageError, match="even"):
             conjecture2_check(3)
 
+    def test_k_above_tower_limit(self):
+        with pytest.raises(UsageError, match=r"k must be an integer in 1\.\.6"):
+            conjecture2_check(8)
+
     def test_value_at_one(self):
         # -1*((1-2)/(1+2))^2 = 1: well defined, no pole
         f = tower_field(2)

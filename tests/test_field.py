@@ -10,8 +10,9 @@ from niho_perm.errors import (FieldConstructionError, GuardExceededError,
                               UsageError)
 from niho_perm.field import (PRIMITIVE_MODULI, PolyKernel, make_field,
                              tower_field, frobenius, trace, norm, in_subfield,
-                             factorize, representation_agreement_report,
-                             trace_power_identity_report, _pmulmod)
+                             factorize, trace_power_identity_report,
+                             _pmulmod)
+from representation_twin import representation_agreement_report
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +243,32 @@ class TestTower:
         for _ in range(20):
             x = f.random_element(rng)
             assert frobenius(x) == x ** f.q
+
+
+class TestBatchSum:
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_bsum_matches_element_arithmetic(self, m):
+        import numpy as np
+        f = make_field(m)
+        kern = f.kernel
+        rng = np.random.default_rng(m)
+        arrays = [rng.integers(0, f.order, 50) for _ in range(3)]
+        terms = [(1, arrays[0]), (-1, arrays[1]), (7, arrays[2]),
+                 (3, kern.one)]
+        got = kern.bsum(terms)
+        for p in range(50):
+            want = 3 * f.one
+            for c, a in terms[:3]:
+                want = want + c * f.from_index(int(a[p]))
+            assert f.from_index(int(got[p])) == want
+
+    def test_badd_is_a_two_term_bsum(self, gf25):
+        import numpy as np
+        kern = gf25.kernel
+        a = np.arange(25).repeat(25)
+        b = np.tile(np.arange(25), 25)
+        got = kern.badd(a, b)
+        assert [kern.add(int(x), int(y)) for x, y in zip(a, b)] == got.tolist()
 
 
 class TestIdentitySuite:

@@ -11,10 +11,9 @@ from niho_perm.trinomials import (FAMILY_CATALOG, FAMILY_IDS, build_trinomial,
                                   family_admits, family_is_conjectural,
                                   induced_mu_map, is_permutation_exhaustive,
                                   is_permutation_via_criterion,
-                                  oracle_agreement_report,
-                                  power_residue_criterion, random_trinomial,
+                                  oracle_agreement_report, random_trinomial,
                                   theorem_family)
-from niho_perm.unity import eval_map, unity_group
+from niho_perm.unity import eval_map, is_permutation_of, unity_group
 
 
 class TestConstruction:
@@ -138,20 +137,24 @@ class TestCriterion:
         h = induced_mu_map(f).h_at(x)
         assert h.is_zero
 
-    def test_general_form_gcd_condition_computed(self):
-        # l = 2 shares a factor with (q^2-1)/(q+1) = q-1 = 4
-        field = tower_field(1)
-        rep = power_residue_criterion(field, 2, 6, ((1, 0), (1, 2), (-1, 4)),
-                                      "general-form check")
-        assert not rep.passed
-        assert rep.witness["type"] == "gcd"
-        assert rep.witness["gcd"] == 2
+    def test_report_shape(self):
+        rep = is_permutation_via_criterion(theorem_family("T1", 1))
+        assert rep.as_dict(with_elapsed=False) == {
+            "subject": "x + x^9 - x^17 over GF(5^2)", "method": "criterion",
+            "pass": True, "counts": {"subgroup_order": 6, "points": 6},
+            "notes": ["condition 1: gcd(l=1, 4) = 1", "condition 2: pass"]}
 
-    def test_general_form_other_subgroup(self):
-        # s = 3 on GF(25): x * g(x^8)^... with g = 1 (monomial x) permutes
-        field = tower_field(1)
-        rep = power_residue_criterion(field, 1, 3, ((1, 0),), "monomial")
-        assert rep.passed
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_scalar_circle_enumeration(self, k):
+        # the batched circle verdict against element-by-element evaluation
+        # of x*h(x)^(q-1) over the circle's members
+        rng = random.Random(k)
+        group = unity_group(tower_field(k))
+        circle = group.members(range(group.n))
+        for _ in range(40):
+            f = random_trinomial(k, rng)
+            scalar = is_permutation_of(circle, induced_mu_map(f))
+            assert is_permutation_via_criterion(f).passed == scalar.passed
 
     def test_nonvanishing_facts(self):
         # the h polynomials behind T1, T2, T5a, T6 never vanish on the circle
