@@ -51,6 +51,12 @@ GOLDEN_COMMANDS = (
        for k in (1, 2, 3)]
     + [["equivalents", "--family", "T1", "--k", "3"],
        ["field-info", "--m", "4"], ["field-info", "--m", "10"]]
+    + [["mu-check", "--map", f"g{i}", "--k", "6"] for i in range(1, 11)]
+    + [["verify", "--terms", terms, "--k", "6", "--method", "criterion"]
+       for terms in ("+0,+7,-14", "+0,+1,+2")]
+    + [["proposition", "--id", "P2", "--k", "6"], ["table1", "--k", "6"],
+       ["search", "--k", "5", "--constraint", "sum-half", "--signs", "++",
+        "--force"]]
 )
 
 
