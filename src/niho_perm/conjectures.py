@@ -26,7 +26,7 @@ from .trinomials import (EXHAUSTIVE_GUARD_K, eval_trinomial, field_values,
                          induced_mu_map, is_permutation_exhaustive,
                          is_permutation_via_criterion, theorem_family)
 from .unity import (build_map, maps_agree_report, pointwise_agreement_report,
-                    unity_group, _sparse_on_unity)
+                    unity_group)
 
 SUBFIELD_SWEEP_GUARD_K = 8      # GF(5^k) itself: the table limit is 5^8
 SEARCH_GUARD_K = 4
@@ -195,8 +195,9 @@ def _p1_image_off_subfield(field):
 
 
 @timed
-def profile_sweep_report(k: int) -> VerificationReport:
-    """Profile chain over every x outside the subfield, vectorized."""
+def profile_sweep_report(k: int, *, image=None) -> VerificationReport:
+    """Profile chain over every x outside the subfield, vectorized.  image
+    is _p1_image_off_subfield's result, if the caller already has it."""
     if k % 2 == 0:
         raise UsageError(f"the profile chain needs odd k (got {k})")
     field = tower_field(k)
@@ -206,7 +207,7 @@ def profile_sweep_report(k: int) -> VerificationReport:
     q = field.q
     n1 = kern.n1
     subject = f"trace/norm profile chain over GF(5^{2*k}) minus GF(5^{k})"
-    off, fx = _p1_image_off_subfield(field)
+    off, fx = image or _p1_image_off_subfield(field)
     x_ids = kern.antilog[off]
     xq_ids = kern.antilog[(off * q) % n1]
     a = kern.bsum(((1, x_ids), (1, xq_ids)))
@@ -268,8 +269,9 @@ def profile_sweep_report(k: int) -> VerificationReport:
 
 
 @timed
-def subfield_stability_report(k: int) -> VerificationReport:
-    """f(x) stays off the subfield whenever x is off it (family P1)."""
+def subfield_stability_report(k: int, *, image=None) -> VerificationReport:
+    """f(x) stays off the subfield whenever x is off it (family P1); image
+    as in profile_sweep_report."""
     if k % 2 == 0:
         raise UsageError(f"stability fact needs odd k (got {k})")
     field = tower_field(k)
@@ -279,7 +281,7 @@ def subfield_stability_report(k: int) -> VerificationReport:
     q = field.q
     n1 = kern.n1
     subject = f"P1 maps GF(5^{2*k}) minus GF(5^{k}) into itself"
-    off, fx = _p1_image_off_subfield(field)
+    off, fx = image or _p1_image_off_subfield(field)
     in_sub = fx == 0
     nz = ~in_sub
     lf = kern.logt[fx[nz]]
@@ -308,9 +310,9 @@ def _quartic_report(group) -> VerificationReport:
     """The quartic obstruction on any circle: a root witness carries the
     circle index and point; with no root, gcd(13, q+1) must still be 1."""
     g13 = math.gcd(13, group.n)
-    vals = _sparse_on_unity(group, range(group.n),
-                            ((1, 4), (2, 3), (1, 2), (2, 1), (1, 0)))
-    zero = np.flatnonzero(vals == 0)
+    logs = group.sum_logs(range(group.n),
+                          ((1, 4), (2, 3), (1, 2), (2, 1), (1, 0)))
+    zero = np.flatnonzero(logs < 0)
     subject = f"no circle root of x^4+2x^3+x^2+2x+1 at k={group.k}"
     counts = {"points": group.n}
     if zero.size:
@@ -344,8 +346,9 @@ def proposition_check(prop_id: str, k: int) -> VerificationReport:
     group = unity_group(f.field)
     if prop_id == "P1":
         if k <= EXHAUSTIVE_GUARD_K:
-            reports.append(subfield_stability_report(k))
-            reports.append(profile_sweep_report(k))
+            image = _p1_image_off_subfield(f.field)
+            reports.append(subfield_stability_report(k, image=image))
+            reports.append(profile_sweep_report(k, image=image))
         reports.append(quartic_obstruction_report(k))
         reports.append(maps_agree_report(
             induced_mu_map(f), build_map("p1_bridge", k), group, "mu"))

@@ -150,6 +150,17 @@ def equivalent_pairs(pair: SignedPair, k: int,
     input pair.  Permutation preservation is verified, not assumed: if the
     source passes the subgroup criterion, every returned pair must too.
     """
+    result = _transformed_pairs(pair, k, skipped)
+    if is_permutation_via_criterion(pair.trinomial(k)).passed:
+        for p in result:
+            if not is_permutation_via_criterion(p.trinomial(k)).passed:
+                raise _contract_error(pair, p, k)
+    return result
+
+
+def _transformed_pairs(pair: SignedPair, k: int,
+                       skipped: list | None) -> list[SignedPair]:
+    """equivalent_pairs without the criterion check."""
     n = CHAR ** k + 1
     found: dict[SignedPair, None] = {}
     for case, i, j in _applications(pair):
@@ -162,14 +173,12 @@ def equivalent_pairs(pair: SignedPair, k: int,
         out = SignedPair.make((sig_s, s), (sig_t, t), n)
         if out != pair:
             found[out] = None
-    result = sorted(found)
-    if is_permutation_via_criterion(pair.trinomial(k)).passed:
-        for p in result:
-            if not is_permutation_via_criterion(p.trinomial(k)).passed:
-                raise UsageError(
-                    f"transform contract violated: {pair.notation()} passes "
-                    f"but derived {p.notation()} fails at k={k}")
-    return result
+    return sorted(found)
+
+
+def _contract_error(pair: SignedPair, derived: SignedPair, k: int):
+    return UsageError(f"transform contract violated: {pair.notation()} "
+                      f"passes but derived {derived.notation()} fails at k={k}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +273,12 @@ def table_report(k: int) -> tuple[VerificationReport, list[dict]]:
         else:
             oracle_pass = "skipped"
         skipped_cases: list[str] = []
-        recomputed = equivalent_pairs(pair, k, skipped=skipped_cases)
+        recomputed = _transformed_pairs(pair, k, skipped_cases)
         equiv_ok = True
         for p in recomputed:
             pr = is_permutation_via_criterion(p.trinomial(k))
+            if crit.passed and not pr.passed:
+                raise _contract_error(pair, p, k)
             reports.append(pr)
             equiv_ok = equiv_ok and pr.passed
             if use_oracle:

@@ -11,10 +11,13 @@ a zero witness.
 
 Batched evaluation speaks circle indices: at domain indices i it returns an
 int64 array of j with image zeta^j, and -1 where a closed form leaves the
-circle.  Only the producers (_sparse_on_unity, _power_indices,
-_ratio_indices) know whether the field has log tables or packed handles;
-every verdict compares index arrays, and turns an index into an element
-only to write a witness.
+circle.  Its one producer, UnityGroup.sum_logs, works in GF(q) coordinates
+at every k: GF(5^{2k}) = GF(q) + GF(q)*omega, and a sum at a circle point
+is d*(r + omega) (or d alone) for a point r of P^1(GF(q)), so its log is
+(q+1)*log d plus one table entry per point of P^1(GF(q)).  The tables are
+O(q), built once with the group; only UnityGroup construction knows the
+field's kernel.  Every verdict compares index arrays, and turns an index
+into an element only to write a witness.
 """
 
 from __future__ import annotations
@@ -25,30 +28,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PoleError, UsageError
-from .field import CHAR, FieldElement, FieldParams, factorize, tower_field
+from .field import (CHAR, FieldElement, FieldParams, TableKernel, factorize,
+                    tower_field)
 from .report import VerificationReport, combine_reports, timed
 from .residues import resolve_residue
-
-
-def batch_inverse(kernel, vals: Sequence[int]) -> list[int]:
-    """Invert many nonzero handles with 3(n-1) multiplications and one inversion."""
-    n = len(vals)
-    if n == 0:
-        return []
-    prefix = [0] * n
-    acc = vals[0]
-    prefix[0] = acc
-    mul = kernel.mul
-    for i in range(1, n):
-        acc = mul(acc, vals[i])
-        prefix[i] = acc
-    inv_acc = kernel.inv(acc)
-    out = [0] * n
-    for i in range(n - 1, 0, -1):
-        out[i] = mul(inv_acc, prefix[i - 1])
-        inv_acc = mul(inv_acc, vals[i])
-    out[0] = inv_acc
-    return out
 
 
 class UnityGroup:
@@ -68,8 +51,7 @@ class UnityGroup:
                 raise UsageError("zeta does not have full order q+1")
         if kern.has_tables:
             logs = (np.arange(self.n, dtype=np.int64) * (self.q - 1)) % kern.n1
-            self.ids = kern.antilog[logs]
-            self.elements = self.ids.tolist()
+            self.elements = kern.antilog[logs].tolist()
         else:
             elems = [kern.one]
             cur = kern.one
@@ -77,10 +59,86 @@ class UnityGroup:
                 cur = kern.mul(cur, self.zeta)
                 elems.append(cur)
             self.elements = elems
-            self.ids = None
         self.index = {h: i for i, h in enumerate(self.elements)}
         if len(self.index) != self.n:
             raise UsageError("unity subgroup enumeration collided")
+        self._build_p1(kern)
+
+    def _build_p1(self, kern) -> None:
+        """GF(q) tables for the circle: GF(5^{2k}) = GF(q) + GF(q)*omega.
+
+        With G = g^(q+1) and omega = g^((q+1)/2) (omega^2 = G, omega^q =
+        -omega), every nonzero z is c*g^L with c in GF(q)* and L in [0, q].
+        subfield is GF(q) as a log table base G; coords holds zeta^i =
+        conj(g^i)/g^i as (a, b) digit rows; p1_log[slot] = log_g(r + omega)
+        for the point r = a/b of P^1(GF(q)) in that slot (see _p1_slot).
+        """
+        k, q, n = self.k, self.q, self.n
+        self.log_order = q * q - 1
+        G = kern.pow(kern.generator_handle, n)
+        omega = kern.pow(kern.generator_handle, n // 2)
+        basis = [kern.pow(G, j) for j in range(k)]
+        basis += [kern.mul(b, omega) for b in basis]
+        # Phi maps (a, b) digits to field digits; its inverse gives
+        # G^k = sum a_j G^j, so x^k - sum a_j x^j is the minpoly of G
+        phi_inv = _inverse_mod5(np.array([kern.digits(b) for b in basis]).T)
+        gk = phi_inv @ kern.digits(kern.pow(G, k)) % CHAR
+        F = self.subfield = TableKernel(k, tuple((-gk[:k]) % CHAR) + (1,))
+        self._pow5 = CHAR ** np.arange(2 * k, dtype=np.int64)
+        gen = phi_inv @ kern.digits(kern.generator_handle) % CHAR @ self._pow5
+        # g^L for L in [0, q] in (a, b) form, by doubling blocks
+        a, b = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        a[0] = F.one
+        block, filled = (np.array([gen % q]), np.array([gen // q])), 1
+        while filled < n:
+            step = min(filled, n - filled)
+            a[filled:filled + step], b[filled:filled + step] = self._pair_mul(
+                (a[:step], b[:step]), block)
+            block = self._pair_mul(block, block)
+            filled += step
+        slot, dlog = self._p1_slot(a, b)
+        self.p1_log = np.empty(n, dtype=np.int64)
+        self.p1_log[slot] = (np.arange(n) - n * dlog) % self.log_order
+        # conj(a + b omega) / (a + b omega) = (a^2 + G b^2 - 2ab omega) / N
+        a2, gb2 = F.bmul(a, a), F.bmul(F.generator_handle, F.bmul(b, b))
+        inv_norm = F.binv(F.bsum(((1, a2), (-1, gb2))))
+        self.coords = np.concatenate(
+            [F.digit_rows[F.bmul(F.bsum(((1, a2), (1, gb2))), inv_norm)],
+             F.digit_rows[F.bmul(F.bsum(((-2, F.bmul(a, b)),)), inv_norm)]],
+            axis=1)
+
+    def _pair_mul(self, x, y):
+        """(a + b omega)(c + d omega) on GF(q) handle arrays."""
+        F = self.subfield
+        (a, b), (c, d) = x, y
+        return (F.badd(F.bmul(a, c),
+                       F.bmul(F.generator_handle, F.bmul(b, d))),
+                F.badd(F.bmul(a, d), F.bmul(b, c)))
+
+    def _p1_slot(self, a, b):
+        """Slot of the point [a : b] of P^1(GF(q)) and the GF(q) log of the
+        scale d with a + b omega = d (r + omega), or d = a where b = 0.
+
+        Slots: log_G r for r = a/b != 0, q-1 for r = 0, q for infinity.
+        The log is -1 where a = b = 0.
+        """
+        F, q = self.subfield, self.q
+        la, lb = F.logt[a], F.logt[b]
+        slot = np.where(b == 0, q, np.where(a == 0, q - 1, (la - lb) % (q - 1)))
+        return slot, np.where(b == 0, la, lb)
+
+    def sum_logs(self, indices, terms) -> np.ndarray:
+        """log_g of sum coeff * x^e at x = zeta^i for i in indices, in
+        Z/(q^2-1), and -1 where the sum is zero: one digit-row gather per
+        term, one reduction mod 5, two GF(q) log lookups."""
+        idx = np.asarray(indices, dtype=np.int64)
+        n = self.n
+        acc = sum(np.multiply(self.coords[(idx * (e % n)) % n], c % CHAR,
+                              dtype=np.int16) for c, e in terms)
+        b, a = np.divmod((acc % CHAR).astype(np.int64) @ self._pow5, self.q)
+        slot, dlog = self._p1_slot(a, b)
+        return np.where(dlog < 0, -1,
+                        (n * dlog + self.p1_log[slot]) % self.log_order)
 
     def __repr__(self):
         return f"mu_{self.n} in {self.field!r}"
@@ -115,6 +173,20 @@ class UnityGroup:
 
     def members(self, indices) -> list[FieldElement]:
         return [self.element(i) for i in indices]
+
+
+def _inverse_mod5(mat: np.ndarray) -> np.ndarray:
+    """Inverse of an invertible square GF(5) matrix, by Gauss-Jordan."""
+    size = len(mat)
+    aug = np.concatenate([mat % CHAR, np.eye(size, dtype=np.int64)], axis=1)
+    for c in range(size):
+        p = c + int(np.flatnonzero(aug[c:, c])[0])
+        aug[[c, p]] = aug[[p, c]]
+        aug[c] = aug[c] * pow(int(aug[c, c]), CHAR - 2, CHAR) % CHAR
+        col = aug[:, c].copy()
+        col[c] = 0
+        aug = (aug - np.outer(col, aug[c])) % CHAR
+    return aug[:, size:]
 
 
 def unity_group(field: FieldParams) -> UnityGroup:
@@ -281,71 +353,6 @@ def build_map(name: str, k: int) -> FractionalMap:
 # ---------------------------------------------------------------------------
 # batched evaluation over unity indices
 
-def _sparse_on_unity(group: UnityGroup, indices, terms) -> np.ndarray:
-    """Handles of sum coeff * x^e at x = zeta^i for i in indices.
-
-    int64 on table fields, object dtype (packed handles) otherwise; zero is
-    0 on both.
-    """
-    n = group.n
-    kern = group.field.kernel
-    idx = np.asarray(indices, dtype=np.int64)
-    if kern.has_tables:
-        return kern.bsum([(coeff, group.ids[(idx * (e % n)) % n])
-                          for coeff, e in terms])
-    elems = group.elements
-    # constant terms (exponent 0 mod n) are the same at every circle point
-    const = kern.zero
-    varying = []
-    for coeff, e in terms:
-        if e % n == 0:
-            const = kern.add(const, kern.from_digits([coeff]))
-        else:
-            varying.append((coeff % CHAR, e % n))
-    add, scale = kern.add, kern.scale
-    out = []
-    for i in idx.tolist():
-        acc = const
-        for coeff, e in varying:
-            v = elems[(i * e) % n]
-            acc = add(acc, v if coeff == 1 else scale(v, coeff))
-        out.append(acc)
-    return np.array(out, dtype=object)
-
-
-def _power_indices(group: UnityGroup, h: np.ndarray) -> np.ndarray:
-    """Circle index of h^(q-1) for each nonzero handle in h."""
-    kern = group.field.kernel
-    if kern.has_tables:
-        # h^(q-1) = g^((q-1) log h) = zeta^(log h)
-        return kern.logt[h] % group.n
-    # h^(q-1) = h^q / h
-    frob, mul, index = group.field.frob_handle, kern.mul, group.index
-    hs = h.tolist()
-    return np.array([index[mul(frob(v), w)]
-                     for v, w in zip(hs, batch_inverse(kern, hs))],
-                    dtype=np.int64)
-
-
-def _ratio_indices(group: UnityGroup, num: np.ndarray, den: np.ndarray,
-                   outer: int) -> np.ndarray:
-    """Circle index of (num/den)^outer, -1 where it is off the circle."""
-    kern = group.field.kernel
-    if kern.has_tables:
-        # g^L lies on the circle iff (q-1) | L, and is then zeta^(L/(q-1))
-        logs = outer * (kern.logt[num] - kern.logt[den]) % kern.n1
-        on = (num != 0) & (logs % (group.q - 1) == 0)
-        return np.where(on, logs // (group.q - 1), -1)
-    mul, index = kern.mul, group.index
-    out = []
-    for a, b in zip(num.tolist(), batch_inverse(kern, den.tolist())):
-        r = val = mul(a, b)
-        for _ in range(outer - 1):
-            val = mul(val, r)
-        out.append(index.get(val, -1))
-    return np.array(out, dtype=np.int64)
-
-
 def eval_power_on_unity(map_: PowerFormMap, group: UnityGroup, indices):
     """Power-form circle indices; returns (values, zero_index).
 
@@ -354,24 +361,27 @@ def eval_power_on_unity(map_: PowerFormMap, group: UnityGroup, indices):
     returned and values is None (the image would leave the circle).
     """
     idx = np.asarray(indices, dtype=np.int64)
-    h = _sparse_on_unity(group, idx, map_.h_terms)     # signs are coefficients
-    zeros = np.flatnonzero(h == 0)
+    logs = group.sum_logs(idx, map_.h_terms)     # signs are coefficients
+    zeros = np.flatnonzero(logs < 0)
     if zeros.size:
         return None, int(idx[zeros[0]])
-    return (idx + _power_indices(group, h)) % group.n, None
+    # h^(q-1) = g^((q-1) log h) = zeta^(log h)
+    return (idx + logs) % group.n, None
 
 
 def eval_closed_on_unity(map_: ClosedFormMap, group: UnityGroup, indices):
     """Closed-form circle indices (-1 off the circle); returns
     (values, pole_index) as eval_power_on_unity does."""
     idx = np.asarray(indices, dtype=np.int64)
-    num = _sparse_on_unity(group, idx, map_.num)
-    den = _sparse_on_unity(group, idx, map_.den)
-    poles = np.flatnonzero(den == 0)
+    num = group.sum_logs(idx, map_.num)
+    den = group.sum_logs(idx, map_.den)
+    poles = np.flatnonzero(den < 0)
     if poles.size:
         return None, int(idx[poles[0]])
-    n = group.n
-    ratio = _ratio_indices(group, num, den, map_.outer)
+    n, q = group.n, group.q
+    # g^L lies on the circle iff (q-1) | L, and is then zeta^(L/(q-1))
+    logs = map_.outer * (num - den) % group.log_order
+    ratio = np.where((num >= 0) & (logs % (q - 1) == 0), logs // (q - 1), -1)
     # x^pre = zeta^(i*pre) and -1 = zeta^(n/2) keep a point on the circle
     shift = n // 2 if map_.sign < 0 else 0
     vals = (ratio + idx * (map_.pre_exp % n) + shift) % n

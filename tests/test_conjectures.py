@@ -20,7 +20,7 @@ from niho_perm.conjectures import (CONSTRAINTS, ProfileMismatchError,
 from niho_perm.field import make_field, tower_field, trace
 from niho_perm.trinomials import (induced_mu_map,
                                   is_permutation_exhaustive, theorem_family)
-from niho_perm.unity import (ClosedFormMap, build_map, eval_map,
+from niho_perm.unity import (ClosedFormMap, UnityGroup, build_map, eval_map,
                              maps_agree_report, pointwise_agreement_report,
                              unity_group)
 
@@ -138,6 +138,14 @@ class TestPropositions:
         rep = proposition_check("P1", k)
         assert rep.passed
 
+    def test_p1_evaluates_the_field_once(self, monkeypatch):
+        calls = []
+        values = conjectures.field_values
+        monkeypatch.setattr(conjectures, "field_values",
+                            lambda *a: calls.append(a) or values(*a))
+        assert proposition_check("P1", 3).passed
+        assert len(calls) == 1
+
     def test_p1_coincides_with_t1_at_k1(self):
         assert theorem_family("P1", 1).terms == theorem_family("T1", 1).terms
 
@@ -175,8 +183,9 @@ class TestPropositions:
 
     def test_quartic_gcd_witness(self, monkeypatch):
         group = unity_group(tower_field(2))
-        monkeypatch.setattr(conjectures, "_sparse_on_unity",
-                            lambda g, idx, terms: np.ones(g.n, dtype=np.int64))
+        # no circle root: every log of the quartic's values is >= 0
+        monkeypatch.setattr(UnityGroup, "sum_logs",
+                            lambda g, idx, terms: np.zeros(g.n, dtype=np.int64))
         rep = _quartic_report(group)
         assert not rep.passed
         assert rep.witness == {"type": "gcd", "gcd_13": 13}

@@ -1,10 +1,12 @@
 """Modular fractions, exponent transforms, pair equivalences, pair table."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from niho_perm import transforms
 from niho_perm.errors import NoInverseError, ResidueError, UsageError
 from niho_perm.residues import frac_mod, resolve_residue
 from niho_perm.transforms import (PAIR_TABLE, SignedPair, equivalent_pairs,
@@ -187,6 +189,28 @@ class TestPairTable:
         _, rows = table_report(2)
         row11 = next(r for r in rows if r["row"] == 11)
         assert row11["transcription_diff"]["recomputed_only"] == ["(-[2], +[24])"]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_criterion_once_per_trinomial(self, k, monkeypatch):
+        calls = []
+        criterion = transforms.is_permutation_via_criterion
+        monkeypatch.setattr(transforms, "is_permutation_via_criterion",
+                            lambda t: calls.append(t) or criterion(t))
+        table_report(k)
+        assert len(calls) == len(set(calls)) == {2: 20, 3: 10}[k]
+
+    def test_contract_violation_raises(self, monkeypatch):
+        # the source passes and a derived pair fails: the table stops
+        source = pair_of_family("T1", 3).trinomial(3)
+        monkeypatch.setattr(
+            transforms, "is_permutation_via_criterion",
+            lambda t: SimpleNamespace(passed=t == source))
+        monkeypatch.setattr(transforms, "is_permutation_exhaustive",
+                            lambda t: SimpleNamespace(passed=True))
+        with pytest.raises(UsageError, match="transform contract violated"):
+            table_report(3)
+        with pytest.raises(UsageError, match="transform contract violated"):
+            equivalent_pairs(pair_of_family("T1", 3), 3)
 
     def test_conjectural_rows_labeled(self):
         _, rows = table_report(2)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from niho_perm.errors import PoleError, ResidueError, UsageError
@@ -91,6 +92,38 @@ class TestEnumeration:
         else:
             assert math.gcd(3, q + 1) == 1
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_p1_coordinates(self, k):
+        # (a, b) digit rows map back to zeta^i under a + b*omega, where a
+        # and b are GF(q) digits in powers of G = g^(q+1)
+        g = unity_group(tower_field(k))
+        field, kern = g.field, g.field.kernel
+        big_g = field.generator ** g.n
+        omega = field.generator ** (g.n // 2)
+        assert omega * omega == big_g and omega ** g.q == -omega
+        basis = [big_g ** j for j in range(k)]
+        basis += [b * omega for b in basis]
+        phi = np.array([b.digits for b in basis]).T
+        assert g.coords.shape == (g.n, 2 * k)
+        digits = g.coords.astype(np.int64) @ phi.T % 5
+        assert digits.tolist() == [list(kern.digits(h)) for h in g.elements]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_p1_logs_replay(self, k):
+        # g^p1_log[slot] = r + omega for r in GF(q); the slot of infinity
+        # holds 0
+        g = unity_group(tower_field(k))
+        field, sub = g.field, g.subfield
+        big_g = field.generator ** g.n
+        omega = field.generator ** (g.n // 2)
+        assert g.p1_log[g.q] == 0
+        for r in sorted({0, 1, g.q - 1} | set(range(0, g.q, max(1, g.q // 50)))):
+            r_elem = field.zero
+            for j, d in enumerate(sub.digits(r)):
+                r_elem = r_elem + d * big_g ** j
+            slot = int(sub.logt[r]) if r else g.q - 1
+            assert field.generator ** int(g.p1_log[slot]) == r_elem + omega
+
     def test_group_cached(self):
         f = tower_field(2)
         assert unity_group(f) is unity_group(f)
@@ -120,6 +153,8 @@ class TestMapEvaluation:
                       num=((1, 0),), den=((1, 1), (4, 0)), outer=1),
         ClosedFormMap(name="x^3-1", sign=1, pre_exp=0,
                       num=((1, 3), (4, 0)), den=((2, 1), (1, 0)), outer=1),
+        ClosedFormMap(name="cubed", sign=1, pre_exp=1,
+                      num=((1, 2), (3, 0)), den=((1, 1), (2, 0)), outer=3),
         PowerFormMap(name="vanishing", h_terms=((1, 0), (1, 2), (1, 4))),
     )
 
@@ -160,6 +195,9 @@ class TestMapEvaluation:
 
     def test_scalar_matches_batch_poly_kernel(self):
         self.assert_batch_matches_scalar(5, range(0, 5 ** 5 + 1, 97))
+
+    def test_scalar_matches_batch_k6(self):
+        self.assert_batch_matches_scalar(6, range(0, 5 ** 6 + 1, 499))
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_off_circle_escape_replays(self, k):
