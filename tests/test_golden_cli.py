@@ -49,6 +49,8 @@ GOLDEN_COMMANDS = (
     + [["lemma1", "--k", "4", "--force"]]
     + [["oracle-compare", "--k", str(k), "--samples", "40"]
        for k in (1, 2, 3)]
+    + [["oracle-compare", "--k", "4", "--samples", "20", "--seed", "4"],
+       ["proposition", "--id", "P1", "--k", "1"]]
     + [["equivalents", "--family", "T1", "--k", "3"],
        ["field-info", "--m", "4"], ["field-info", "--m", "10"]]
     + [["mu-check", "--map", f"g{i}", "--k", "6"] for i in range(1, 11)]
