@@ -62,42 +62,40 @@ def conjecture1_check(k: int) -> VerificationReport:
     kern = field.accel_tables
     subject = f"x*((x^2-x+2)/(x^2+x+2))^2 permutes GF(5^{k})"
     n1 = kern.n1
-    logs = np.arange(n1, dtype=np.int64)
-    x_ids = kern.antilog[logs]
-    sq = kern.bpow(x_ids, 2)
-    num = kern.bsum(((1, sq), (-1, x_ids), (2, kern.one)))
-    den = kern.bsum(((1, sq), (1, x_ids), (2, kern.one)))
-    poles = np.nonzero(den == 0)[0]
+    logs = np.arange(n1, dtype=np.int64)       # x = g^log, x != 0
+    sq = (2 * logs) % n1
+    num = kern.log_sum(((1, sq), (-1, logs), (2, 0)))
+    den = kern.log_sum(((1, sq), (1, logs), (2, 0)))
+    poles = np.nonzero(den < 0)[0]
     if poles.size:
-        x = field.from_index(int(x_ids[poles[0]]))
+        x = field.from_index(int(kern.antilog[poles[0]]))
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
             witness={"type": "pole", "x": x.csv()},
             counts={"elements": field.order})
-    ratio = kern.bmul(num, kern.binv(den))
-    vals = kern.bmul(x_ids, kern.bmul(ratio, ratio))
+    val_logs = kern.log_product(((logs, 1), (num, 2), (den, -2)))
     # permutation over the full field: 0 maps to 0, so nonzero values must
-    # be nonzero and pairwise distinct
-    counts = np.bincount(vals, minlength=field.order)
+    # be nonzero and pairwise distinct; the duplicate reported is 0 if it
+    # is hit, else the smallest duplicated handle
+    counts = np.bincount(val_logs + 1, minlength=n1 + 1)
     if counts.max() > 1 or counts[0] > 0:
-        dup = int(np.nonzero(counts > (1 if counts[0] == 0 else 0))[0][0])
-        positions = np.nonzero(vals == dup)[0][:2]
+        dup = -1 if counts[0] else int(kern.logt[
+            kern.antilog[np.nonzero(counts[1:] > 1)[0]].min()])
+        positions = np.nonzero(val_logs == dup)[0][:2]
         wit = {"type": "collision",
-               "x1": field.from_index(int(x_ids[positions[0]])).csv(),
-               "x2": field.from_index(int(x_ids[positions[-1]])).csv()
+               "x1": field.from_index(int(kern.antilog[positions[0]])).csv(),
+               "x2": field.from_index(int(kern.antilog[positions[-1]])).csv()
                if positions.size > 1 else field.zero.csv()}
         return VerificationReport(subject=subject, method="exhaustive",
                                   passed=False, witness=wit,
                                   counts={"elements": field.order})
     # square-class stability: squares sit at even logs, twice-squares at odd
-    val_logs = kern.logt[vals]
-    stable = ((logs % 2) == (val_logs % 2)).all()
-    if not stable:
-        bad = int(np.nonzero((logs % 2) != (val_logs % 2))[0][0])
+    escape = np.nonzero((logs % 2) != (val_logs % 2))[0]
+    if escape.size:
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
             witness={"type": "class_escape",
-                     "x": field.from_index(int(x_ids[bad])).csv()},
+                     "x": field.from_index(int(kern.antilog[escape[0]])).csv()},
             counts={"elements": field.order})
     return VerificationReport(
         subject=subject, method="exhaustive", passed=True,
@@ -196,8 +194,9 @@ def _p1_image_off_subfield(field):
 
 @timed
 def profile_sweep_report(k: int, *, image=None) -> VerificationReport:
-    """Profile chain over every x outside the subfield, vectorized.  image
-    is _p1_image_off_subfield's result, if the caller already has it."""
+    """Profile chain over every x outside the subfield, vectorized on logs.
+    image is _p1_image_off_subfield's result, if the caller already has it;
+    the witness is the first failing point of the first failing check."""
     if k % 2 == 0:
         raise UsageError(f"the profile chain needs odd k (got {k})")
     field = tower_field(k)
@@ -208,62 +207,44 @@ def profile_sweep_report(k: int, *, image=None) -> VerificationReport:
     n1 = kern.n1
     subject = f"trace/norm profile chain over GF(5^{2*k}) minus GF(5^{k})"
     off, fx = image or _p1_image_off_subfield(field)
-    x_ids = kern.antilog[off]
-    xq_ids = kern.antilog[(off * q) % n1]
-    a = kern.bsum(((1, x_ids), (1, xq_ids)))
-    b = kern.antilog[(off * (q + 1)) % n1]
+
+    def failure(kind: str, mask) -> VerificationReport:
+        bad = int(np.nonzero(mask)[0][0])
+        return VerificationReport(
+            subject=subject, method="exhaustive", passed=False,
+            witness={"type": kind, "x": field.from_index(
+                int(kern.antilog[off[bad]])).csv()},
+            counts={"points": off.size})
+
     if np.any(fx == 0):
-        bad = int(np.nonzero(fx == 0)[0][0])
-        return VerificationReport(
-            subject=subject, method="exhaustive", passed=False,
-            witness={"type": "zero_image",
-                     "x": field.from_index(int(x_ids[bad])).csv()},
-            counts={"points": off.size})
+        return failure("zero_image", fx == 0)
+    # every value below is a log, -1 for zero; x and f(x) are nonzero, so
+    # b = N(x) and beta = N(f(x)) are too
+    a = kern.log_sum(((1, off), (1, (off * q) % n1)))          # Tr(x)
+    b = (off * (q + 1)) % n1
     lf = kern.logt[fx]
-    fxq = kern.antilog[(lf * q) % n1]
-    alpha_d = kern.bsum(((1, fx), (1, fxq)))
-    beta_d = kern.bmul(fx, fxq)
-    rr = kern.bmul(kern.bpow(a, 2), kern.binv(b))     # a^2/b
-    rr2 = kern.bpow(rr, 2)
-    one = kern.one
-    alpha_f = kern.bmul(a, kern.bsum(((3, one), (1, rr), (-1, rr2))))
-    beta_f = kern.bmul(b, kern.bsum(((1, one), (-1, kern.bpow(rr, 4)),
-                                     (3, kern.bpow(rr, 3)), (1, rr))))
-    mism = np.nonzero((alpha_d != alpha_f) | (beta_d != beta_f))[0]
-    if mism.size:
-        bad = int(mism[0])
-        return VerificationReport(
-            subject=subject, method="exhaustive", passed=False,
-            witness={"type": "route_mismatch",
-                     "x": field.from_index(int(x_ids[bad])).csv()},
-            counts={"points": off.size})
-    if np.any(beta_d == 0):
-        bad = int(np.nonzero(beta_d == 0)[0][0])
-        return VerificationReport(
-            subject=subject, method="exhaustive", passed=False,
-            witness={"type": "zero_beta",
-                     "x": field.from_index(int(x_ids[bad])).csv()},
-            counts={"points": off.size})
-    gamma = kern.bmul(kern.bpow(alpha_d, 2), kern.binv(beta_d))
-    num = kern.bsum(((1, rr2), (-1, rr), (2, one)))
-    den = kern.bsum(((1, rr2), (1, rr), (2, one)))
-    if np.any(den == 0):
-        bad = int(np.nonzero(den == 0)[0][0])
-        return VerificationReport(
-            subject=subject, method="exhaustive", passed=False,
-            witness={"type": "pole", "x": field.from_index(
-                int(x_ids[bad])).csv()},
-            counts={"points": off.size})
-    ratio2 = kern.bpow(kern.bmul(num, kern.binv(den)), 2)
-    closed = kern.bsum(((-1, kern.bmul(rr, ratio2)),))
-    mism = np.nonzero(gamma != closed)[0]
-    if mism.size:
-        bad = int(mism[0])
-        return VerificationReport(
-            subject=subject, method="exhaustive", passed=False,
-            witness={"type": "gamma_mismatch",
-                     "x": field.from_index(int(x_ids[bad])).csv()},
-            counts={"points": off.size})
+    lfq = (lf * q) % n1
+    alpha_d = kern.log_sum(((1, lf), (1, lfq)))
+    beta_d = (lf + lfq) % n1
+    rr = kern.log_product(((a, 2), (b, -1)))                   # a^2/b
+    rr2, rr3, rr4 = (kern.log_product(((rr, e),)) for e in (2, 3, 4))
+    alpha_f = kern.log_product(
+        ((a, 1), (kern.log_sum(((3, 0), (1, rr), (-1, rr2))), 1)))
+    beta_f = kern.log_product(
+        ((b, 1), (kern.log_sum(((1, 0), (-1, rr4), (3, rr3), (1, rr))), 1)))
+    mism = (alpha_d != alpha_f) | (beta_d != beta_f)
+    if mism.any():
+        return failure("route_mismatch", mism)
+    gamma = kern.log_product(((alpha_d, 2), (beta_d, -1)))
+    num = kern.log_sum(((1, rr2), (-1, rr), (2, 0)))
+    den = kern.log_sum(((1, rr2), (1, rr), (2, 0)))
+    if np.any(den < 0):
+        return failure("pole", den < 0)
+    closed = kern.log_sum(
+        ((-1, kern.log_product(((rr, 1), (num, 2), (den, -2)))),))
+    mism = gamma != closed
+    if mism.any():
+        return failure("gamma_mismatch", mism)
     return VerificationReport(subject=subject, method="exhaustive",
                               passed=True, counts={"points": off.size})
 
@@ -282,10 +263,8 @@ def subfield_stability_report(k: int, *, image=None) -> VerificationReport:
     n1 = kern.n1
     subject = f"P1 maps GF(5^{2*k}) minus GF(5^{k}) into itself"
     off, fx = image or _p1_image_off_subfield(field)
-    in_sub = fx == 0
-    nz = ~in_sub
-    lf = kern.logt[fx[nz]]
-    in_sub[nz] = (lf * q) % n1 == lf
+    lf = kern.logt[fx]
+    in_sub = (lf < 0) | ((lf * q) % n1 == lf)
     if np.any(in_sub):
         bad = int(np.nonzero(in_sub)[0][0])
         x = field.from_index(int(kern.antilog[off[bad]]))

@@ -290,7 +290,8 @@ class TableKernel:
 
     Handles are plain integers in [0, 5^m): the base-5 digits are the power
     basis coordinates.  Scalar ops are table lookups; b* methods operate on
-    whole numpy arrays of handles for the exhaustive sweeps.
+    whole numpy arrays of handles, and log_sum/log_product on arrays of
+    logs, the form the exhaustive sweeps work in.
     """
 
     has_tables = True
@@ -412,18 +413,55 @@ class TableKernel:
     def badd(self, a, b):
         return self.bsum(((1, a), (1, b)))
 
-    def bpow(self, a, e: int):
-        a = np.asarray(a, dtype=np.int64)
-        e_red = e % self.n1
-        out = self.antilog[(self.logt[a] * e_red) % self.n1]
-        if e == 0:
-            return np.ones_like(a)
-        return np.where(a == 0, 0, out)
-
     def binv(self, a):
         if np.any(a == 0):
             raise ZeroDivisionError("inverse of zero in batch")
         return self.antilog[(-self.logt[a]) % self.n1]
+
+    # -- batch ops on int64 arrays of logs, -1 standing for zero ------------
+    def log_sum(self, terms):
+        """Log of sum coeff * A over (coeff, logs) pairs, where logs (of A)
+        may be an array or one log; -1 where the sum is zero.  Zech steps:
+        log(A + B) = lA + zech[lB - lA], zech < 0 marking A + B = 0."""
+        n1 = self.n1
+        acc = None
+        for c, lb in terms:
+            c %= CHAR
+            if c == 0:
+                continue
+            lb = np.asarray(lb, dtype=np.int64)
+            zero_b = lb < 0
+            if c != 1:
+                lb = (lb + self.logt[c]) % n1
+                if zero_b.any():
+                    lb = np.where(zero_b, -1, lb)
+            if acc is None:
+                acc = lb
+                continue
+            zero_a = acc < 0
+            any_zero = zero_a.any() or zero_b.any()
+            d = lb - acc
+            d = d + n1 * (d < 0)
+            if any_zero:
+                d = d % n1          # a -1 log can put d at n1
+            z = self.zech[d]
+            s = acc + z
+            s = np.where(z < 0, -1, s - n1 * (s >= n1))
+            if any_zero:
+                s = np.where(zero_a, lb, np.where(zero_b, acc, s))
+            acc = s
+        return np.asarray(-1) if acc is None else acc
+
+    def log_product(self, factors):
+        """Log of prod A^e over (logs, e) pairs, -1 standing for zero, with
+        0^0 = 1; a negative e needs A nonzero."""
+        out, zero = 0, False
+        for la, e in factors:
+            if e:
+                la = np.asarray(la, dtype=np.int64)
+                out = out + la * e
+                zero = zero | (la < 0)
+        return np.where(zero, -1, out % self.n1)
 
 
 # ---------------------------------------------------------------------------
@@ -723,17 +761,17 @@ def trace_power_identity_report(k: int,
     logs = np.arange(n1, dtype=np.int64)
 
     def tr_of_power(e: int):
-        return kern.bsum([(1, kern.antilog[(logs * ((e * p) % n1)) % n1])
-                          for p in (1, q)])
+        return kern.log_sum([(1, (logs * ((e * p) % n1)) % n1)
+                             for p in (1, q)])
 
-    t_ids = tr_of_power(1)
-    n_ids = kern.antilog[(logs * ((q + 1) % n1)) % n1]
+    lt = tr_of_power(1)
+    ln = (logs * ((q + 1) % n1)) % n1
     subject = f"power-trace identity suite over GF(5^{2*k})"
     for e, terms in TRACE_POWER_IDENTITIES:
         lhs = tr_of_power(e)
-        rhs = kern.bsum([(coeff, kern.bmul(kern.bpow(t_ids, a_exp),
-                                           kern.bpow(n_ids, b_exp)))
-                         for coeff, a_exp, b_exp in terms])
+        rhs = kern.log_sum([(coeff, kern.log_product(((lt, a_exp),
+                                                      (ln, b_exp))))
+                            for coeff, a_exp, b_exp in terms])
         bad = np.nonzero(lhs != rhs)[0]
         if bad.size:
             x = field.from_index(int(kern.antilog[bad[0]]))

@@ -99,17 +99,20 @@ def eval_trinomial(f: NihoTrinomial, x: FieldElement) -> FieldElement:
 
 def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
     """Values of sum sign * x^e over every field element, index order
-    [0, g^0, g^1, ...].  Requires acceleration tables."""
+    [0, g^0, g^1, ...], as handles; the sum is taken in logs by Zech steps.
+    Requires acceleration tables."""
     kern = field.accel_tables
     if kern is None:
         raise UsageError(
             "exhaustive evaluation needs acceleration tables (k <= 4)")
-    logs = np.arange(kern.n1, dtype=np.int64)
+    n1 = kern.n1
+    logs = np.arange(n1, dtype=np.int64)
     at_zero = sum(sign for sign, e in abs_terms if e == 0)    # 0^0 = 1
+    val_logs = kern.log_sum([(sign, (logs * (e % n1)) % n1)
+                             for sign, e in abs_terms])
     out = np.empty(field.order, dtype=np.int64)
     out[0] = kern.from_digits([at_zero])
-    out[1:] = kern.bsum([(sign, kern.antilog[(logs * (e % kern.n1)) % kern.n1])
-                         for sign, e in abs_terms])
+    out[1:] = np.where(val_logs < 0, 0, kern.antilog[val_logs])
     return out
 
 

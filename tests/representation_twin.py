@@ -1,12 +1,29 @@
-"""Cross-check of the log/Zech table kernel against packed power-basis
-arithmetic over the same modulus (test helper, not collected)."""
+"""Cross-checks of the log/Zech table kernel: against packed power-basis
+arithmetic over the same modulus, and the whole-field sweep against its
+digit-row form (test helpers, not collected)."""
 
 import itertools
 import random
 
+import numpy as np
+
 from niho_perm.errors import UsageError
 from niho_perm.field import CHAR, FieldParams, PolyKernel
 from niho_perm.report import VerificationReport, timed
+
+
+def digit_row_field_values(field: FieldParams, abs_terms):
+    """trinomials.field_values by digit rows: every power x^e as a handle,
+    summed with TableKernel.bsum (GF(5) digit arithmetic, no Zech table)."""
+    kern = field.accel_tables
+    n1 = kern.n1
+    logs = np.arange(n1, dtype=np.int64)
+    at_zero = sum(sign for sign, e in abs_terms if e == 0)    # 0^0 = 1
+    out = np.empty(field.order, dtype=np.int64)
+    out[0] = kern.from_digits([at_zero])
+    out[1:] = kern.bsum([(sign, kern.antilog[(logs * (e % n1)) % n1])
+                         for sign, e in abs_terms])
+    return out
 
 
 def polynomial_twin(field: FieldParams) -> PolyKernel:

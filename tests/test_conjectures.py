@@ -17,7 +17,8 @@ from niho_perm.conjectures import (CONSTRAINTS, ProfileMismatchError,
                                    search_problem_instances,
                                    subfield_stability_report, _patterns_of,
                                    _quartic_report, _search_chunk)
-from niho_perm.field import make_field, tower_field, trace
+from niho_perm.field import (FieldElement, in_subfield, make_field, norm,
+                             tower_field, trace)
 from niho_perm.trinomials import (induced_mu_map,
                                   is_permutation_exhaustive, theorem_family)
 from niho_perm.unity import (ClosedFormMap, UnityGroup, build_map, eval_map,
@@ -130,6 +131,61 @@ class TestProfileChain:
             profile_of(x)
             count += 1
         assert count == 20
+
+
+def _profile_failure(x, fx):
+    """The first check of the profile chain that fails at x with image fx,
+    in the sweep's order, by scalar FieldElement arithmetic; None if all
+    hold."""
+    if fx.is_zero:
+        return "zero_image"
+    a, b = trace(x), norm(x)
+    r = a * a / b
+    alpha_f = a * (3 + r - r * r)
+    beta_f = b * (1 - r ** 4 - 2 * r ** 3 + r)
+    if trace(fx) != alpha_f or norm(fx) != beta_f:
+        return "route_mismatch"
+    den = r * r + r + 2
+    if den.is_zero:
+        return "pole"
+    if trace(fx) ** 2 / norm(fx) != -(r * ((r * r - r + 2) / den) ** 2):
+        return "gamma_mismatch"
+    return None
+
+
+def _stability_failure(x, fx):
+    return "subfield_image" if fx.is_zero or in_subfield(fx) else None
+
+
+class TestCorruptedImages:
+    """Failure paths no real input reaches: the P1 image is corrupted at
+    positions j and j + 5, first to zero, then to a wrong nonzero value
+    (1, which also lies in the subfield).  The witness must be the first
+    failing point, in sweep order, by scalar arithmetic; elsewhere the image
+    is the true one, which passes (TestProfileChain, TestPropositions)."""
+
+    J = 13
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("value", [0, 1])
+    @pytest.mark.parametrize("sweep, replay", [
+        (profile_sweep_report, _profile_failure),
+        (subfield_stability_report, _stability_failure)])
+    def test_witness_is_first_failure(self, k, value, sweep, replay):
+        field = tower_field(k)
+        off, fx = conjectures._p1_image_off_subfield(field)
+        fx = fx.copy()
+        fx[[self.J, self.J + 5]] = value
+        rep = sweep(k, image=(off, fx))
+        assert not rep.passed
+        for p in range(self.J + 1):
+            x = field.generator ** int(off[p])
+            kind = replay(x, FieldElement(field, int(fx[p])))
+            if kind is not None:
+                break
+        assert p == self.J
+        assert rep.witness == {"type": kind, "x": x.csv()}
+        assert rep.counts == {"points": off.size}
 
 
 class TestPropositions:

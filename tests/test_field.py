@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -271,6 +272,74 @@ class TestBatchSum:
         assert [kern.add(int(x), int(y)) for x, y in zip(a, b)] == got.tolist()
 
 
+def _to_logs(kern, handles):
+    return kern.logt[handles]                  # logt[0] = -1
+
+
+def _to_handles(kern, logs):
+    return np.where(logs < 0, 0, kern.antilog[logs])
+
+
+class TestLogSum:
+    """log_sum (Zech steps on logs) against bsum (GF(5) digit arithmetic)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
+    def test_matches_bsum(self, m):
+        kern = make_field(m).kernel
+        rng = np.random.default_rng(m)
+        arrays = [rng.integers(0, kern.order, 400) for _ in range(5)]
+        for a in arrays:
+            a[rng.integers(0, 400, 40)] = 0        # zero inputs, log -1
+        coeffs = [0, 1, 2, 3, 4]
+        terms = list(zip(coeffs, arrays)) + [(3, kern.one)]
+        got = kern.log_sum([(c, _to_logs(kern, a)) for c, a in terms[:5]]
+                           + [(3, 0)])             # a scalar log term
+        assert (_to_handles(kern, got) == kern.bsum(terms)).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
+    def test_single_terms_and_coefficients(self, m):
+        kern = make_field(m).kernel
+        a = np.arange(kern.order)
+        for c in range(-5, 6):
+            got = kern.log_sum([(c, _to_logs(kern, a))])
+            assert (_to_handles(kern, got) == kern.bsum([(c, a)])).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
+    def test_sum_that_cancels(self, m):
+        kern = make_field(m).kernel
+        rng = np.random.default_rng(10 + m)
+        a, b = (rng.integers(0, kern.order, 300) for _ in range(2))
+        la, lb = _to_logs(kern, a), _to_logs(kern, b)
+        # 2a + b + 3a - b = 5a = 0, in an order that passes through nonzero
+        got = kern.log_sum([(2, la), (1, lb), (3, la), (-1, lb)])
+        assert (got == -1).all()
+        assert (kern.log_sum([(1, lb), (0, la)]) == lb).all()
+        assert kern.log_sum([(0, la)]) == -1
+
+    def test_exhaustive_pairs_gf25(self, gf25):
+        kern = gf25.kernel
+        a = np.arange(25).repeat(25)
+        b = np.tile(np.arange(25), 25)
+        got = kern.log_sum([(1, _to_logs(kern, a)), (1, _to_logs(kern, b))])
+        assert (_to_handles(kern, got) == kern.badd(a, b)).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_log_product_matches_element_arithmetic(self, m):
+        f = make_field(m)
+        kern = f.kernel
+        rng = np.random.default_rng(m)
+        a, b = (rng.integers(0, f.order, 200) for _ in range(2))
+        a[:20] = 0
+        b[b == 0] = 1                              # b^-1 needs b != 0
+        for ea in (0, 1, 2, 7):
+            got = kern.log_product(((_to_logs(kern, a), ea),
+                                    (_to_logs(kern, b), -3)))
+            for p in range(200):
+                x, y = f.from_index(int(a[p])), f.from_index(int(b[p]))
+                want = x ** ea * y.inverse() ** 3        # 0^0 = 1
+                assert f.from_index(int(_to_handles(kern, got[p]))) == want
+
+
 class TestIdentitySuite:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_identities_hold(self, k):
@@ -295,6 +364,41 @@ class TestIdentitySuite:
         with pytest.raises(GuardExceededError):
             trace_power_identity_report(4)
         assert trace_power_identity_report(4, force=True).passed
+
+    @pytest.mark.parametrize("which", range(5))
+    def test_corrupted_identity_witness_is_first_failure(self, monkeypatch,
+                                                         which):
+        # one coefficient of identity `which` is off by one: the witness is
+        # the first failing power and point, in sweep order x = g^0, g^1,
+        # ..., found by scalar FieldElement arithmetic
+        table = [list(terms) for _, terms in
+                 field_mod.TRACE_POWER_IDENTITIES]
+        coeff, a_exp, b_exp = table[which][-1]
+        table[which][-1] = ((coeff + 1) % 5, a_exp, b_exp)
+        patched = tuple((e, tuple(t)) for (e, _), t in
+                        zip(field_mod.TRACE_POWER_IDENTITIES, table))
+        monkeypatch.setattr(field_mod, "TRACE_POWER_IDENTITIES", patched)
+        f = tower_field(2)
+        rep = trace_power_identity_report(2)
+        assert not rep.passed
+
+        def first_failure():
+            for e, terms in patched:
+                x = f.one
+                for _ in range(f.order - 1):
+                    t, nm = trace(x), norm(x)
+                    rhs = f.zero
+                    for c, a, b in terms:
+                        rhs = rhs + c * t ** a * nm ** b
+                    if trace(x ** e) != rhs:
+                        return e, x.csv()
+                    x = x * f.generator
+            return None
+
+        e, x = first_failure()
+        assert (e, x) == (patched[which][0], rep.witness["x"])
+        assert rep.witness == {"type": "identity_mismatch", "power": e,
+                               "x": x}
 
     def test_scalar_identity_spot_check(self):
         # one random point per k, all five identities via element arithmetic

@@ -9,11 +9,13 @@ from niho_perm.field import frobenius, tower_field
 from niho_perm.trinomials import (FAMILY_CATALOG, FAMILY_IDS, build_trinomial,
                                   eval_trinomial, exhaustive_permutation_report,
                                   family_admits, family_is_conjectural,
-                                  induced_mu_map, is_permutation_exhaustive,
+                                  field_values, induced_mu_map,
+                                  is_permutation_exhaustive,
                                   is_permutation_via_criterion,
                                   oracle_agreement_report, random_trinomial,
                                   theorem_family)
 from niho_perm.unity import eval_map, is_permutation_of, unity_group
+from representation_twin import digit_row_field_values
 
 
 class TestConstruction:
@@ -103,6 +105,20 @@ class TestExhaustiveOracle:
         x2 = f.field.from_csv(wit["x2"])
         assert eval_trinomial(f, x1) == eval_trinomial(f, x2)
         assert eval_trinomial(f, x1).csv() == wit["value"]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_field_values_match_digit_row_twin(self, k):
+        # random signed terms, repeated and zero exponents included, so
+        # that sums cancel (x^e - x^e) and x^0 = 1 takes part
+        field = tower_field(k)
+        rng = random.Random(k)
+        n1 = field.order - 1
+        for _ in range(4):
+            exps = [rng.randrange(2 * n1) for _ in range(3)]
+            terms = [(rng.choice((1, -1, 2, 3)), e) for e in exps]
+            terms += [(1, 0), (1, exps[0]), (-1, exps[0])]
+            assert (field_values(field, terms)
+                    == digit_row_field_values(field, terms)).all()
 
     def test_guard(self):
         f = theorem_family("T1", 5)
@@ -211,6 +227,11 @@ class TestAgreement:
         a = [random_trinomial(2, random.Random(9)).terms for _ in range(1)]
         b = [random_trinomial(2, random.Random(9)).terms for _ in range(1)]
         assert a == b
+
+    def test_k4_agreement_sample(self):
+        rep = oracle_agreement_report(4, samples=40, seed=4)
+        assert rep.passed
+        assert rep.counts == {"samples": 40, "agreements": 40}
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_small_agreement_run(self, k):
