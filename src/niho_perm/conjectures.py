@@ -92,10 +92,10 @@ def conjecture1_check(k: int) -> VerificationReport:
     # square-class stability: squares sit at even logs, twice-squares at odd
     escape = np.nonzero((logs % 2) != (val_logs % 2))[0]
     if escape.size:
+        x = field.from_index(int(kern.antilog[escape[0]]))
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
-            witness={"type": "class_escape",
-                     "x": field.from_index(int(kern.antilog[escape[0]])).csv()},
+            witness={"type": "class_escape", "x": x.csv()},
             counts={"elements": field.order})
     return VerificationReport(
         subject=subject, method="exhaustive", passed=True,
