@@ -181,8 +181,8 @@ def profile_of(x: FieldElement, family: str = "P1") -> TraceNormProfile:
 
 
 def _p1_image_off_subfield(field):
-    """Logs of every x outside GF(5^k) (x^q != x), and the family-P1
-    image f(x) at each, as handles.  Needs acceleration tables."""
+    """Logs of every x outside GF(5^k) (x^q != x), and the log of the
+    family-P1 image f(x) at each, -1 for zero.  Needs acceleration tables."""
     n1 = field.order - 1
     logs = np.arange(n1, dtype=np.int64)
     off = logs[(logs * field.q) % n1 != logs]
@@ -206,7 +206,7 @@ def profile_sweep_report(k: int, *, image=None) -> VerificationReport:
     q = field.q
     n1 = kern.n1
     subject = f"trace/norm profile chain over GF(5^{2*k}) minus GF(5^{k})"
-    off, fx = image or _p1_image_off_subfield(field)
+    off, lf = image or _p1_image_off_subfield(field)
 
     def failure(kind: str, mask) -> VerificationReport:
         bad = int(np.nonzero(mask)[0][0])
@@ -216,13 +216,12 @@ def profile_sweep_report(k: int, *, image=None) -> VerificationReport:
                 int(kern.antilog[off[bad]])).csv()},
             counts={"points": off.size})
 
-    if np.any(fx == 0):
-        return failure("zero_image", fx == 0)
+    if np.any(lf < 0):
+        return failure("zero_image", lf < 0)
     # every value below is a log, -1 for zero; x and f(x) are nonzero, so
     # b = N(x) and beta = N(f(x)) are too
     a = kern.log_sum(((1, off), (1, (off * q) % n1)))          # Tr(x)
     b = (off * (q + 1)) % n1
-    lf = kern.logt[fx]
     lfq = (lf * q) % n1
     alpha_d = kern.log_sum(((1, lf), (1, lfq)))
     beta_d = (lf + lfq) % n1
@@ -262,8 +261,7 @@ def subfield_stability_report(k: int, *, image=None) -> VerificationReport:
     q = field.q
     n1 = kern.n1
     subject = f"P1 maps GF(5^{2*k}) minus GF(5^{k}) into itself"
-    off, fx = image or _p1_image_off_subfield(field)
-    lf = kern.logt[fx]
+    off, lf = image or _p1_image_off_subfield(field)
     in_sub = (lf < 0) | ((lf * q) % n1 == lf)
     if np.any(in_sub):
         bad = int(np.nonzero(in_sub)[0][0])

@@ -80,6 +80,30 @@ def _ppowmod(a: list[int], e: int, f: Sequence[int]) -> list[int]:
     return r
 
 
+def power_rows(base: list[int], count: int, f: Sequence[int]) -> np.ndarray:
+    """(count, m) int8 digit rows of base^0 .. base^(count-1) mod f.
+
+    Doubling blocks: multiplication by base^filled is GF(5)-linear, so rows
+    [filled, 2*filled) are rows [0, filled) times its m x m matrix, whose
+    rows are x^j * base^filled.
+    """
+    m = len(f) - 1
+    rows = np.zeros((count, m), dtype=np.int8)
+    rows[0, 0] = 1
+    block, filled = list(base), 1       # block = base^filled
+    while filled < count:
+        step = min(filled, count - filled)
+        mat = np.zeros((m, m), dtype=np.int64)
+        prod = _pmulmod([1], block, f)
+        for j in range(m):
+            mat[j, :len(prod)] = prod
+            prod = _pmulmod(prod, [0, 1], f)
+        rows[filled:filled + step] = rows[:step].astype(np.int64) @ mat % CHAR
+        block = _pmulmod(block, block, f)
+        filled += step
+    return rows
+
+
 def _psub(a: Sequence[int], b: Sequence[int]) -> list[int]:
     n = max(len(a), len(b))
     return _pstrip([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0))
@@ -272,15 +296,6 @@ class PolyKernel:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.order - 2)
 
-    def linear_map(self, cols: Sequence[int], a: int) -> int:
-        """Apply the GF(5)-linear map sending x^j to cols[j]."""
-        acc = 0
-        for i in range(self.m):
-            d = (a >> (_LIMB * i)) & _LMASK
-            if d:
-                acc += d * cols[i]
-        return self._mod5(acc)
-
 
 # ---------------------------------------------------------------------------
 # table-accelerated kernel (5^m <= TABLE_LIMIT)
@@ -302,26 +317,7 @@ class TableKernel:
         self.order = CHAR ** m
         self.n1 = self.order - 1
         self.pow5 = np.array([CHAR ** i for i in range(m)], dtype=np.int64)
-        digs = np.zeros((self.n1, m), dtype=np.int8)
-        digs[0, 0] = 1
-        gpoly = [0, 1] if m > 1 else [(-modulus[0]) % CHAR]
-        filled = 1
-        gblock = list(gpoly)  # generator^filled as a dense poly
-        while filled < self.n1:
-            step = min(filled, self.n1 - filled)
-            # multiplication by generator^filled is linear: build its matrix
-            mat = np.zeros((m, m), dtype=np.int64)
-            col = list(gblock)
-            basis = [1]
-            for j in range(m):
-                prod = _pmulmod(basis, gblock, modulus)
-                mat[j, :len(prod)] = prod
-                basis = _pmulmod(basis, [0, 1], modulus)
-            digs[filled:filled + step] = (
-                digs[:step].astype(np.int64) @ mat % CHAR).astype(np.int8)
-            if filled + step < self.n1:
-                gblock = _ppowmod(gpoly, 2 * filled, modulus)
-            filled += step
+        digs = power_rows([0, 1], self.n1, modulus)
         ids = digs.astype(np.int64) @ self.pow5
         self.antilog = ids                       # antilog[n] = id of g^n
         self.logt = np.full(self.order, -1, dtype=np.int64)
@@ -413,11 +409,6 @@ class TableKernel:
     def badd(self, a, b):
         return self.bsum(((1, a), (1, b)))
 
-    def binv(self, a):
-        if np.any(a == 0):
-            raise ZeroDivisionError("inverse of zero in batch")
-        return self.antilog[(-self.logt[a]) % self.n1]
-
     # -- batch ops on int64 arrays of logs, -1 standing for zero ------------
     def log_sum(self, terms):
         """Log of sum coeff * A over (coeff, logs) pairs, where logs (of A)
@@ -488,7 +479,6 @@ class FieldParams:
         else:
             self.kernel = PolyKernel(m, modulus)
         self.signature = (m, modulus)
-        self._frob_cols: tuple[int, ...] | None = None
         self._unity = None          # filled lazily by unity.unity_group
 
     def __repr__(self):
@@ -551,16 +541,7 @@ class FieldParams:
     def frob_handle(self, h: int) -> int:
         if self.subfield_degree is None:
             raise UsageError(f"{self!r} has no quadratic tower structure")
-        kern = self.kernel
-        if kern.has_tables:
-            return kern.pow(h, self.q)
-        if self._frob_cols is None:
-            xq = kern.pow(kern.generator_handle, self.q)
-            cols = [kern.one]
-            for _ in range(self.m - 1):
-                cols.append(kern.mul(cols[-1], xq))
-            self._frob_cols = tuple(cols)
-        return kern.linear_map(self._frob_cols, h)
+        return self.kernel.pow(h, self.q)
 
     def trace_handle(self, h: int) -> int:
         return self.kernel.add(h, self.frob_handle(h))
@@ -699,11 +680,11 @@ def make_field(m: int, modulus_override: Sequence[int] | str | None = None
     return _make_field_cached(m, modulus)
 
 
-def tower_field(k: int, modulus_override=None) -> FieldParams:
+def tower_field(k: int) -> FieldParams:
     """GF(5^{2k}) with its subfield tower marked."""
     if not isinstance(k, int) or not 1 <= k <= MAX_DEGREE // 2:
         raise UsageError(f"k must be an integer in 1..{MAX_DEGREE // 2}")
-    return make_field(2 * k, modulus_override)
+    return make_field(2 * k)
 
 
 def frobenius(x: FieldElement) -> FieldElement:

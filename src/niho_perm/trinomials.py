@@ -68,10 +68,10 @@ class NihoTrinomial:
         return hash((self.field.signature, self.terms))
 
 
-def build_trinomial(k: int, terms: Sequence[tuple[int, int]],
-                    modulus_override=None) -> NihoTrinomial:
+def build_trinomial(k: int,
+                    terms: Sequence[tuple[int, int]]) -> NihoTrinomial:
     """Canonicalize three signed residues (first sign +) into a trinomial."""
-    field = tower_field(k, modulus_override)
+    field = tower_field(k)
     if len(terms) != 3:
         raise UsageError("a trinomial needs exactly three signed residues")
     n = field.q + 1
@@ -98,8 +98,8 @@ def eval_trinomial(f: NihoTrinomial, x: FieldElement) -> FieldElement:
 # exhaustive oracle over the whole field
 
 def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
-    """Values of sum sign * x^e over every field element, index order
-    [0, g^0, g^1, ...], as handles; the sum is taken in logs by Zech steps.
+    """Logs of sum sign * x^e over every field element, -1 where the sum is
+    zero, in index order [0, g^0, g^1, ...]; the sum is taken by Zech steps.
     Requires acceleration tables."""
     kern = field.accel_tables
     if kern is None:
@@ -108,11 +108,10 @@ def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
     n1 = kern.n1
     logs = np.arange(n1, dtype=np.int64)
     at_zero = sum(sign for sign, e in abs_terms if e == 0)    # 0^0 = 1
-    val_logs = kern.log_sum([(sign, (logs * (e % n1)) % n1)
-                             for sign, e in abs_terms])
     out = np.empty(field.order, dtype=np.int64)
-    out[0] = kern.from_digits([at_zero])
-    out[1:] = np.where(val_logs < 0, 0, kern.antilog[val_logs])
+    out[0] = kern.logt[kern.from_digits([at_zero])]
+    out[1:] = kern.log_sum([(sign, (logs * (e % n1)) % n1)
+                            for sign, e in abs_terms])
     return out
 
 
@@ -129,20 +128,22 @@ def exhaustive_permutation_report(field: FieldParams,
                                   subject: str) -> VerificationReport:
     """Ground-truth oracle: seen-table over all of GF(5^{2k})."""
     vals = field_values(field, abs_terms)
-    counts = np.bincount(vals, minlength=field.order)
-    if counts.max() <= 1:
+    dup = np.flatnonzero(np.bincount(vals + 1, minlength=field.order) > 1) - 1
+    if not dup.size:
         return VerificationReport(
             subject=subject, method="exhaustive", passed=True,
             counts={"elements": field.order})
-    dup_val = int(np.nonzero(counts > 1)[0][0])
-    positions = np.nonzero(vals == dup_val)[0][:2]
+    # the witness value is the duplicated value of smallest field index
+    kern = field.accel_tables
+    dup_index = np.where(dup < 0, 0, kern.antilog[dup])
+    first = int(np.argmin(dup_index))
+    positions = np.flatnonzero(vals == dup[first])[:2]
     x1 = _element_at_position(field, int(positions[0]))
     x2 = _element_at_position(field, int(positions[1]))
     return VerificationReport(
         subject=subject, method="exhaustive", passed=False,
         witness={"type": "collision", "x1": x1.csv(), "x2": x2.csv(),
-                 "value": FieldElement(field, field.kernel.from_index(dup_val)
-                                       ).csv()},
+                 "value": field.from_index(int(dup_index[first])).csv()},
         counts={"elements": field.order})
 
 

@@ -14,10 +14,11 @@ int64 array of j with image zeta^j, and -1 where a closed form leaves the
 circle.  Its one producer, UnityGroup.sum_logs, works in GF(q) coordinates
 at every k: GF(5^{2k}) = GF(q) + GF(q)*omega, and a sum at a circle point
 is d*(r + omega) (or d alone) for a point r of P^1(GF(q)), so its log is
-(q+1)*log d plus one table entry per point of P^1(GF(q)).  The tables are
-O(q), built once with the group; only UnityGroup construction knows the
-field's kernel.  Every verdict compares index arrays, and turns an index
-into an element only to write a witness.
+(q+1)*log d plus one table entry per point of P^1(GF(q)).  The group and
+its O(q) tables are built once, from the field modulus alone: powers of
+zeta and of g come as GF(5) digit rows (field.power_rows), never from the
+field's element arithmetic.  Every verdict compares index arrays, and turns
+an index into an element only to write a witness.
 """
 
 from __future__ import annotations
@@ -28,92 +29,56 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PoleError, UsageError
-from .field import (CHAR, FieldElement, FieldParams, TableKernel, factorize,
-                    tower_field)
+from .field import (CHAR, FieldElement, FieldParams, TableKernel, _ppowmod,
+                    factorize, power_rows, tower_field)
 from .report import VerificationReport, combine_reports, timed
 from .residues import resolve_residue
 
 
 class UnityGroup:
-    """mu_{q+1} inside GF(5^{2k}), in zeta-power order, with its halves."""
+    """mu_{q+1} inside GF(5^{2k}), in zeta-power order, with its halves.
+
+    Built from the field modulus alone: zeta = g^(q-1) for the generator
+    g = x, and every power list is a digit row block from power_rows.
+    """
 
     def __init__(self, field: FieldParams):
         if field.subfield_degree is None:
             raise UsageError(f"{field!r} has no quadratic tower structure")
         self.field = field
-        self.k = field.subfield_degree
-        self.q = field.q
-        self.n = self.q + 1
-        kern = field.kernel
-        self.zeta = kern.pow(kern.generator_handle, self.q - 1)
-        for r in set(factorize(self.n)):
-            if kern.pow(self.zeta, self.n // r) == kern.one:
+        k = self.k = field.subfield_degree
+        q = self.q = field.q
+        n = self.n = q + 1
+        f = field.modulus
+        zeta = _ppowmod([0, 1], q - 1, f)
+        for r in set(factorize(n)):
+            if _ppowmod(zeta, n // r, f) == [1]:
                 raise UsageError("zeta does not have full order q+1")
-        if kern.has_tables:
-            logs = (np.arange(self.n, dtype=np.int64) * (self.q - 1)) % kern.n1
-            self.elements = kern.antilog[logs].tolist()
-        else:
-            elems = [kern.one]
-            cur = kern.one
-            for _ in range(self.n - 1):
-                cur = kern.mul(cur, self.zeta)
-                elems.append(cur)
-            self.elements = elems
-        self.index = {h: i for i, h in enumerate(self.elements)}
-        if len(self.index) != self.n:
-            raise UsageError("unity subgroup enumeration collided")
-        self._build_p1(kern)
-
-    def _build_p1(self, kern) -> None:
-        """GF(q) tables for the circle: GF(5^{2k}) = GF(q) + GF(q)*omega.
-
-        With G = g^(q+1) and omega = g^((q+1)/2) (omega^2 = G, omega^q =
-        -omega), every nonzero z is c*g^L with c in GF(q)* and L in [0, q].
-        subfield is GF(q) as a log table base G; coords holds zeta^i =
-        conj(g^i)/g^i as (a, b) digit rows; p1_log[slot] = log_g(r + omega)
-        for the point r = a/b of P^1(GF(q)) in that slot (see _p1_slot).
-        """
-        k, q, n = self.k, self.q, self.n
-        self.log_order = q * q - 1
-        G = kern.pow(kern.generator_handle, n)
-        omega = kern.pow(kern.generator_handle, n // 2)
-        basis = [kern.pow(G, j) for j in range(k)]
-        basis += [kern.mul(b, omega) for b in basis]
-        # Phi maps (a, b) digits to field digits; its inverse gives
+        self.zeta = field.from_digits(zeta).handle
+        # GF(5^{2k}) = GF(q) + GF(q)*omega with omega = g^((q+1)/2),
+        # omega^2 = G = g^(q+1) and omega^q = -omega.  Phi maps (a, b)
+        # digits (a, b in powers of G) to field digits: its columns are
+        # G^j = omega^(2j), then G^j*omega = omega^(2j+1), for j < k
+        w = power_rows(_ppowmod([0, 1], n // 2, f), 2 * k + 1, f)
+        phi_inv = _inverse_mod5(np.concatenate([w[0:2 * k:2],
+                                                w[1:2 * k:2]]).T)
         # G^k = sum a_j G^j, so x^k - sum a_j x^j is the minpoly of G
-        phi_inv = _inverse_mod5(np.array([kern.digits(b) for b in basis]).T)
-        gk = phi_inv @ kern.digits(kern.pow(G, k)) % CHAR
-        F = self.subfield = TableKernel(k, tuple((-gk[:k]) % CHAR) + (1,))
+        gk = phi_inv @ w[2 * k] % CHAR
+        self.subfield = TableKernel(k, tuple((-gk[:k]) % CHAR) + (1,))
         self._pow5 = CHAR ** np.arange(2 * k, dtype=np.int64)
-        gen = phi_inv @ kern.digits(kern.generator_handle) % CHAR @ self._pow5
-        # g^L for L in [0, q] in (a, b) form, by doubling blocks
-        a, b = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        a[0] = F.one
-        block, filled = (np.array([gen % q]), np.array([gen // q])), 1
-        while filled < n:
-            step = min(filled, n - filled)
-            a[filled:filled + step], b[filled:filled + step] = self._pair_mul(
-                (a[:step], b[:step]), block)
-            block = self._pair_mul(block, block)
-            filled += step
+        self.log_order = q * q - 1
+        # zeta^i as a field index, and as (a, b) digit rows
+        rows = power_rows(zeta, n, f)
+        self.indices = rows @ self._pow5
+        self.coords = (rows @ phi_inv.T % CHAR).astype(np.int8)
+        # p1_log[slot] = log_g(r + omega) for the point r = a/b of
+        # P^1(GF(q)) in that slot (see _p1_slot), read off the (a, b) form
+        # of g^L = d*(r + omega) for L in [0, q]
+        b, a = np.divmod(power_rows([0, 1], n, f) @ phi_inv.T % CHAR
+                         @ self._pow5, q)
         slot, dlog = self._p1_slot(a, b)
         self.p1_log = np.empty(n, dtype=np.int64)
         self.p1_log[slot] = (np.arange(n) - n * dlog) % self.log_order
-        # conj(a + b omega) / (a + b omega) = (a^2 + G b^2 - 2ab omega) / N
-        a2, gb2 = F.bmul(a, a), F.bmul(F.generator_handle, F.bmul(b, b))
-        inv_norm = F.binv(F.bsum(((1, a2), (-1, gb2))))
-        self.coords = np.concatenate(
-            [F.digit_rows[F.bmul(F.bsum(((1, a2), (1, gb2))), inv_norm)],
-             F.digit_rows[F.bmul(F.bsum(((-2, F.bmul(a, b)),)), inv_norm)]],
-            axis=1)
-
-    def _pair_mul(self, x, y):
-        """(a + b omega)(c + d omega) on GF(q) handle arrays."""
-        F = self.subfield
-        (a, b), (c, d) = x, y
-        return (F.badd(F.bmul(a, c),
-                       F.bmul(F.generator_handle, F.bmul(b, d))),
-                F.badd(F.bmul(a, d), F.bmul(b, c)))
 
     def _p1_slot(self, a, b):
         """Slot of the point [a : b] of P^1(GF(q)) and the GF(q) log of the
@@ -163,13 +128,14 @@ class UnityGroup:
         raise UsageError(f"unknown unity domain {name!r}")
 
     def handle(self, i: int) -> int:
-        return self.elements[i % self.n]
+        return self.element(i).handle
 
     def element(self, i: int) -> FieldElement:
-        return FieldElement(self.field, self.handle(i))
+        return self.field.from_index(int(self.indices[i % self.n]))
 
     def contains_handle(self, h: int) -> bool:
-        return h in self.index
+        x = FieldElement(self.field, h)
+        return not x.is_zero and x ** self.n == self.field.one
 
     def members(self, indices) -> list[FieldElement]:
         return [self.element(i) for i in indices]

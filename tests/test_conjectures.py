@@ -17,8 +17,8 @@ from niho_perm.conjectures import (CONSTRAINTS, ProfileMismatchError,
                                    search_problem_instances,
                                    subfield_stability_report, _patterns_of,
                                    _quartic_report, _search_chunk)
-from niho_perm.field import (FieldElement, in_subfield, make_field, norm,
-                             tower_field, trace)
+from niho_perm.field import (in_subfield, make_field, norm, tower_field,
+                             trace)
 from niho_perm.trinomials import (induced_mu_map,
                                   is_permutation_exhaustive, theorem_family)
 from niho_perm.unity import (ClosedFormMap, UnityGroup, build_map, eval_map,
@@ -160,9 +160,10 @@ def _stability_failure(x, fx):
 class TestCorruptedImages:
     """Failure paths no real input reaches: the P1 image is corrupted at
     positions j and j + 5, first to zero, then to a wrong nonzero value
-    (1, which also lies in the subfield).  The witness must be the first
-    failing point, in sweep order, by scalar arithmetic; elsewhere the image
-    is the true one, which passes (TestProfileChain, TestPropositions)."""
+    (1, which also lies in the subfield); images are logs, -1 for zero.
+    The witness must be the first failing point, in sweep order, by scalar
+    arithmetic; elsewhere the image is the true one, which passes
+    (TestProfileChain, TestPropositions)."""
 
     J = 13
 
@@ -173,14 +174,15 @@ class TestCorruptedImages:
         (subfield_stability_report, _stability_failure)])
     def test_witness_is_first_failure(self, k, value, sweep, replay):
         field = tower_field(k)
-        off, fx = conjectures._p1_image_off_subfield(field)
-        fx = fx.copy()
-        fx[[self.J, self.J + 5]] = value
-        rep = sweep(k, image=(off, fx))
+        off, lf = conjectures._p1_image_off_subfield(field)
+        lf = lf.copy()
+        lf[[self.J, self.J + 5]] = field.kernel.logt[value]
+        rep = sweep(k, image=(off, lf))
         assert not rep.passed
         for p in range(self.J + 1):
             x = field.generator ** int(off[p])
-            kind = replay(x, FieldElement(field, int(fx[p])))
+            fx = field.zero if lf[p] < 0 else field.generator ** int(lf[p])
+            kind = replay(x, fx)
             if kind is not None:
                 break
         assert p == self.J

@@ -11,8 +11,8 @@ from niho_perm.errors import (FieldConstructionError, GuardExceededError,
                               UsageError)
 from niho_perm.field import (PRIMITIVE_MODULI, PolyKernel, make_field,
                              tower_field, frobenius, trace, norm, in_subfield,
-                             factorize, trace_power_identity_report,
-                             _pmulmod)
+                             factorize, power_rows,
+                             trace_power_identity_report, _pmulmod, _pstrip)
 from representation_twin import representation_agreement_report
 
 
@@ -236,14 +236,17 @@ class TestTower:
             assert trace(frobenius(x)) == trace(x)
             assert norm(frobenius(x)) == norm(x)
 
-    def test_poly_kernel_frobenius_matches_pow(self):
+    def test_poly_kernel_frobenius_involution(self):
         f = tower_field(5)      # m = 10, no tables
         assert f.accel_tables is None
         import random
         rng = random.Random(11)
         for _ in range(20):
             x = f.random_element(rng)
-            assert frobenius(x) == x ** f.q
+            assert frobenius(frobenius(x)) == x
+        for c in range(5):
+            assert frobenius(f.scalar(c)) == f.scalar(c)
+        assert frobenius(f.generator) != f.generator
 
 
 class TestBatchSum:
@@ -448,6 +451,19 @@ class TestRepresentations:
             ref_add = tuple((x + y) % 5 for x, y in zip(da, db))
             assert kern.digits(kern.add(kern.from_digits(da),
                                         kern.from_digits(db))) == ref_add
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 12])
+    def test_power_rows_against_repeated_products(self, m):
+        import random
+        rng = random.Random(m)
+        modulus = PRIMITIVE_MODULI[m]
+        for base in ([0, 1], [rng.randrange(5) for _ in range(m)] + [1]):
+            rows = power_rows(base, 77, modulus)
+            assert rows.shape == (77, m) and rows.dtype == np.int8
+            want = [1]
+            for row in rows.tolist():
+                assert _pstrip(row) == want
+                want = _pmulmod(want, base, modulus)
 
     def test_factorize(self):
         assert factorize(5 ** 4 - 1) == [2, 2, 2, 2, 3, 13]

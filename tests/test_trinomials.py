@@ -117,8 +117,9 @@ class TestExhaustiveOracle:
             exps = [rng.randrange(2 * n1) for _ in range(3)]
             terms = [(rng.choice((1, -1, 2, 3)), e) for e in exps]
             terms += [(1, 0), (1, exps[0]), (-1, exps[0])]
+            handles = digit_row_field_values(field, terms)
             assert (field_values(field, terms)
-                    == digit_row_field_values(field, terms)).all()
+                    == field.kernel.logt[handles]).all()
 
     def test_guard(self):
         f = theorem_family("T1", 5)

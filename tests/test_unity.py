@@ -26,10 +26,47 @@ def mu6():
     return unity_group(tower_field(1))
 
 
+def assert_coords_replay(g):
+    """(a, b) digit rows map back to zeta^i under a + b*omega, where a and
+    b are GF(q) digits in powers of G = g^(q+1); zeta^i is built by scalar
+    multiplication, and element(i) decodes to it."""
+    field, k = g.field, g.k
+    big_g = field.generator ** g.n
+    omega = field.generator ** (g.n // 2)
+    assert omega * omega == big_g and omega ** g.q == -omega
+    basis = [big_g ** j for j in range(k)]
+    basis += [b * omega for b in basis]
+    phi = np.array([b.digits for b in basis]).T
+    zeta, x, powers = field.generator ** (g.q - 1), field.one, []
+    for _ in range(g.n):
+        powers.append(x)
+        x = x * zeta
+    assert x == field.one
+    assert g.coords.shape == (g.n, 2 * k)
+    digits = g.coords.astype(np.int64) @ phi.T % 5
+    assert digits.tolist() == [list(p.digits) for p in powers]
+    assert g.members(range(g.n)) == powers
+
+
+def assert_p1_logs_replay(g):
+    """g^p1_log[slot] = r + omega for r in GF(q); the slot of infinity
+    holds 0."""
+    field, sub = g.field, g.subfield
+    big_g = field.generator ** g.n
+    omega = field.generator ** (g.n // 2)
+    assert g.p1_log[g.q] == 0
+    for r in sorted({0, 1, g.q - 1} | set(range(0, g.q, max(1, g.q // 50)))):
+        r_elem = field.zero
+        for j, d in enumerate(sub.digits(r)):
+            r_elem = r_elem + d * big_g ** j
+        slot = int(sub.logt[r]) if r else g.q - 1
+        assert field.generator ** int(g.p1_log[slot]) == r_elem + omega
+
+
 class TestEnumeration:
     def test_size(self, mu6):
         assert mu6.n == 6
-        assert len(mu6.elements) == 6
+        assert len({x.handle for x in mu6.members(range(mu6.n))}) == 6
 
     def test_power_order_listing(self, mu6):
         listed = [mu6.element(i).digits for i in range(6)]
@@ -47,8 +84,9 @@ class TestEnumeration:
     def test_omega_plus_two_characterizations(self, k):
         g = unity_group(tower_field(k))
         field = g.field
-        squares = {field.kernel.mul(h, h) for h in g.elements}
-        by_power = {h for h in g.elements
+        handles = [g.handle(i) for i in range(g.n)]
+        squares = {field.kernel.mul(h, h) for h in handles}
+        by_power = {h for h in handles
                     if field.kernel.pow(h, g.n // 2) == field.kernel.one}
         assert squares == by_power
         assert squares == {g.handle(i) for i in g.omega_plus}
@@ -94,35 +132,37 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_p1_coordinates(self, k):
-        # (a, b) digit rows map back to zeta^i under a + b*omega, where a
-        # and b are GF(q) digits in powers of G = g^(q+1)
-        g = unity_group(tower_field(k))
-        field, kern = g.field, g.field.kernel
-        big_g = field.generator ** g.n
-        omega = field.generator ** (g.n // 2)
-        assert omega * omega == big_g and omega ** g.q == -omega
-        basis = [big_g ** j for j in range(k)]
-        basis += [b * omega for b in basis]
-        phi = np.array([b.digits for b in basis]).T
-        assert g.coords.shape == (g.n, 2 * k)
-        digits = g.coords.astype(np.int64) @ phi.T % 5
-        assert digits.tolist() == [list(kern.digits(h)) for h in g.elements]
+        assert_coords_replay(unity_group(tower_field(k)))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_p1_logs_replay(self, k):
-        # g^p1_log[slot] = r + omega for r in GF(q); the slot of infinity
-        # holds 0
-        g = unity_group(tower_field(k))
-        field, sub = g.field, g.subfield
-        big_g = field.generator ** g.n
-        omega = field.generator ** (g.n // 2)
-        assert g.p1_log[g.q] == 0
-        for r in sorted({0, 1, g.q - 1} | set(range(0, g.q, max(1, g.q // 50)))):
-            r_elem = field.zero
-            for j, d in enumerate(sub.digits(r)):
-                r_elem = r_elem + d * big_g ** j
-            slot = int(sub.logt[r]) if r else g.q - 1
-            assert field.generator ** int(g.p1_log[slot]) == r_elem + omega
+        assert_p1_logs_replay(unity_group(tower_field(k)))
+
+    @pytest.mark.parametrize("modulus", [(3, 2, 4, 3, 1),
+                                         (2, 0, 2, 1, 1, 4, 1)])
+    def test_other_primitive_modulus(self, modulus):
+        # the circle is built from the modulus alone: on another primitive
+        # modulus its tables replay, and every catalog map on every domain
+        # keeps the verdict it has on the default modulus
+        k = (len(modulus) - 1) // 2
+        g = unity_group(make_field(2 * k, modulus))
+        default = unity_group(tower_field(k))
+        assert g.field.modulus == modulus != default.field.modulus
+        assert_coords_replay(g)
+        assert_p1_logs_replay(g)
+        verdicts = []
+        for name, spec in MAP_SPECS.items():
+            if spec["parity"] not in ("any", ("even", "odd")[k % 2]):
+                continue
+            map_ = build_map(name, k)
+            for dom in ("mu", "omega_plus", "omega_minus"):
+                got, want = (unity_permutation_report(map_, group, dom)
+                             for group in (g, default))
+                assert got.passed == want.passed, (name, dom)
+                assert ((got.witness or {}).get("type")
+                        == (want.witness or {}).get("type")), (name, dom)
+                verdicts.append(got.passed)
+        assert len(verdicts) >= 30 and 0 < sum(verdicts) < len(verdicts)
 
     def test_group_cached(self):
         f = tower_field(2)
