@@ -59,6 +59,10 @@ GOLDEN_COMMANDS = (
     + [["proposition", "--id", "P2", "--k", "6"], ["table1", "--k", "6"],
        ["search", "--k", "5", "--constraint", "sum-half", "--signs", "++",
         "--force"]]
+    + [["search", "--k", "5", "--constraint", "sum-zero", "--force"],
+       ["search", "--k", "6", "--constraint", "sum-half", "--signs", "++",
+        "--force"],
+       ["search", "--k", "4", "--signs", "+-", "--format", "tsv"]]
 )
 
 
