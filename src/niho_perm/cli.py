@@ -297,16 +297,13 @@ def _cmd_equivalents(cfg: RunConfig):
     else:
         base = pair_from_text(cfg.pair, cfg.k)
     skipped: list[str] = []
-    pairs = equivalent_pairs(base, cfg.k, skipped=skipped)
     checks = []
     passed = True
-    for p in pairs:
-        trin = p.trinomial(cfg.k)
-        crit = is_permutation_via_criterion(trin)
+    for p, crit in equivalent_pairs(base, cfg.k, skipped)[1].items():
         entry = {"pair": p.notation(), "criterion_pass": crit.passed,
                  "degenerate": p.degenerate}
         if cfg.k <= EXHAUSTIVE_GUARD_K:
-            orac = is_permutation_exhaustive(trin)
+            orac = is_permutation_exhaustive(p.trinomial(cfg.k))
             entry["oracle_pass"] = orac.passed
             passed = passed and orac.passed
         passed = passed and crit.passed

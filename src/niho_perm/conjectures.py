@@ -4,13 +4,15 @@ trace/norm profile chain behind the first conditional family, and the
 
 Conjecture checks are finite sweeps and are reported as VERIFIED over the
 checked range, never as proved.  The search enumerates residue pairs with
-an optional sum constraint, runs the subgroup criterion on each candidate,
-and returns the passing set in canonical order; partitioning the s-range
-across worker processes cannot change the output.
+an optional sum constraint, decides the subgroup criterion for candidate
+blocks on the circle's P^1 log tables (at sample points, then at every
+point for the survivors), and returns the passing set in canonical order;
+partitioning the s-range across worker processes cannot change the output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -373,13 +375,7 @@ def _patterns_of(sign_pattern: str) -> tuple[tuple[int, int], ...]:
 def _t_values(s: int, constraint: str, n: int) -> range:
     if constraint == "none":
         return range(n)
-    if constraint == "sum_zero":
-        t = (-s) % n
-    elif constraint == "sum_half":
-        t = (n // 2 - s) % n
-    else:
-        raise UsageError(
-            f"unknown constraint {constraint!r}; valid: {', '.join(CONSTRAINTS)}")
+    t = (-s if constraint == "sum_zero" else n // 2 - s) % n
     return range(t, t + 1)
 
 
@@ -399,80 +395,98 @@ def _hit(s: int, t: int, l1: int, l2: int) -> SearchHit:
                      sign2="+" if l2 > 0 else "-")
 
 
-def _search_range_table(k: int, s_lo: int, s_hi: int, constraint: str,
-                        patterns) -> list[SearchHit]:
-    """Criterion hits for s in [s_lo, s_hi), in logs only.
+SEARCH_BLOCK = 1 << 15      # (candidate, point) pairs per kernel block
 
-    sigma*zeta^j has log (q-1)*j, plus n1/2 when sigma = -1.  With
-    u = 1 + l1*zeta^(si) and w = l2*zeta^(ti), h(zeta^i) = u + w has
-    log h = lu + zech[lw - lu], where lu = zech[log(l1*zeta^(si))], and
-    x*h^(q-1) maps zeta^i to zeta^(i + log h).  zech < 0 marks a zero; where
-    u = 0, h = w.  A t-row passes when its n images fill the n circle slots
-    once each.  For a swap-closed pattern set only t >= s is evaluated and
-    each off-diagonal hit is also emitted as (t, s, l2, l1), which may lie
-    outside [s_lo, s_hi).
+
+class _SearchTables:
+    """One circle's tables for h = 1 + l1*zeta^(si) + l2*zeta^(ti).
+
+    Each GF(q) half of sign*zeta^j is packed in base 9, so the halves of two
+    terms add without a carry; a9 and b9 take a packed sum (a9 adding the
+    1) to the group's la and lb, and ctn is the group's ct mod n, -2n where
+    h = 0.  x*h^(q-1) maps zeta^i to zeta^(i + log h), log h = ct mod n.
     """
-    kern = tower_field(k).accel_tables
-    n1 = kern.n1
-    n = CHAR ** k + 1
-    half = n1 // 2                                  # log of -1
-    mirror = _swap_closed(patterns)
-    i = np.arange(n, dtype=np.int64)
-    # lw[sign][t, i] = log(sign*zeta^(ti)), built once and shared by every
-    # s-row (row s of it is the argument of lu)
-    lw = {1: (np.outer(i, i) % n) * (n1 // n)}
-    lw[-1] = (lw[1] + half) % n1
-    # zn[d] + col[i] is the circle index, col = (i + lu) mod n: at
-    # d = lw - lu + n1 (u != 0) zn is zech[lw - lu] mod n, at d = 2*n1 + lw
-    # (u = 0, col = i) it is lw mod n; 2n sends a zero of h past both slot
-    # copies, so the folded row then has an empty slot
-    zech = kern.zech
-    ext = np.concatenate([zech, zech, np.arange(n1)])
-    zn = np.where(ext < 0, 2 * n, ext % n).astype(np.int16)
-    width = 3 * n                                   # two slot copies + sink
-    row_base = np.arange(n, dtype=np.int64)[:, None] * width
-    hits: list[SearchHit] = []
-    for s in range(s_lo, s_hi):
-        ts = _evaluated_t(s, constraint, n, mirror)
-        rows = len(ts)
-        if not rows:
-            continue
-        for l1, l2 in patterns:
-            lu = zech[lw[l1][s]]
-            u_zero = lu < 0
-            d = lw[l2][ts.start:ts.stop] + np.where(u_zero, 2 * n1, n1 - lu)
-            col = np.where(u_zero, i, (i + lu) % n) + row_base[:rows]
-            cnt = np.bincount((zn[d] + col).ravel(), minlength=rows * width)
-            cnt = cnt.reshape(rows, 3, n)
-            ok = (cnt[:, 0] + cnt[:, 1]).min(axis=1) == 1
-            for t in (ts.start + np.flatnonzero(ok)).tolist():
-                hits.append(_hit(s, t, l1, l2))
-                if mirror and t != s:
-                    hits.append(_hit(t, s, l2, l1))
-    hits.sort()
-    return hits
+
+    def __init__(self, group):
+        self.group = group
+        n, k = group.n, group.k
+        self.n = np.int32(n)        # the kernel's arithmetic stays in int32
+        m = min(n, math.isqrt(16 * n))
+        self.points = (np.arange(m) * n // m).astype(np.int32)
+        # the GF(q) index of each of the 9^k packed values
+        red = np.zeros(1, dtype=np.int64)
+        for j in range(k):
+            red = ((np.arange(9) % CHAR * CHAR ** j)[:, None] + red).ravel()
+        self.a9 = group.la[red - red % CHAR + (red + 1) % CHAR].astype(np.int32)
+        self.b9 = group.lb[red].astype(np.int32)
+        self.ctn = np.where(group.ct < 0, -2 * n, group.ct % n).astype(np.int32)
+        self._rows: dict[int, tuple] = {}
+
+    def rows(self, sign):
+        """The packed halves of sign*zeta^j for j in Z/n, and of
+        sign*zeta^(j*i) at the stride points i (row j), built on first use."""
+        if sign not in self._rows:
+            k = self.group.k
+            digits = self.group.coords * np.int8(sign) % CHAR
+            place = 9 ** np.arange(k, dtype=np.int32)
+            every = tuple(digits[:, h:h + k] @ place for h in (0, k))
+            exps = np.outer(np.arange(self.n, dtype=np.int32), self.points)
+            exps %= self.n
+            self._rows[sign] = every, tuple(half[exps] for half in every)
+        return self._rows[sign]
+
+    def _distinct(self, u, w, i, j, points) -> np.ndarray:
+        """Per row: h = 1 + u[i] + w[j] has no zero and distinct images."""
+        img = np.take(self.ctn, np.take(self.a9, u[0][i] + w[0][j])
+                      - np.take(self.b9, u[1][i] + w[1][j]))
+        img += points
+        img -= self.n * (img >= self.n)
+        img.sort(axis=1)
+        return (img[:, 0] >= 0) & (img[:, 1:] != img[:, :-1]).all(axis=1)
+
+    def hits(self, s, t, l1, l2) -> np.ndarray:
+        """Positions j where (s[j], t[j], l1, l2) passes the criterion.
+
+        A repeat or a zero at the sampled points is one over the whole
+        circle, so the n-point verdict runs only on the survivors."""
+        (pu, su), (pw, sw) = self.rows(l1), self.rows(l2)
+        keep = np.flatnonzero(self._distinct(su, sw, s, t, self.points))
+        every = np.arange(self.n, dtype=np.int32)
+        i, j = (np.outer(x[keep], every) % self.n for x in (s, t))
+        return keep[self._distinct(pu, pw, i, j, every)]
 
 
-def _search_range_scalar(k: int, s_lo: int, s_hi: int, constraint: str,
-                         patterns) -> list[SearchHit]:
-    from .trinomials import build_trinomial
-    n = CHAR ** k + 1
-    hits = []
-    for s in range(s_lo, s_hi):
-        for t in _t_values(s, constraint, n):
-            for l1, l2 in patterns:
-                f = build_trinomial(k, [(1, 0), (l1, s), (l2, t)])
-                if is_permutation_via_criterion(f).passed:
-                    hits.append(_hit(s, t, l1, l2))
-    hits.sort()
-    return hits
+_search_tables = functools.cache(_SearchTables)    # one per circle
 
 
 def _search_chunk(args) -> list[SearchHit]:
-    k, s_lo, s_hi, constraint, patterns, use_tables = args
-    if use_tables:
-        return _search_range_table(k, s_lo, s_hi, constraint, patterns)
-    return _search_range_scalar(k, s_lo, s_hi, constraint, patterns)
+    """Criterion hits for s in [s_lo, s_hi), sorted.
+
+    The chunk's candidates (s, t) are listed as int arrays and evaluated in
+    blocks of about SEARCH_BLOCK sample points.  For a swap-closed pattern
+    set only t >= s is evaluated and each off-diagonal hit is also emitted
+    as (t, s, l2, l1), which may lie outside [s_lo, s_hi).
+    """
+    k, s_lo, s_hi, constraint, patterns = args
+    tabs = _search_tables(unity_group(tower_field(k)))
+    mirror = _swap_closed(patterns)
+    rows = [_evaluated_t(s, constraint, int(tabs.n), mirror)
+            for s in range(s_lo, s_hi)]
+    starts = np.array([r.start for r in rows], dtype=np.int64)
+    prefix = np.cumsum([0] + [len(r) for r in rows])
+    size = max(1, SEARCH_BLOCK // len(tabs.points))
+    hits: list[SearchHit] = []
+    for lo in range(0, int(prefix[-1]), size):
+        pos = np.arange(lo, min(lo + size, int(prefix[-1])))
+        row = np.searchsorted(prefix, pos, side="right") - 1
+        s, t = s_lo + row, starts[row] + pos - prefix[row]
+        for l1, l2 in patterns:
+            for j in tabs.hits(s, t, l1, l2).tolist():
+                hits.append(_hit(int(s[j]), int(t[j]), l1, l2))
+                if mirror and s[j] != t[j]:
+                    hits.append(_hit(int(t[j]), int(s[j]), l2, l1))
+    hits.sort()
+    return hits
 
 
 def _split_by_work(work, parts: int) -> list[tuple[int, int]]:
@@ -492,8 +506,8 @@ def search_problem_instances(k: int, constraint: str = "none",
     t is determined by s under the sum constraints; the full square is
     enumerated otherwise.  Output order is ascending (s, t, sign pattern)
     and is independent of the worker count.  The s-range is split into
-    chunks of equal work (the table kernel evaluates t >= s only when the
-    pattern set is swap-closed), one per worker; the worker count is
+    chunks of equal work (only t >= s is evaluated when the pattern set is
+    swap-closed), one per worker; the worker count is
     clamped to the CPU count and to the number of non-empty chunks.
     """
     if constraint not in CONSTRAINTS:
@@ -503,14 +517,14 @@ def search_problem_instances(k: int, constraint: str = "none",
         raise GuardExceededError(
             f"search guarded at k <= {SEARCH_GUARD_K}; pass force to override")
     patterns = _patterns_of(sign_pattern)
-    field = tower_field(k)
-    unity_group(field)                 # build before any fork
-    use_tables = field.accel_tables is not None
-    mirror = use_tables and _swap_closed(patterns)
-    n = CHAR ** k + 1
+    group = unity_group(tower_field(k))
+    for sign in {sign for pattern in patterns for sign in pattern}:
+        _search_tables(group).rows(sign)        # build before any fork
+    mirror = _swap_closed(patterns)
+    n = group.n
     workers = min(max(1, int(threads)), os.cpu_count() or 1)
     work = [len(_evaluated_t(s, constraint, n, mirror)) for s in range(n)]
-    chunks = [(k, lo, hi, constraint, patterns, use_tables)
+    chunks = [(k, lo, hi, constraint, patterns)
               for lo, hi in _split_by_work(work, workers)]
     if len(chunks) == 1:
         return _search_chunk(chunks[0])

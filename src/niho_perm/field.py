@@ -206,7 +206,6 @@ class PolyKernel:
         self._shift = _LIMB * m
         self._low = (1 << self._shift) - 1
         ones_m = sum(1 << (_LIMB * i) for i in range(m))
-        ones_w = sum(1 << (_LIMB * i) for i in range(width))
         self._threes = 3 * ones_m
         self._sel = 8 * ones_m
         self._fives = 5 * ones_m

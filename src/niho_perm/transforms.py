@@ -141,28 +141,17 @@ def _applications(pair: SignedPair) -> list[tuple[str, int, int]]:
     return [("2a", plus_c, minus_c), ("2b", plus_c, minus_c)]
 
 
-def equivalent_pairs(pair: SignedPair, k: int,
-                     skipped: list | None = None) -> list[SignedPair]:
-    """Every pair reachable from this one by a single applicable transform.
+def equivalent_pairs(pair: SignedPair, k: int, skipped: list | None = None):
+    """The source's subgroup-criterion report, and every pair reachable from
+    the source by a single applicable transform, with its report.
 
     Inapplicable clauses (gcd obstruction) are skipped, optionally logged
-    into `skipped`.  The output is deduplicated, canonical, and excludes the
-    input pair.  Permutation preservation is verified, not assumed: if the
-    source passes the subgroup criterion, every returned pair must too.
+    into `skipped`.  The pairs are deduplicated, in canonical order, and
+    exclude the input pair.  Permutation preservation is verified, not
+    assumed: if the source passes the criterion, every derived pair must
+    too.  The criterion runs once per trinomial.
     """
-    result = _transformed_pairs(pair, k, skipped)
-    if is_permutation_via_criterion(pair.trinomial(k)).passed:
-        for p in result:
-            if not is_permutation_via_criterion(p.trinomial(k)).passed:
-                raise _contract_error(pair, p, k)
-    return result
-
-
-def _transformed_pairs(pair: SignedPair, k: int,
-                       skipped: list | None) -> list[SignedPair]:
-    """equivalent_pairs without the criterion check."""
-    n = CHAR ** k + 1
-    found: dict[SignedPair, None] = {}
+    found: set[SignedPair] = set()
     for case, i, j in _applications(pair):
         try:
             (sig_s, sig_t), s, t = exponent_transform(case, i, j, k)
@@ -170,15 +159,17 @@ def _transformed_pairs(pair: SignedPair, k: int,
             if skipped is not None:
                 skipped.append(f"case {case} at (i={i}, j={j}): gcd {exc.gcd}")
             continue
-        out = SignedPair.make((sig_s, s), (sig_t, t), n)
-        if out != pair:
-            found[out] = None
-    return sorted(found)
-
-
-def _contract_error(pair: SignedPair, derived: SignedPair, k: int):
-    return UsageError(f"transform contract violated: {pair.notation()} "
-                      f"passes but derived {derived.notation()} fails at k={k}")
+        found.add(SignedPair.make((sig_s, s), (sig_t, t), CHAR ** k + 1))
+    found.discard(pair)
+    crit = is_permutation_via_criterion(pair.trinomial(k))
+    derived = {}
+    for p in sorted(found):
+        derived[p] = is_permutation_via_criterion(p.trinomial(k))
+        if crit.passed and not derived[p].passed:
+            raise UsageError(
+                f"transform contract violated: {pair.notation()} passes "
+                f"but derived {p.notation()} fails at k={k}")
+    return crit, derived
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +254,18 @@ def table_report(k: int) -> tuple[VerificationReport, list[dict]]:
             })
             continue
         pair = _resolve_pair(row.pair, q, k)
-        trin = pair.trinomial(k)
-        crit = is_permutation_via_criterion(trin)
+        skipped_cases: list[str] = []
+        crit, derived = equivalent_pairs(pair, k, skipped_cases)
+        recomputed = list(derived)
         reports.append(crit)
         if use_oracle:
-            orac = is_permutation_exhaustive(trin)
+            orac = is_permutation_exhaustive(pair.trinomial(k))
             reports.append(orac)
             oracle_pass: bool | str = orac.passed
         else:
             oracle_pass = "skipped"
-        skipped_cases: list[str] = []
-        recomputed = _transformed_pairs(pair, k, skipped_cases)
         equiv_ok = True
-        for p in recomputed:
-            pr = is_permutation_via_criterion(p.trinomial(k))
-            if crit.passed and not pr.passed:
-                raise _contract_error(pair, p, k)
+        for p, pr in derived.items():
             reports.append(pr)
             equiv_ok = equiv_ok and pr.passed
             if use_oracle:

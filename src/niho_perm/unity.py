@@ -12,9 +12,10 @@ a zero witness.
 Batched evaluation speaks circle indices: at domain indices i it returns an
 int64 array of j with image zeta^j, and -1 where a closed form leaves the
 circle.  Its one producer, UnityGroup.sum_logs, works in GF(q) coordinates
-at every k: GF(5^{2k}) = GF(q) + GF(q)*omega, and a sum at a circle point
-is d*(r + omega) (or d alone) for a point r of P^1(GF(q)), so its log is
-(q+1)*log d plus one table entry per point of P^1(GF(q)).  The group and
+at every k: GF(5^{2k}) = GF(q) + GF(q)*omega, a sum a + b*omega at a
+circle point is b*(r + omega) (or a alone) for a point r of P^1(GF(q)), and
+one table over the difference of two GF(q) logs gives its log (pair_logs),
+for the circle verdicts and the (s, t, sign) search alike.  The group and
 its O(q) tables are built once, from the field modulus alone: powers of
 zeta and of g come as GF(5) digit rows (field.power_rows), never from the
 field's element arithmetic.  Every verdict compares index arrays, and turns
@@ -71,39 +72,41 @@ class UnityGroup:
         rows = power_rows(zeta, n, f)
         self.indices = rows @ self._pow5
         self.coords = (rows @ phi_inv.T % CHAR).astype(np.int8)
-        # p1_log[slot] = log_g(r + omega) for the point r = a/b of
-        # P^1(GF(q)) in that slot (see _p1_slot), read off the (a, b) form
-        # of g^L = d*(r + omega) for L in [0, q]
+        # log_g(a + b*omega) = n*lb[b] + ct[la[a] - lb[b]].  With q1 = q-1,
+        # la[a] - lb[b] is q1 + log_G(a/b) for a, b != 0, 2q1 + log_G a for
+        # b = 0 (lb[0] = -q1 adds n*-q1 = 0 mod q^2-1), 4q1 - log_G b for
+        # a = 0, and 5q1 for a = b = 0, where ct is -1
+        q1, logt = q - 1, self.subfield.logt
+        self.la, self.lb = logt + q1, logt.copy()
+        self.la[0], self.lb[0] = 4 * q1, -q1
+        self.ct = np.full(5 * q1 + 1, -1, dtype=np.int64)
+        # g^L = b*(a/b + omega) for L in [0, q] meets each point of P^1 once
         b, a = np.divmod(power_rows([0, 1], n, f) @ phi_inv.T % CHAR
                          @ self._pow5, q)
-        slot, dlog = self._p1_slot(a, b)
-        self.p1_log = np.empty(n, dtype=np.int64)
-        self.p1_log[slot] = (np.arange(n) - n * dlog) % self.log_order
+        nz = (a > 0) & (b > 0)
+        self.ct[q1 + (logt[a] - logt[b])[nz] % q1] = (
+            np.arange(n) - n * logt[b])[nz] % self.log_order
+        self.ct[1:q1] = self.ct[q1 + 1:2 * q1]
+        self.ct[2 * q1:3 * q1] = n * np.arange(q1)      # a = g^(n log_G a)
+        self.ct[3 * q1 + 1:4 * q1 + 1] = n // 2         # omega = g^(n/2)
 
-    def _p1_slot(self, a, b):
-        """Slot of the point [a : b] of P^1(GF(q)) and the GF(q) log of the
-        scale d with a + b omega = d (r + omega), or d = a where b = 0.
-
-        Slots: log_G r for r = a/b != 0, q-1 for r = 0, q for infinity.
-        The log is -1 where a = b = 0.
-        """
-        F, q = self.subfield, self.q
-        la, lb = F.logt[a], F.logt[b]
-        slot = np.where(b == 0, q, np.where(a == 0, q - 1, (la - lb) % (q - 1)))
-        return slot, np.where(b == 0, la, lb)
+    def pair_logs(self, a, b) -> np.ndarray:
+        """log_g(a + b*omega) for arrays of GF(q) indices a and b, in
+        Z/(q^2-1), and -1 where a = b = 0."""
+        lb = self.lb[b]
+        c = self.ct[self.la[a] - lb]
+        return np.where(c < 0, -1, (self.n * lb + c) % self.log_order)
 
     def sum_logs(self, indices, terms) -> np.ndarray:
         """log_g of sum coeff * x^e at x = zeta^i for i in indices, in
         Z/(q^2-1), and -1 where the sum is zero: one digit-row gather per
-        term, one reduction mod 5, two GF(q) log lookups."""
+        term, one reduction mod 5, and pair_logs."""
         idx = np.asarray(indices, dtype=np.int64)
         n = self.n
         acc = sum(np.multiply(self.coords[(idx * (e % n)) % n], c % CHAR,
                               dtype=np.int16) for c, e in terms)
         b, a = np.divmod((acc % CHAR).astype(np.int64) @ self._pow5, self.q)
-        slot, dlog = self._p1_slot(a, b)
-        return np.where(dlog < 0, -1,
-                        (n * dlog + self.p1_log[slot]) % self.log_order)
+        return self.pair_logs(a, b)
 
     def __repr__(self):
         return f"mu_{self.n} in {self.field!r}"

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from niho_perm import cli
+from niho_perm import cli, transforms
 from niho_perm.cli import main
 from niho_perm.field import tower_field
 from niho_perm.trinomials import build_trinomial, eval_trinomial
@@ -193,6 +193,21 @@ class TestReportShapes:
         payload = json.loads(out)
         assert payload["base"] == "(+[2], -[4])"
         assert payload["equivalents"][0]["pair"] == "(-[2], -[4])"
+
+    def test_equivalents_criterion_once_per_trinomial(self, capsys,
+                                                      monkeypatch):
+        # T1 at k=3 and its one equivalent: two trinomials, two calls
+        calls = []
+        criterion = transforms.is_permutation_via_criterion
+        counting = lambda t: calls.append(t) or criterion(t)
+        monkeypatch.setattr(transforms, "is_permutation_via_criterion",
+                            counting)
+        monkeypatch.setattr(cli, "is_permutation_via_criterion", counting)
+        code, out, _ = run_cli(capsys, "equivalents", "--family", "T1",
+                               "--k", "3")
+        assert code == 0
+        assert len(json.loads(out)["equivalents"]) == 1
+        assert len(calls) == len(set(calls)) == 2
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "lemma1", "--k", "1", "--format", "text")

@@ -16,11 +16,13 @@ from niho_perm.conjectures import (CONSTRAINTS, ProfileMismatchError,
                                    quartic_obstruction_report,
                                    search_problem_instances,
                                    subfield_stability_report, _patterns_of,
-                                   _quartic_report, _search_chunk)
+                                   _quartic_report, _search_chunk,
+                                   _search_tables, _t_values)
 from niho_perm.field import (in_subfield, make_field, norm, tower_field,
                              trace)
-from niho_perm.trinomials import (induced_mu_map,
-                                  is_permutation_exhaustive, theorem_family)
+from niho_perm.trinomials import (build_trinomial, induced_mu_map,
+                                  is_permutation_exhaustive,
+                                  is_permutation_via_criterion, theorem_family)
 from niho_perm.unity import (ClosedFormMap, UnityGroup, build_map, eval_map,
                              maps_agree_report, pointwise_agreement_report,
                              unity_group)
@@ -322,7 +324,7 @@ class TestSearch:
 
     def test_empty_result_is_a_list(self):
         # restricting the s-range between hits exercises the empty path
-        hits = _search_chunk((2, 5, 6, "sum_zero", ((1, -1),), True))
+        hits = _search_chunk((2, 5, 6, "sum_zero", ((1, -1),)))
         assert hits == []
 
     def test_worker_count_does_not_change_output(self):
@@ -330,22 +332,53 @@ class TestSearch:
         b = search_problem_instances(2, "none", "all", threads=3)
         assert a == b
 
-    def test_scalar_path_matches_table_path(self):
-        # the scalar path evaluates every (s, t, pattern) on its own, so its
-        # all-pattern square filtered by pattern is the reference for each
+    def test_hits_match_per_candidate_verdicts(self):
+        # every (s, t, pattern) of the square on its own, by the criterion
+        # and by the exhaustive oracle; the search's hits under each
+        # constraint and sign set are exactly the passing candidates
         sign = {"+": 1, "-": -1}
         for k in (1, 2):
+            n = 5 ** k + 1
+            passing = set()
+            for s in range(n):
+                for t in range(n):
+                    for l1, l2 in _patterns_of("all"):
+                        f = build_trinomial(k, [(1, 0), (l1, s), (l2, t)])
+                        crit = is_permutation_via_criterion(f).passed
+                        assert crit == is_permutation_exhaustive(f).passed
+                        if crit:
+                            passing.add(SearchHit(s, t, "+-"[l1 < 0],
+                                                  "+-"[l2 < 0]))
             for constraint in CONSTRAINTS:
-                slow = _search_chunk((k, 0, 5 ** k + 1, constraint,
-                                      _patterns_of("all"), False))
                 for signs in ("all", "++", "+-", "-+", "--"):
                     patterns = _patterns_of(signs)
-                    fast = _search_chunk((k, 0, 5 ** k + 1, constraint,
-                                          patterns, True))
-                    assert fast == [
-                        h for h in slow
-                        if (sign[h.sign1], sign[h.sign2]) in patterns], \
-                        (k, constraint, signs)
+                    want = sorted(
+                        h for h in passing
+                        if h.t in _t_values(h.s, constraint, n)
+                        and (sign[h.sign1], sign[h.sign2]) in patterns)
+                    got = _search_chunk((k, 0, n, constraint, patterns))
+                    assert got == want, (k, constraint, signs)
+
+    def test_sample_survivors_that_fail(self):
+        # seeded k=4 candidates whose images are distinct and nonzero at
+        # the sampled points but not over the whole circle: no hits
+        g = unity_group(tower_field(4))
+        tabs = _search_tables(g)
+        rng = np.random.default_rng(4)
+        s, t = rng.integers(0, g.n, size=(2, 4000))
+        false_survivors = 0
+        for l1, l2 in _patterns_of("all"):
+            keep = np.flatnonzero(tabs._distinct(
+                tabs.rows(l1)[1], tabs.rows(l2)[1], s, t, tabs.points))
+            hits = set(tabs.hits(s, t, l1, l2).tolist())
+            assert hits <= set(keep.tolist())
+            for j in keep.tolist():
+                f = build_trinomial(4, [(1, 0), (l1, int(s[j])),
+                                        (l2, int(t[j]))])
+                passed = is_permutation_via_criterion(f).passed
+                assert (j in hits) == passed, (int(s[j]), int(t[j]), l1, l2)
+                false_survivors += not passed
+        assert false_survivors >= 3
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("constraint", CONSTRAINTS)
@@ -360,8 +393,8 @@ class TestSearch:
     @pytest.mark.parametrize("signs", ["all", "+-"])
     def test_uneven_split_merges_to_one_chunk(self, constraint, signs):
         patterns = _patterns_of(signs)
-        whole = _search_chunk((2, 0, 26, constraint, patterns, True))
-        parts = [_search_chunk((2, lo, hi, constraint, patterns, True))
+        whole = _search_chunk((2, 0, 26, constraint, patterns))
+        parts = [_search_chunk((2, lo, hi, constraint, patterns))
                  for lo, hi in ((0, 5), (5, 6), (6, 26))]
         assert sorted(h for part in parts for h in part) == whole
 

@@ -49,18 +49,26 @@ def assert_coords_replay(g):
 
 
 def assert_p1_logs_replay(g):
-    """g^p1_log[slot] = r + omega for r in GF(q); the slot of infinity
-    holds 0."""
+    """g^pair_logs(a, b) = a + b*omega for GF(q) indices a, b, where a and
+    b are GF(q) digits in powers of G = g^(q+1); the pairs cover the four
+    ranges of la[a] - lb[b]: a, b != 0, a = 0, b = 0 and a = b = 0."""
     field, sub = g.field, g.subfield
     big_g = field.generator ** g.n
     omega = field.generator ** (g.n // 2)
-    assert g.p1_log[g.q] == 0
-    for r in sorted({0, 1, g.q - 1} | set(range(0, g.q, max(1, g.q // 50)))):
-        r_elem = field.zero
-        for j, d in enumerate(sub.digits(r)):
-            r_elem = r_elem + d * big_g ** j
-        slot = int(sub.logt[r]) if r else g.q - 1
-        assert field.generator ** int(g.p1_log[slot]) == r_elem + omega
+    picks = sorted({0, 1, 2, g.q - 1} | set(range(0, g.q, max(1, g.q // 12))))
+    a, b = (np.array(v) for v in zip(*[(x, y) for x in picks for y in picks]))
+    logs = g.pair_logs(a, b)
+    for x, y, log in zip(a.tolist(), b.tolist(), logs.tolist()):
+        elem = [field.zero, field.zero]
+        for pos, idx in enumerate((x, y)):
+            for j, d in enumerate(sub.digits(idx)):
+                elem[pos] = elem[pos] + d * big_g ** j
+        value = elem[0] + elem[1] * omega
+        if value.is_zero:
+            assert log == -1 and x == y == 0
+        else:
+            assert 0 <= log < g.log_order
+            assert field.generator ** log == value, (x, y)
 
 
 class TestEnumeration:
@@ -238,6 +246,33 @@ class TestMapEvaluation:
 
     def test_scalar_matches_batch_k6(self):
         self.assert_batch_matches_scalar(6, range(0, 5 ** 6 + 1, 499))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_sum_logs_every_pair_range(self, k):
+        # with y = x^e and y^q = x^-e = conj(y): y + y^q lies in GF(q)
+        # (b = 0), y - y^q in GF(q)*omega (a = 0), y - 1 vanishes at x = 1,
+        # and y + 2 has both halves nonzero at most points
+        g = unity_group(tower_field(k))
+        e = 3 if k > 1 else 1
+        sums = (((1, e), (1, -e)), ((1, e), (-1, -e)), ((1, e), (-1, 0)),
+                ((1, e), (2, 0)))
+        idx = sorted({0, g.n // 2} | set(range(1, g.n, max(1, g.n // 60))))
+        seen = set()
+        for terms in sums:
+            logs = g.sum_logs(idx, terms)
+            for i, log in zip(idx, logs.tolist()):
+                x = g.element(i)
+                value = g.field.zero
+                for c, exp in terms:
+                    value = value + c * x ** exp
+                if value.is_zero:
+                    assert log == -1, (terms, i)
+                    seen.add("zero")
+                    continue
+                assert g.field.generator ** log == value, (terms, i)
+                # log_g is a multiple of n on GF(q), n/2 mod n on GF(q)*omega
+                seen.add({0: "b=0", g.n // 2: "a=0"}.get(log % g.n, "both"))
+        assert seen == {"zero", "b=0", "a=0", "both"}
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_off_circle_escape_replays(self, k):
