@@ -63,6 +63,8 @@ GOLDEN_COMMANDS = (
        ["search", "--k", "6", "--constraint", "sum-half", "--signs", "++",
         "--force"],
        ["search", "--k", "4", "--signs", "+-", "--format", "tsv"]]
+    + [["verify", "--terms", terms, "--k", "3", "--method", "exhaustive"]
+       for terms in ("+16,-63,-97", "+116,+40,+3")]
 )
 
 
