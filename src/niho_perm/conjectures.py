@@ -424,15 +424,23 @@ class _SearchTables:
 
     def rows(self, sign):
         """The packed halves of sign*zeta^j for j in Z/n, and of
-        sign*zeta^(j*i) at the stride points i (row j), built on first use."""
+        sign*zeta^(j*i) at the stride points i (row j), built on first use,
+        a block of rows at a time."""
         if sign not in self._rows:
             k = self.group.k
             digits = self.group.coords * np.int8(sign) % CHAR
             place = 9 ** np.arange(k, dtype=np.int32)
             every = tuple(digits[:, h:h + k] @ place for h in (0, k))
-            exps = np.outer(np.arange(self.n, dtype=np.int32), self.points)
-            exps %= self.n
-            self._rows[sign] = every, tuple(half[exps] for half in every)
+            sampled = tuple(np.empty((self.n, self.points.size), np.int32)
+                            for _ in every)
+            step = max(1, SEARCH_BLOCK // self.points.size)
+            for lo in range(0, self.n, step):
+                exps = np.outer(np.arange(lo, min(lo + step, self.n),
+                                          dtype=np.int32), self.points)
+                exps %= self.n
+                for half, out in zip(every, sampled):
+                    np.take(half, exps, out=out[lo:lo + step])
+            self._rows[sign] = every, sampled
         return self._rows[sign]
 
     def _distinct(self, u, w, i, j, points) -> np.ndarray:
@@ -475,18 +483,24 @@ def _search_chunk(args) -> list[SearchHit]:
     starts = np.array([r.start for r in rows], dtype=np.int64)
     prefix = np.cumsum([0] + [len(r) for r in rows])
     size = max(1, SEARCH_BLOCK // len(tabs.points))
-    hits: list[SearchHit] = []
+    found = [np.empty((4, 0), dtype=np.int64)]     # rows s, t, l1, l2
     for lo in range(0, int(prefix[-1]), size):
         pos = np.arange(lo, min(lo + size, int(prefix[-1])))
         row = np.searchsorted(prefix, pos, side="right") - 1
         s, t = s_lo + row, starts[row] + pos - prefix[row]
         for l1, l2 in patterns:
-            for j in tabs.hits(s, t, l1, l2).tolist():
-                hits.append(_hit(int(s[j]), int(t[j]), l1, l2))
-                if mirror and s[j] != t[j]:
-                    hits.append(_hit(int(t[j]), int(s[j]), l2, l1))
-    hits.sort()
-    return hits
+            j = tabs.hits(s, t, l1, l2)
+            found.append(np.stack((s[j], t[j], np.full(j.size, l1),
+                                   np.full(j.size, l2))))
+            if mirror:
+                j = j[s[j] != t[j]]
+                found.append(np.stack((t[j], s[j], np.full(j.size, l2),
+                                       np.full(j.size, l1))))
+    s, t, l1, l2 = np.concatenate(found, axis=1)
+    # SearchHit order: (s, t, sign1, sign2), with '+' before '-'
+    order = np.lexsort((-l2, -l1, t, s))
+    return [_hit(*c) for c in zip(s[order].tolist(), t[order].tolist(),
+                                  l1[order].tolist(), l2[order].tolist())]
 
 
 def _split_by_work(work, parts: int) -> list[tuple[int, int]]:

@@ -7,6 +7,9 @@ arithmetic so that a non-integral value is an error, never a truncation.
 
 from __future__ import annotations
 
+import ast
+import functools
+import operator
 from fractions import Fraction
 
 from .errors import NoInverseError, ResidueError
@@ -38,6 +41,34 @@ def frac_mod(num: int, den: int, modulus: int) -> int:
     return (num * x) % modulus
 
 
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
+
+
+@functools.lru_cache(maxsize=256)
+def _parse(expr: str) -> ast.expr:
+    try:
+        return ast.parse(expr, mode="eval").body
+    except SyntaxError:
+        raise ResidueError(f"expression {expr!r} does not parse") from None
+
+
+def _evaluate(node: ast.expr, names: dict[str, Fraction]):
+    """Integers, the given names, + - * / **, and unary minus, on Fractions."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Fraction(node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_evaluate(node.left, names),
+                                      _evaluate(node.right, names))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_evaluate(node.operand, names)
+    raise ResidueError(f"{ast.unparse(node)!r} is not allowed in a residue "
+                       f"formula (integers, q, k, + - * / ** only)")
+
+
 def resolve_residue(expr: str | int, q: int, k: int | None = None,
                     modulus: int | None = None) -> int:
     """Evaluate a closed formula in q (and k) to a canonical residue.
@@ -50,8 +81,11 @@ def resolve_residue(expr: str | int, q: int, k: int | None = None,
         modulus = q + 1
     if isinstance(expr, int):
         return expr % modulus
+    names = {"q": Fraction(q)}
+    if k is not None:
+        names["k"] = Fraction(k)
     try:
-        value = eval(expr, {"__builtins__": {}}, {"q": Fraction(q), "k": k})
+        value = _evaluate(_parse(expr), names)
     except ZeroDivisionError:
         raise ResidueError(f"expression {expr!r} divides by zero at q={q}")
     value = Fraction(value)

@@ -10,6 +10,7 @@ condition, gcd(1, q-1) = 1, always holds).
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -99,19 +100,33 @@ def eval_trinomial(f: NihoTrinomial, x: FieldElement) -> FieldElement:
 
 def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
     """Logs of sum sign * x^e over every field element, -1 where the sum is
-    zero, in index order [0, g^0, g^1, ...]; the sum is taken by Zech steps.
-    Requires acceleration tables."""
+    zero, in index order [0, g^0, g^1, ...].  Requires acceleration tables.
+
+    With d = gcd(n1, e - e0 over the terms), e0 the first exponent, the sum
+    is x^e0 * H(x^d): H is taken by Zech steps once per coset of the
+    subgroup of d-th powers, at g^(d*j) for j in [0, n1/d), and the log of
+    the sum at g^L is e0*L + log H[L mod n1/d].  Niho exponents give
+    n1/d <= q + 1; unrelated exponents give d = 1, a sweep of every log.
+    """
     kern = field.accel_tables
     if kern is None:
         raise UsageError(
             "exhaustive evaluation needs acceleration tables (k <= 4)")
     n1 = kern.n1
-    logs = np.arange(n1, dtype=np.int64)
+    e0 = abs_terms[0][1] % n1 if abs_terms else 0
+    d = math.gcd(n1, *(e - e0 for _, e in abs_terms))
+    m = n1 // d
+    j = np.arange(m, dtype=np.int64)
+    h = np.broadcast_to(kern.log_sum(
+        [(sign, (j * ((e - e0) % n1)) % n1) for sign, e in abs_terms]), m)
     at_zero = sum(sign for sign, e in abs_terms if e == 0)    # 0^0 = 1
     out = np.empty(field.order, dtype=np.int64)
     out[0] = kern.logt[kern.from_digits([at_zero])]
-    out[1:] = kern.log_sum([(sign, (logs * (e % n1)) % n1)
-                            for sign, e in abs_terms])
+    grid = out[1:].reshape(d, m)            # g^L at row L // m, column L % m
+    np.add((np.arange(d, dtype=np.int64) * m * e0 % n1)[:, None],
+           (j * e0 + h) % n1, out=grid)
+    np.subtract(grid, n1, out=grid, where=grid >= n1)
+    grid[:, h < 0] = -1
     return out
 
 

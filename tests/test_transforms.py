@@ -1,6 +1,7 @@
 """Modular fractions, exponent transforms, pair equivalences, pair table."""
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +13,8 @@ from niho_perm.residues import frac_mod, resolve_residue
 from niho_perm.transforms import (PAIR_TABLE, SignedPair, equivalent_pairs,
                                   exponent_transform, pair_from_text,
                                   pair_of_family, table_report)
-from niho_perm.trinomials import is_permutation_exhaustive
+from niho_perm.trinomials import FAMILY_CATALOG, is_permutation_exhaustive
+from niho_perm.unity import MAP_SPECS
 
 
 class TestFracMod:
@@ -62,6 +64,48 @@ class TestResolveResidue:
     def test_negative_wraps(self):
         assert resolve_residue("-1", 5, 1) == 5
         assert resolve_residue("-2*5**(k-1)", 25, 2) == 16
+
+    @staticmethod
+    def _eval_reference(expr, q, k):
+        """The former resolver: Python eval with q a Fraction, k an int."""
+        try:
+            value = Fraction(eval(expr, {"__builtins__": {}},
+                                  {"q": Fraction(q), "k": k}))
+        except ZeroDivisionError:
+            return "error"
+        return int(value) % (q + 1) if value.denominator == 1 else "error"
+
+    def test_catalog_expressions_match_eval(self):
+        exprs = {e for _, terms, _ in FAMILY_CATALOG.values()
+                 for _, e in terms}
+        for spec in MAP_SPECS.values():
+            exprs.add(spec.get("pre", "0"))
+            for key in ("h", "num", "den"):
+                exprs.update(e for _, e in spec.get(key, ()))
+        for row in PAIR_TABLE:
+            exprs.update(e for _, e in row.pair)
+            exprs.update(e for raw in row.equivalents for _, e in raw)
+        for k in range(1, 9):
+            q = 5 ** k
+            for expr in sorted(exprs):
+                try:
+                    got = resolve_residue(expr, q, k)
+                except ResidueError:
+                    got = "error"
+                assert got == self._eval_reference(expr, q, k), (expr, k)
+
+    @pytest.mark.parametrize("expr", [
+        "abs(q)", "q.numerator", "x", "__import__('os')", "[q][0]",
+        "q if k else 1", "q // 2", "q % 3", "1.5", "'q'", "+q", "(q+1",
+        "lambda: 1"])
+    def test_other_syntax_rejected(self, expr):
+        with pytest.raises(ResidueError):
+            resolve_residue(expr, 25, 2)
+
+    def test_k_needs_a_value(self):
+        assert resolve_residue("q*k", 25, 2) == 50 % 26
+        with pytest.raises(ResidueError):
+            resolve_residue("q*k", 25)
 
 
 class TestExponentTransform:

@@ -108,18 +108,59 @@ class TestExhaustiveOracle:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_field_values_match_digit_row_twin(self, k):
-        # random signed terms, repeated and zero exponents included, so
-        # that sums cancel (x^e - x^e) and x^0 = 1 takes part
         field = tower_field(k)
         rng = random.Random(k)
-        n1 = field.order - 1
+        q, n1 = field.q, field.order - 1
+        cases = []
+        # random signed terms, repeated and zero exponents included, so
+        # that sums cancel (x^e - x^e) and x^0 = 1 takes part
         for _ in range(4):
             exps = [rng.randrange(2 * n1) for _ in range(3)]
             terms = [(rng.choice((1, -1, 2, 3)), e) for e in exps]
-            terms += [(1, 0), (1, exps[0]), (-1, exps[0])]
+            cases.append(terms + [(1, 0), (1, exps[0]), (-1, exps[0])])
+        # one coset: a single term, and terms whose exponents agree mod n1
+        e = rng.randrange(1, n1)
+        cases += [[(1, e)], [(1, e), (2, e + n1), (-1, e)], [(3, 0), (1, n1)]]
+        # the leading exponent e0 = 0
+        cases.append([(1, 0), (1, q - 1), (-1, 2 * (q - 1))])
+        # Niho trinomials with c0 != 0, and with repeated residues
+        for _ in range(6):
+            c = [rng.randrange(1, q + 1)] + [rng.randrange(q + 1)] * 2
+            if rng.randrange(2):
+                c[2] = rng.randrange(q + 1)
+            signs = (1, rng.choice((1, -1)), rng.choice((1, -1)))
+            cases.append([(s, ci * (q - 1) + 1) for s, ci in zip(signs, c)])
+        # h(1) = 1 + 2 + 2 = 0: the sum vanishes on the whole coset GF(q)*
+        vanishing = [(1, 1), (2, 2 * (q - 1) + 1), (2, q * (q - 1) + 1)]
+        cases.append(vanishing)
+        for terms in cases:
             handles = digit_row_field_values(field, terms)
             assert (field_values(field, terms)
-                    == field.kernel.logt[handles]).all()
+                    == field.kernel.logt[handles]).all(), terms
+        assert (field_values(field, vanishing) < 0).sum() >= q
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_collision_witness_replays_by_scalar_evaluation(self, k):
+        # seeded random trinomials with c0 != 0; every failing verdict's
+        # witness must be two distinct points with the reported common value
+        rng = random.Random(k)
+        q = 5 ** k
+        failed = 0
+        while failed < 4:
+            c = [rng.randrange(1, q + 1), rng.randrange(q + 1),
+                 rng.randrange(q + 1)]
+            f = build_trinomial(k, [(1, c[0]), (rng.choice((1, -1)), c[1]),
+                                    (rng.choice((1, -1)), c[2])])
+            rep = is_permutation_exhaustive(f)
+            if rep.passed:
+                continue
+            failed += 1
+            wit = rep.witness
+            x1 = f.field.from_csv(wit["x1"])
+            x2 = f.field.from_csv(wit["x2"])
+            assert wit["type"] == "collision" and x1 != x2
+            assert eval_trinomial(f, x1).csv() == wit["value"]
+            assert eval_trinomial(f, x2).csv() == wit["value"]
 
     def test_guard(self):
         f = theorem_family("T1", 5)
