@@ -289,7 +289,7 @@ def _quartic_report(group) -> VerificationReport:
     """The quartic obstruction on any circle: a root witness carries the
     circle index and point; with no root, gcd(13, q+1) must still be 1."""
     g13 = math.gcd(13, group.n)
-    logs = group.sum_logs(range(group.n),
+    logs = group.sum_logs(group.domain_indices("mu"),
                           ((1, 4), (2, 3), (1, 2), (2, 1), (1, 0)))
     zero = np.flatnonzero(logs < 0)
     subject = f"no circle root of x^4+2x^3+x^2+2x+1 at k={group.k}"
@@ -332,7 +332,7 @@ def proposition_check(prop_id: str, k: int) -> VerificationReport:
         reports.append(maps_agree_report(
             induced_mu_map(f), build_map("p1_bridge", k), group, "mu"))
     else:
-        n = group.n
+        n, mu = group.n, group.domain_indices("mu")
         g3 = math.gcd(3, n)
         reports.append(VerificationReport(
             subject=f"cube map permutes the circle at k={k}",
@@ -341,8 +341,7 @@ def proposition_check(prop_id: str, k: int) -> VerificationReport:
             counts={"gcd_3_q_plus_1": g3}))
         reports.append(pointwise_agreement_report(
             f"g10 after the cube map matches its closed form at k={k}", group,
-            build_map("g10", k), [(3 * i) % n for i in range(n)],
-            build_map("p2_bridge", k), range(n)))
+            build_map("g10", k), 3 * mu % n, build_map("p2_bridge", k), mu))
     return combine_reports(f"{prop_id} at k={k} (conditional family)",
                            "criterion+oracle+reductions", reports)
 

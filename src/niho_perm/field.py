@@ -412,34 +412,37 @@ class TableKernel:
     def log_sum(self, terms):
         """Log of sum coeff * A over (coeff, logs) pairs, where logs (of A)
         may be an array or one log; -1 where the sum is zero.  Zech steps:
-        log(A + B) = lA + zech[lB - lA], zech < 0 marking A + B = 0."""
-        n1 = self.n1
-        acc = None
+        log(A + B) = lA + zech[lB - lA], a negative lB - lA indexing from
+        the table's end, and zech < 0 marking A + B = 0.  Each operand is
+        tested for zeros (log -1) once, and the zero masks run only in a
+        step where an operand holds one."""
+        n1, acc, acc_zero = self.n1, None, False
         for c, lb in terms:
             c %= CHAR
             if c == 0:
                 continue
             lb = np.asarray(lb, dtype=np.int64)
-            zero_b = lb < 0
+            zero = bool(lb.size) and lb.min() < 0
             if c != 1:
-                lb = (lb + self.logt[c]) % n1
-                if zero_b.any():
-                    lb = np.where(zero_b, -1, lb)
+                scaled = lb + self.logt[c]
+                scaled -= n1 * (scaled >= n1)
+                lb = np.where(lb < 0, -1, scaled) if zero else scaled
             if acc is None:
-                acc = lb
+                acc, acc_zero = lb, zero
                 continue
-            zero_a = acc < 0
-            any_zero = zero_a.any() or zero_b.any()
+            if acc_zero is None:             # the last step may have cancelled
+                acc_zero = bool(acc.size) and acc.min() < 0
             d = lb - acc
-            d = d + n1 * (d < 0)
-            if any_zero:
-                d = d % n1          # a -1 log can put d at n1
+            if acc_zero:
+                d %= n1                      # lA = -1 can put d at n1
             z = self.zech[d]
             s = acc + z
             s = np.where(z < 0, -1, s - n1 * (s >= n1))
-            if any_zero:
-                s = np.where(zero_a, lb, np.where(zero_b, acc, s))
-            acc = s
+            if acc_zero:
+                s = np.where(acc < 0, lb, s)
+            if zero:
+                s = np.where(lb < 0, acc, s)
+            acc, acc_zero = s, None
         return np.asarray(-1) if acc is None else acc
 
     def log_product(self, factors):
@@ -724,7 +727,17 @@ IDENTITY_GUARD_K = 3
 @timed
 def trace_power_identity_report(k: int,
                                 force: bool = False) -> VerificationReport:
-    """Check all five Tr(x^e)-in-(Tr, N) identities over every x in GF(5^{2k})."""
+    """Check all five Tr(x^e)-in-(Tr, N) identities over every x in GF(5^{2k}).
+
+    Every identity is homogeneous, a + 2b = e in each term: for lambda in
+    GF(q)*, lambda^q = lambda, so Tr((lambda x)^e) = lambda^e Tr(x^e) and
+    Tr(lambda x)^a N(lambda x)^b = lambda^(a+2b) Tr(x)^a N(x)^b, and an
+    identity holds at x iff it holds at lambda x.  Since g^(q+1) generates
+    GF(q)*, g^L = g^(L mod (q+1)) * lambda: a failing log L implies a
+    failing L mod (q+1) <= L.  So the sweep over L in [0, q] decides the
+    whole field and finds the same first failing x = g^L as a sweep over
+    every log would.
+    """
     if k < 1:
         raise UsageError("k must be >= 1")
     if k > IDENTITY_GUARD_K and not force:
@@ -738,7 +751,7 @@ def trace_power_identity_report(k: int,
             "exhaustive identity sweep needs acceleration tables (k <= 4)")
     q = field.q
     n1 = kern.n1
-    logs = np.arange(n1, dtype=np.int64)
+    logs = np.arange(q + 1, dtype=np.int64)      # one x per GF(q)* coset
 
     def tr_of_power(e: int):
         return kern.log_sum([(1, (logs * ((e * p) % n1)) % n1)
@@ -748,6 +761,11 @@ def trace_power_identity_report(k: int,
     ln = (logs * ((q + 1) % n1)) % n1
     subject = f"power-trace identity suite over GF(5^{2*k})"
     for e, terms in TRACE_POWER_IDENTITIES:
+        # x = 0 reads 0 = 0 for every identity: Tr(0) = N(0) = 0 and every
+        # right-hand term carries a positive power of Tr or N; and each
+        # term must be homogeneous of degree e for the coset sweep
+        assert all(a or b for _, a, b in terms)
+        assert all(a + 2 * b == e for _, a, b in terms)
         lhs = tr_of_power(e)
         rhs = kern.log_sum([(coeff, kern.log_product(((lt, a_exp),
                                                       (ln, b_exp))))
@@ -759,9 +777,6 @@ def trace_power_identity_report(k: int,
                 subject=subject, method="exhaustive", passed=False,
                 witness={"type": "identity_mismatch", "power": e, "x": x.csv()},
                 counts={"elements": field.order, "identities": 5})
-        # x = 0 reads 0 = 0 for every identity: Tr(0) = N(0) = 0 and every
-        # right-hand term carries a positive power of Tr or N
-        assert all(a or b for _, a, b in terms)
     return VerificationReport(
         subject=subject, method="exhaustive", passed=True,
         counts={"elements": field.order, "identities": 5})

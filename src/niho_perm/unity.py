@@ -20,11 +20,25 @@ its O(q) tables are built once, from the field modulus alone: powers of
 zeta and of g come as GF(5) digit rows (field.power_rows), never from the
 field's element arithmetic.  Every verdict compares index arrays, and turns
 an index into an element only to write a witness.
+
+sum_logs adds packed words.  The word of zeta^j holds the 2k GF(5) digits
+of its (a, b) coordinates in 4-bit fields of one uint64, a in the low 32
+bits and b in the high 32, so one layout holds every k <= 8.  A term is one
+gather of words (coefficients 3 and 4 are 2 and 1 at the opposite point,
+2 doubles the word), and terms add as plain integers: no field carries
+while the summed coefficient weight stays <= 3, since 3 * 4 < 16.  A term
+that would pass that weight is added to the sum folded mod 5 field by
+field (weight 1).  A 2^12-entry table that is the same at every k reads
+three fields at a time into the GF(q) indices a and b.  The words are built
+on the first sum, and each domain's index array once per group; the
+collision witness sorts circle indices as uint16 keys at k <= 6, where
+numpy's stable sort is a radix sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,11 +80,11 @@ class UnityGroup:
         # G^k = sum a_j G^j, so x^k - sum a_j x^j is the minpoly of G
         gk = phi_inv @ w[2 * k] % CHAR
         self.subfield = TableKernel(k, tuple((-gk[:k]) % CHAR) + (1,))
-        self._pow5 = CHAR ** np.arange(2 * k, dtype=np.int64)
+        pow5 = CHAR ** np.arange(2 * k, dtype=np.int64)
         self.log_order = q * q - 1
         # zeta^i as a field index, and as (a, b) digit rows
         rows = power_rows(zeta, n, f)
-        self.indices = rows @ self._pow5
+        self.indices = rows @ pow5
         self.coords = (rows @ phi_inv.T % CHAR).astype(np.int8)
         # log_g(a + b*omega) = n*lb[b] + ct[la[a] - lb[b]].  With q1 = q-1,
         # la[a] - lb[b] is q1 + log_G(a/b) for a, b != 0, 2q1 + log_G a for
@@ -82,13 +96,15 @@ class UnityGroup:
         self.ct = np.full(5 * q1 + 1, -1, dtype=np.int64)
         # g^L = b*(a/b + omega) for L in [0, q] meets each point of P^1 once
         b, a = np.divmod(power_rows([0, 1], n, f) @ phi_inv.T % CHAR
-                         @ self._pow5, q)
+                         @ pow5, q)
         nz = (a > 0) & (b > 0)
         self.ct[q1 + (logt[a] - logt[b])[nz] % q1] = (
             np.arange(n) - n * logt[b])[nz] % self.log_order
         self.ct[1:q1] = self.ct[q1 + 1:2 * q1]
         self.ct[2 * q1:3 * q1] = n * np.arange(q1)      # a = g^(n log_G a)
         self.ct[3 * q1 + 1:4 * q1 + 1] = n // 2         # omega = g^(n/2)
+        self._words = None
+        self._domains: dict[str, np.ndarray] = {}
 
     def pair_logs(self, a, b) -> np.ndarray:
         """log_g(a + b*omega) for arrays of GF(q) indices a and b, in
@@ -99,14 +115,49 @@ class UnityGroup:
 
     def sum_logs(self, indices, terms) -> np.ndarray:
         """log_g of sum coeff * x^e at x = zeta^i for i in indices, in
-        Z/(q^2-1), and -1 where the sum is zero: one digit-row gather per
-        term, one reduction mod 5, and pair_logs."""
+        Z/(q^2-1), and -1 where the sum is zero.
+
+        Each term is one gather from the packed words of zeta^j: c = 3, 4
+        read c = 2, 1 at j + n/2, since -1 = zeta^(n/2), and c = 2 doubles
+        the word.  Words add field by field with no carry while the summed
+        coefficients (the weight) stay <= FOLD_WEIGHT; a term that would
+        pass it is added to the folded sum (every field mod 5, weight 1).
+        The chunk table then reads the GF(q) indices a and b for pair_logs.
+        """
         idx = np.asarray(indices, dtype=np.int64)
-        n = self.n
-        acc = sum(np.multiply(self.coords[(idx * (e % n)) % n], c % CHAR,
-                              dtype=np.int16) for c, e in terms)
-        b, a = np.divmod((acc % CHAR).astype(np.int64) @ self._pow5, self.q)
+        n, words = self.n, self._packed_words()
+        acc, weight = None, 0
+        for c, e in terms:
+            c %= CHAR
+            if c == 0:
+                continue
+            at = idx * (e % n)
+            if c > 2:                           # c * x = (5 - c) * (-x)
+                c, at = CHAR - c, at + n // 2
+            term = words[at % n]
+            if c == 2:
+                term <<= np.uint64(1)
+            if acc is None:
+                acc = term
+            else:
+                if weight + c > FOLD_WEIGHT:
+                    acc, weight = _fold(acc), 1
+                acc += term
+            weight += c
+        if acc is None:
+            return np.full(idx.shape, -1, dtype=np.int64)
+        a, b = (_chunk_sum(acc, half, self.k) for half in (0, HALF_BITS))
         return self.pair_logs(a, b)
+
+    def _packed_words(self) -> np.ndarray:
+        """The packed word of each zeta^j, built on first use."""
+        if self._words is None:
+            k, words = self.k, np.zeros(self.n, dtype=np.uint64)
+            for i, col in enumerate(self.coords.T):     # a digits, then b
+                place = FIELD_BITS * (i % k) + HALF_BITS * (i // k)
+                words |= col.astype(np.uint64) << np.uint64(place)
+            self._words = words
+        return self._words
 
     def __repr__(self):
         return f"mu_{self.n} in {self.field!r}"
@@ -121,14 +172,19 @@ class UnityGroup:
         """Indices of the negated squares (zeta^odd; -1 = zeta^((q+1)/2), odd)."""
         return range(1, self.n, 2)
 
-    def domain_indices(self, name: str) -> range:
-        if name == "mu":
-            return range(self.n)
-        if name == "omega_plus":
-            return self.omega_plus
-        if name == "omega_minus":
-            return self.omega_minus
-        raise UsageError(f"unknown unity domain {name!r}")
+    def domain_indices(self, name: str) -> np.ndarray:
+        """The named domain's circle indices as a read-only int64 array,
+        made once per group."""
+        if name not in self._domains:
+            spans = {"mu": range(self.n), "omega_plus": self.omega_plus,
+                     "omega_minus": self.omega_minus}
+            if name not in spans:
+                raise UsageError(f"unknown unity domain {name!r}")
+            r = spans[name]
+            arr = np.arange(r.start, r.stop, r.step, dtype=np.int64)
+            arr.flags.writeable = False
+            self._domains[name] = arr
+        return self._domains[name]
 
     def handle(self, i: int) -> int:
         return self.element(i).handle
@@ -142,6 +198,49 @@ class UnityGroup:
 
     def members(self, indices) -> list[FieldElement]:
         return [self.element(i) for i in indices]
+
+
+# A packed word holds the GF(5) digits of a point a + b*omega in 4-bit
+# fields of a uint64: a's k digits in fields 0..k-1 (bits 0..31), b's in
+# fields 8..8+k-1 (bits 32..63), so 8 fields a half and k <= 8 in one
+# layout.  Summed words keep every field <= 4 * FOLD_WEIGHT = 12 < 16.
+FIELD_BITS, HALF_BITS, FOLD_WEIGHT, CHUNK_FIELDS = 4, 32, 3, 3
+_FIELDS = sum(1 << (FIELD_BITS * i) for i in range(64 // FIELD_BITS))
+_ONES, _THREES = np.uint64(_FIELDS), np.uint64(3 * _FIELDS)
+
+
+def _fold(words: np.ndarray) -> np.ndarray:
+    """Every field v <= 12 of the words to v mod 5: twice, subtract 5
+    where v >= 5, i.e. where v + 3 sets the field's top bit (v + 3 <= 15
+    stays inside the field, and 5 * bit leaves no borrow)."""
+    for _ in range(2):
+        top = (words + _THREES) >> np.uint64(FIELD_BITS - 1) & _ONES
+        words = words - top * np.uint64(CHAR)
+    return words
+
+
+@lru_cache(maxsize=None)
+def _chunk_table() -> np.ndarray:
+    """sum (v_i mod 5) * 5^i over the CHUNK_FIELDS fields v_i of each
+    chunk value: 2^12 int64 entries, the same at every k."""
+    v = np.arange(1 << (FIELD_BITS * CHUNK_FIELDS), dtype=np.int64)
+    table = sum((v >> (FIELD_BITS * i) & 15) % CHAR * CHAR ** i
+                for i in range(CHUNK_FIELDS))
+    table.flags.writeable = False
+    return table
+
+
+def _chunk_sum(words: np.ndarray, half: int, k: int) -> np.ndarray:
+    """The GF(q) index sum d_i * 5^i (d_i = field i mod 5) of the k fields
+    from bit `half` on, CHUNK_FIELDS fields per table read."""
+    table, out = _chunk_table(), None
+    for i in range(0, k, CHUNK_FIELDS):
+        # the mask stops at field k, so a's last chunk never reads b's
+        mask = (1 << (FIELD_BITS * min(CHUNK_FIELDS, k - i))) - 1
+        chunk = words >> np.uint64(half + FIELD_BITS * i) & np.uint64(mask)
+        part = table[chunk.view(np.int64)]
+        out = part if out is None else out + part * CHAR ** i
+    return out
 
 
 def _inverse_mod5(mat: np.ndarray) -> np.ndarray:
@@ -367,7 +466,10 @@ def eval_on_unity(map_: FractionalMap, group: UnityGroup, indices):
 # permutation verdicts
 
 def _first_collision(values) -> tuple[int, int] | None:
-    """Earliest (i, j), i < j with values[i] == values[j], by second position."""
+    """Earliest (i, j), i < j with values[i] == values[j], by second position.
+
+    Keys of at most 16 bits sort fastest: there numpy's stable sort is a
+    radix sort."""
     arr = np.asarray(values)
     order = np.argsort(arr, kind="stable")
     ranked = arr[order]
@@ -407,7 +509,9 @@ def _verdict(subject: str, group: UnityGroup, map_: FractionalMap, indices,
         x = group.element(i)
         return fail({"type": "escape", "x": x.csv(), "index": i,
                      "image": map_.eval_at(x).csv()})
-    coll = _first_collision(values)
+    # every value is now a domain index in [0, n), a uint16 at k <= 6
+    coll = _first_collision(values.astype(np.uint16) if group.n <= 1 << 16
+                            else values)
     if coll is not None:
         p1, p2 = coll
         i1, i2 = int(idx[p1]), int(idx[p2])
@@ -504,8 +608,9 @@ def reciprocal_identity_report(name_a: str, name_b: str,
     map_a, map_b = build_map(name_a, k), build_map(name_b, k)
     subject = f"{name_a}*{name_b} = 1 on mu over GF(5^{2*k})"
     counts = {"points": group.n}
-    va, bad_a = eval_on_unity(map_a, group, range(group.n))
-    vb, bad_b = eval_on_unity(map_b, group, range(group.n))
+    mu = group.domain_indices("mu")
+    va, bad_a = eval_on_unity(map_a, group, mu)
+    vb, bad_b = eval_on_unity(map_b, group, mu)
     if bad_a is not None or bad_b is not None:
         i = bad_a if bad_a is not None else bad_b
         return VerificationReport(

@@ -1,6 +1,7 @@
 """Cross-checks of the log/Zech table kernel: against packed power-basis
-arithmetic over the same modulus, and the whole-field sweep against its
-digit-row form (test helpers, not collected)."""
+arithmetic over the same modulus, the whole-field sweep and the circle sum
+against their digit-row forms, and the coset identity sweep against the
+sweep over every log (test helpers, not collected)."""
 
 import itertools
 import random
@@ -8,7 +9,7 @@ import random
 import numpy as np
 
 from niho_perm.errors import UsageError
-from niho_perm.field import CHAR, FieldParams, PolyKernel
+from niho_perm.field import CHAR, FieldParams, PolyKernel, tower_field
 from niho_perm.report import VerificationReport, timed
 
 
@@ -24,6 +25,42 @@ def digit_row_field_values(field: FieldParams, abs_terms):
     out[1:] = kern.bsum([(sign, kern.antilog[(logs * (e % n1)) % n1])
                          for sign, e in abs_terms])
     return out
+
+
+def digit_row_sum_logs(group, indices, terms):
+    """UnityGroup.sum_logs by digit rows: one (len, 2k) gather of the
+    group's int8 coords per term, an int16 sum reduced mod 5, and an int64
+    matmul to the GF(q) indices a and b."""
+    idx = np.asarray(indices, dtype=np.int64)
+    n = group.n
+    pow5 = CHAR ** np.arange(2 * group.k, dtype=np.int64)
+    acc = sum(np.multiply(group.coords[(idx * (e % n)) % n], c % CHAR,
+                          dtype=np.int16) for c, e in terms)
+    b, a = np.divmod((acc % CHAR).astype(np.int64) @ pow5, group.q)
+    return group.pair_logs(a, b)
+
+
+def identity_first_failure(k: int, identities):
+    """(power, x csv) of the first failing identity and point, sweeping
+    every log of GF(5^{2k})* in order, or None: the whole-field form of
+    field.trace_power_identity_report."""
+    field = tower_field(k)
+    kern = field.accel_tables
+    q, n1 = field.q, kern.n1
+    logs = np.arange(n1, dtype=np.int64)
+
+    def tr_of_power(e):
+        return kern.log_sum([(1, (logs * ((e * p) % n1)) % n1)
+                             for p in (1, q)])
+
+    lt, ln = tr_of_power(1), (logs * ((q + 1) % n1)) % n1
+    for e, terms in identities:
+        rhs = kern.log_sum([(c, kern.log_product(((lt, a), (ln, b))))
+                            for c, a, b in terms])
+        bad = np.flatnonzero(tr_of_power(e) != rhs)
+        if bad.size:
+            return e, field.from_index(int(kern.antilog[bad[0]])).csv()
+    return None
 
 
 def polynomial_twin(field: FieldParams) -> PolyKernel:

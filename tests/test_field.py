@@ -13,7 +13,8 @@ from niho_perm.field import (PRIMITIVE_MODULI, PolyKernel, make_field,
                              tower_field, frobenius, trace, norm, in_subfield,
                              factorize, power_rows,
                              trace_power_identity_report, _pmulmod, _pstrip)
-from representation_twin import representation_agreement_report
+from representation_twin import (identity_first_failure,
+                                 representation_agreement_report)
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +328,27 @@ class TestLogSum:
         assert (_to_handles(kern, got) == kern.badd(a, b)).all()
 
     @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("size", [None, 1, 6])
+    def test_scalar_and_short_operands(self, m, size):
+        # None: every operand a scalar log; 1 and 6: short arrays, with
+        # zeros and a cancelling pair among the draws
+        kern = make_field(m).kernel
+        rng = np.random.default_rng(20 + m)
+        for _ in range(30):
+            count = int(rng.integers(1, 5))
+            coeffs = rng.integers(-5, 6, count)
+            handles = [rng.integers(0, kern.order, size) for _ in coeffs]
+            if rng.random() < 0.3:
+                handles[-1] = handles[0]
+                coeffs[-1] = -coeffs[0]
+            got = kern.log_sum([(int(c), _to_logs(kern, a))
+                                for c, a in zip(coeffs, handles)])
+            want = kern.bsum(list(zip(coeffs.tolist(), handles)))
+            if (coeffs % 5).any():         # no live term gives a scalar -1
+                assert np.shape(got) == np.shape(want)
+            assert (_to_handles(kern, got) == want).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
     def test_log_product_matches_element_arithmetic(self, m):
         f = make_field(m)
         kern = f.kernel
@@ -402,6 +424,40 @@ class TestIdentitySuite:
         assert (e, x) == (patched[which][0], rep.witness["x"])
         assert rep.witness == {"type": "identity_mismatch", "power": e,
                                "x": x}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_coset_sweep_matches_full_sweep(self, monkeypatch, k):
+        # a wrong coefficient in each identity, and a wrong homogeneous
+        # term (Tr^2 N for Tr^4): the same first failure both ways
+        identities = field_mod.TRACE_POWER_IDENTITIES
+        assert identity_first_failure(k, identities) is None
+        assert trace_power_identity_report(k).passed
+        variants = []
+        for which in range(5):
+            for bump in (1, 2):
+                table = [list(terms) for _, terms in identities]
+                coeff, a_exp, b_exp = table[which][0]
+                table[which][0] = ((coeff + bump) % 5, a_exp, b_exp)
+                variants.append(table)
+        table = [list(terms) for _, terms in identities]
+        table[2][0] = (1, 2, 1)
+        variants.append(table)
+        for table in variants:
+            patched = tuple((e, tuple(t)) for (e, _), t in
+                            zip(identities, table))
+            monkeypatch.setattr(field_mod, "TRACE_POWER_IDENTITIES", patched)
+            rep = trace_power_identity_report(k)
+            e, x = identity_first_failure(k, patched)
+            assert rep.witness == {"type": "identity_mismatch", "power": e,
+                                   "x": x}
+            assert rep.counts == {"elements": 5 ** (2 * k), "identities": 5}
+
+    def test_inhomogeneous_identity_is_refused(self, monkeypatch):
+        table = list(field_mod.TRACE_POWER_IDENTITIES)
+        table[0] = (2, ((1, 2, 0), (3, 1, 1)))
+        monkeypatch.setattr(field_mod, "TRACE_POWER_IDENTITIES", tuple(table))
+        with pytest.raises(AssertionError):
+            trace_power_identity_report(1)
 
     def test_scalar_identity_spot_check(self):
         # one random point per k, all five identities via element arithmetic

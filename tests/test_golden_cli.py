@@ -65,6 +65,10 @@ GOLDEN_COMMANDS = (
        ["search", "--k", "4", "--signs", "+-", "--format", "tsv"]]
     + [["verify", "--terms", terms, "--k", "3", "--method", "exhaustive"]
        for terms in ("+16,-63,-97", "+116,+40,+3")]
+    + [["verify", "--terms", terms, "--k", str(k), "--method", "criterion"]
+       for k, terms in ((5, "+1808,-39,-1213"), (5, "+0,+1241,-1298"),
+                        (6, "+14686,+6028,-2346"))]
+    + [["equivalents", "--family", "T3a", "--k", "5"]]
 )
 
 

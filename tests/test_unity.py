@@ -13,6 +13,9 @@ from niho_perm.unity import (MAP_SPECS, OMEGA_SPECIALIZATIONS,
                              is_permutation_of, maps_agree_report,
                              mu_check_report, reciprocal_identity_report,
                              unity_group, unity_permutation_report)
+from niho_perm import unity as unity_mod
+
+from representation_twin import digit_row_sum_logs
 
 
 def x_plus(c):
@@ -295,6 +298,113 @@ class TestMapEvaluation:
         with pytest.raises(ResidueError):
             build_map("g10", 1)
         assert build_map("g10", 2)
+
+
+class TestPackedKernel:
+    """The packed-word sum_logs against its digit-row twin, the chunk
+    reader at k = 7, 8, and the collision witness against brute force and
+    on the verdict's uint16 keys."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_sum_logs_matches_digit_row_twin(self, k):
+        g = unity_group(tower_field(k))
+        n = g.n
+        rng = np.random.default_rng(40 + k)
+        idx = np.sort(rng.choice(n, size=min(n, 300), replace=False))
+        fixed = [[(2, 0)] * 9, [(4, 1)] * 9, [(-2, 3)] * 9,
+                 [(c, e) for c, e in zip(range(9), range(9))],
+                 [(3, 5), (-3, 5)], [(0, 2)], [(5, 1), (1, 0)],
+                 [(1, 4), (2, 3), (1, 2), (2, 1), (1, 0)]]
+        drawn = [[(int(c), int(e)) for c, e in
+                  zip(rng.integers(-7, 8, size), rng.integers(-3 * n, 3 * n, size))]
+                 for size in range(1, 10) for _ in range(4)]
+        for terms in fixed + drawn:
+            got = g.sum_logs(idx, terms)
+            assert got.dtype == np.int64
+            assert (got == digit_row_sum_logs(g, idx, terms)).all(), terms
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 6])
+    def test_sum_logs_index_forms(self, k):
+        g = unity_group(tower_field(k))
+        n = g.n
+        terms = ((1, 0), (-2, 7), (3, n + 2))
+        step = max(1, n // 50)
+        for indices in (range(n), range(0, n, step), list(range(1, n, step)),
+                        np.arange(2, n, step, dtype=np.int64),
+                        g.domain_indices("omega_minus"),
+                        np.array([], dtype=np.int64), []):
+            got = g.sum_logs(indices, terms)
+            assert got.shape == (len(indices),)
+            assert (got == digit_row_sum_logs(g, indices, terms)).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_chunk_sum_reads_each_half(self, k):
+        # random fields 0..15 in both halves of the uint64 word, at every
+        # k the layout holds (k = 7, 8 have no circle yet)
+        rng = np.random.default_rng(k)
+        fields = rng.integers(0, 16, (200, 16))
+        fields[:, k:8] = fields[:, 8 + k:] = 0
+        words = np.zeros(200, dtype=np.uint64)
+        for i in range(16):
+            words |= fields[:, i].astype(np.uint64) << np.uint64(4 * i)
+        pow5 = 5 ** np.arange(k)
+        for half, cols in ((0, fields[:, :k]), (32, fields[:, 8:8 + k])):
+            assert (unity_mod._chunk_sum(words, half, k)
+                    == cols % 5 @ pow5).all()
+
+    def test_fold_reduces_every_field(self):
+        rng = np.random.default_rng(3)
+        fields = rng.integers(0, 13, (500, 16))
+        fields[0] = 12
+        place = [np.uint64(4 * i) for i in range(16)]
+        words = np.zeros(500, dtype=np.uint64)
+        for i in range(16):
+            words |= fields[:, i].astype(np.uint64) << place[i]
+        folded = unity_mod._fold(words)
+        for i in range(16):
+            got = (folded >> place[i]) & np.uint64(15)
+            assert (got == fields[:, i] % 5).all()
+
+    def test_words_built_on_first_sum(self):
+        g = unity_mod.UnityGroup(tower_field(2))       # a fresh group
+        assert g._words is None
+        g.sum_logs(range(3), ((1, 1),))
+        assert g._words.dtype == np.uint64 and g._words.shape == (g.n,)
+
+    @staticmethod
+    def brute_first_collision(values):
+        for j in range(len(values)):
+            for i in range(j):
+                if values[i] == values[j]:
+                    return i, j
+        return None
+
+    def test_first_collision_against_brute_force(self):
+        rng = np.random.default_rng(9)
+        cases = [np.array([], dtype=np.int64), np.array([7]), [3, 3],
+                 np.arange(50), np.arange(50)[::-1], np.full(40, 11),
+                 np.array([5, -2, 9, -2, 5]), [1 << 20, 3, 1 << 20]]
+        for size in (2, 3, 10, 57, 200):
+            for span in (2, size, 1 << 17, 1 << 40):
+                cases.append(rng.integers(-span // 2, span, size))
+        for values in cases:
+            want = self.brute_first_collision(list(values))
+            assert unity_mod._first_collision(values) == want, values
+
+    @pytest.mark.parametrize("k", [1, 4, 5, 6])
+    def test_uint16_keys_give_the_int64_witness(self, k):
+        # the verdict sorts circle indices as uint16 (a radix sort); the
+        # witness must be the one an int64 sort gives
+        n = 5 ** k + 1
+        rng = np.random.default_rng(k)
+        for values in (rng.integers(0, n, n), rng.permutation(n),
+                       np.where(np.arange(n) < n - 1, np.arange(n), 0),
+                       rng.integers(0, n // 2, n) * 2, np.full(n, n - 1),
+                       np.arange(n)[:1], np.arange(n)[:0]):
+            want = unity_mod._first_collision(values)
+            assert unity_mod._first_collision(values.astype(np.uint16)) == want
+            if n <= 200:
+                assert want == self.brute_first_collision(list(values))
 
 
 class TestPermutationChecker:
