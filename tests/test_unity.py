@@ -315,8 +315,8 @@ class TestPackedKernel:
                  [(c, e) for c, e in zip(range(9), range(9))],
                  [(3, 5), (-3, 5)], [(0, 2)], [(5, 1), (1, 0)],
                  [(1, 4), (2, 3), (1, 2), (2, 1), (1, 0)]]
-        drawn = [[(int(c), int(e)) for c, e in
-                  zip(rng.integers(-7, 8, size), rng.integers(-3 * n, 3 * n, size))]
+        drawn = [list(zip(rng.integers(-7, 8, size).tolist(),
+                          rng.integers(-3 * n, 3 * n, size).tolist()))
                  for size in range(1, 10) for _ in range(4)]
         for terms in fixed + drawn:
             got = g.sum_logs(idx, terms)
