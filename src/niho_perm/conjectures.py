@@ -42,13 +42,6 @@ class ProfileMismatchError(NihoPermError):
         self.witness = witness
 
 
-def is_square(x: FieldElement) -> bool:
-    """Nonzero square test by the (order-1)/2 power."""
-    if x.is_zero:
-        raise UsageError("square test applies to nonzero elements")
-    return x ** ((x.field.order - 1) // 2) == x.field.one
-
-
 # ---------------------------------------------------------------------------
 # conjecture 1: x*((x^2-x+2)/(x^2+x+2))^2 on GF(5^k), odd k
 

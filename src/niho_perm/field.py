@@ -93,12 +93,12 @@ def power_rows(base: list[int], count: int, f: Sequence[int]) -> np.ndarray:
     block, filled = list(base), 1       # block = base^filled
     while filled < count:
         step = min(filled, count - filled)
-        mat = np.zeros((m, m), dtype=np.int64)
+        mat = np.zeros((m, m), dtype=np.int16)   # products sum to <= 16m
         prod = _pmulmod([1], block, f)
         for j in range(m):
             mat[j, :len(prod)] = prod
             prod = _pmulmod(prod, [0, 1], f)
-        rows[filled:filled + step] = rows[:step].astype(np.int64) @ mat % CHAR
+        rows[filled:filled + step] = rows[:step] @ mat % CHAR
         block = _pmulmod(block, block, f)
         filled += step
     return rows
@@ -303,9 +303,10 @@ class TableKernel:
     """Log/antilog/Zech tables over the packed base-5 index representation.
 
     Handles are plain integers in [0, 5^m): the base-5 digits are the power
-    basis coordinates.  Scalar ops are table lookups; b* methods operate on
-    whole numpy arrays of handles, and log_sum/log_product on arrays of
-    logs, the form the exhaustive sweeps work in.
+    basis coordinates.  Scalar ops are table lookups.  Logs are the only
+    batch form: log_sum/log_product work on whole arrays of logs, as the
+    exhaustive sweeps do.  bmul/badd on arrays of handles are kept only as
+    benchmark probe surface.
     """
 
     has_tables = True
@@ -315,17 +316,13 @@ class TableKernel:
         self.modulus = tuple(modulus)
         self.order = CHAR ** m
         self.n1 = self.order - 1
-        self.pow5 = np.array([CHAR ** i for i in range(m)], dtype=np.int64)
-        digs = power_rows([0, 1], self.n1, modulus)
-        ids = digs.astype(np.int64) @ self.pow5
+        pow5 = CHAR ** np.arange(m, dtype=np.int64)
+        ids = power_rows([0, 1], self.n1, modulus).astype(np.int64) @ pow5
         self.antilog = ids                       # antilog[n] = id of g^n
         self.logt = np.full(self.order, -1, dtype=np.int64)
         self.logt[ids] = np.arange(self.n1, dtype=np.int64)
-        self.digit_rows = np.zeros((self.order, m), dtype=np.int8)
-        self.digit_rows[ids] = digs
-        plus_one = digs.copy()
-        plus_one[:, 0] = (plus_one[:, 0] + 1) % CHAR
-        self.zech = self.logt[plus_one.astype(np.int64) @ self.pow5]
+        # id of g^n + 1: add 1 to the lowest base-5 digit, wrapping 4 to 0
+        self.zech = self.logt[ids + 1 - CHAR * (ids % CHAR == CHAR - 1)]
         self.zero = 0
         self.one = 1
         self.generator_handle = int(ids[1]) if self.n1 > 1 else 1
@@ -397,16 +394,9 @@ class TableKernel:
         zero = (a == 0) | (b == 0)
         return np.where(zero, 0, out)
 
-    def bsum(self, terms):
-        """Handles of sum coeff * a over (coeff, handles) pairs, where a
-        may be an array or one handle: one digit-row gather per term and
-        one reduction mod 5."""
-        acc = sum(np.multiply(self.digit_rows[a], c % CHAR, dtype=np.int16)
-                  for c, a in terms)
-        return (acc % CHAR).astype(np.int64) @ self.pow5
-
     def badd(self, a, b):
-        return self.bsum(((1, a), (1, b)))
+        s = self.log_sum(((1, self.logt[a]), (1, self.logt[b])))
+        return np.where(s < 0, 0, self.antilog[s])
 
     # -- batch ops on int64 arrays of logs, -1 standing for zero ------------
     def log_sum(self, terms):
@@ -415,11 +405,13 @@ class TableKernel:
         log(A + B) = lA + zech[lB - lA], a negative lB - lA indexing from
         the table's end, and zech < 0 marking A + B = 0.  Each operand is
         tested for zeros (log -1) once, and the zero masks run only in a
-        step where an operand holds one."""
-        n1, acc, acc_zero = self.n1, None, False
+        step where an operand holds one.  With no coefficient live, the sum
+        is -1 in the broadcast shape of the operands."""
+        n1, acc, acc_zero, shape = self.n1, None, False, ()
         for c, lb in terms:
             c %= CHAR
             if c == 0:
+                shape = np.broadcast_shapes(shape, np.shape(lb))
                 continue
             lb = np.asarray(lb, dtype=np.int64)
             zero = bool(lb.size) and lb.min() < 0
@@ -443,7 +435,7 @@ class TableKernel:
             if zero:
                 s = np.where(lb < 0, acc, s)
             acc, acc_zero = s, None
-        return np.asarray(-1) if acc is None else acc
+        return np.full(shape, -1, dtype=np.int64) if acc is None else acc
 
     def log_product(self, factors):
         """Log of prod A^e over (logs, e) pairs, -1 standing for zero, with

@@ -3,6 +3,7 @@ arithmetic over the same modulus, the whole-field sweep and the circle sum
 against their digit-row forms, and the coset identity sweep against the
 sweep over every log (test helpers, not collected)."""
 
+import functools
 import itertools
 import random
 
@@ -13,17 +14,35 @@ from niho_perm.field import CHAR, FieldParams, PolyKernel, tower_field
 from niho_perm.report import VerificationReport, timed
 
 
+@functools.lru_cache(maxsize=None)
+def _digit_rows(m: int) -> np.ndarray:
+    """(5^m, m) int8 base-5 digits of every index, by index arithmetic."""
+    return (np.arange(CHAR ** m)[:, None] // CHAR ** np.arange(m)
+            % CHAR).astype(np.int8)
+
+
+def bsum(kern, terms):
+    """Handles of sum coeff * a over (coeff, handles) pairs, where a may be
+    an array or one handle of a table kernel: GF(5) digit arithmetic on the
+    base-5 indices, reading none of the kernel's tables (the reference for
+    TableKernel.log_sum).  One digit-row gather per term and one reduction
+    mod 5."""
+    rows, pow5 = _digit_rows(kern.m), CHAR ** np.arange(kern.m, dtype=np.int64)
+    acc = sum(np.multiply(rows[a], c % CHAR, dtype=np.int16) for c, a in terms)
+    return (acc % CHAR).astype(np.int64) @ pow5
+
+
 def digit_row_field_values(field: FieldParams, abs_terms):
     """trinomials.field_values by digit rows: every power x^e as a handle,
-    summed with TableKernel.bsum (GF(5) digit arithmetic, no Zech table)."""
+    summed with bsum (GF(5) digit arithmetic, no Zech table)."""
     kern = field.accel_tables
     n1 = kern.n1
     logs = np.arange(n1, dtype=np.int64)
     at_zero = sum(sign for sign, e in abs_terms if e == 0)    # 0^0 = 1
     out = np.empty(field.order, dtype=np.int64)
     out[0] = kern.from_digits([at_zero])
-    out[1:] = kern.bsum([(sign, kern.antilog[(logs * (e % n1)) % n1])
-                         for sign, e in abs_terms])
+    out[1:] = bsum(kern, [(sign, kern.antilog[(logs * (e % n1)) % n1])
+                          for sign, e in abs_terms])
     return out
 
 
@@ -75,33 +94,44 @@ def representation_agreement_report(field: FieldParams,
     """Table arithmetic vs packed power-basis arithmetic on random pairs.
 
     Exhaustive over all ordered pairs when the field has at most 5^4
-    elements; otherwise a seeded sample of the given size.
+    elements; otherwise a seeded sample of the given size.  Both sides'
+    handles are made once per index, and results compare as indices.
     """
     kern = field.kernel
     if not kern.has_tables:
         raise UsageError("agreement check applies to table-backed fields")
     twin = polynomial_twin(field)
     if field.order <= CHAR ** 4:
-        pairs = itertools.product(range(field.order), repeat=2)
+        ids = range(field.order)
+        pairs = itertools.product(ids, repeat=2)
         total = field.order ** 2
         method = "exhaustive"
     else:
         rng = random.Random(seed)
-        pairs = ((rng.randrange(field.order), rng.randrange(field.order))
-                 for _ in range(samples))
+        pairs = [(rng.randrange(field.order), rng.randrange(field.order))
+                 for _ in range(samples)]
+        ids = {i for pair in pairs for i in pair}
         total = samples
         method = f"sampled(seed={seed})"
+    table = {i: kern.from_index(i) for i in ids}
+    poly = {i: twin.from_index(i) for i in ids}
+    poly_index = {h: i for i, h in poly.items()}
+    # an exhaustive sweep maps every reduced handle; -1 marks any other
+    if method == "exhaustive":
+        def to_index(h):
+            return poly_index.get(h, -1)
+    else:
+        to_index = twin.to_index
     checked = 0
     for ia, ib in pairs:
-        a_t, b_t = kern.from_index(ia), kern.from_index(ib)
-        a_p, b_p = twin.from_index(ia), twin.from_index(ib)
+        a_t, b_t, a_p, b_p = table[ia], table[ib], poly[ia], poly[ib]
         ops = (
             ("mul", kern.mul(a_t, b_t), twin.mul(a_p, b_p)),
             ("add", kern.add(a_t, b_t), twin.add(a_p, b_p)),
             ("sub", kern.sub(a_t, b_t), twin.sub(a_p, b_p)),
         )
         for name, via_table, via_poly in ops:
-            if kern.digits(via_table) != twin.digits(via_poly):
+            if kern.to_index(via_table) != to_index(via_poly):
                 return VerificationReport(
                     subject=f"representation agreement over {field!r}",
                     method=method, passed=False,

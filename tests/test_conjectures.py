@@ -11,7 +11,7 @@ from niho_perm.cli import main
 from niho_perm.errors import GuardExceededError, PoleError, UsageError
 from niho_perm.conjectures import (CONSTRAINTS, ProfileMismatchError,
                                    SearchHit, conjecture1_check,
-                                   conjecture2_check, is_square, profile_of,
+                                   conjecture2_check, profile_of,
                                    profile_sweep_report, proposition_check,
                                    quartic_obstruction_report,
                                    search_problem_instances,
@@ -41,11 +41,17 @@ class TestConjecture1:
         assert got == {0: 0, 1: 4, 2: 3, 3: 2, 4: 1}
 
     def test_square_class_example(self):
-        # 1 is a square and maps to 4 = 2^2, still a square
-        f = make_field(1)
-        assert is_square(f.scalar(1))
-        assert is_square(f.scalar(4))
-        assert not is_square(f.scalar(2))
+        # conjecture1_check reads the square class off the log's parity:
+        # squares sit at even logs.  1 is a square and maps to 4 = 2^2,
+        # still a square; 2 is not a square
+        for k in (1, 3):
+            f = make_field(k)
+            logt = f.accel_tables.logt
+            squares = {(x * x).handle for x in f.elements() if not x.is_zero}
+            assert all((h in squares) == (logt[h] % 2 == 0)
+                       for h in range(1, f.order))
+            assert [logt[f.scalar(c).handle] % 2
+                    for c in (1, 4, 2)] == [0, 0, 1]
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_verified_range(self, k):

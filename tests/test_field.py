@@ -13,7 +13,8 @@ from niho_perm.field import (PRIMITIVE_MODULI, PolyKernel, make_field,
                              tower_field, frobenius, trace, norm, in_subfield,
                              factorize, power_rows,
                              trace_power_identity_report, _pmulmod, _pstrip)
-from representation_twin import (identity_first_failure,
+from representation_twin import (bsum, identity_first_failure,
+                                 polynomial_twin,
                                  representation_agreement_report)
 
 
@@ -253,14 +254,13 @@ class TestTower:
 class TestBatchSum:
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_bsum_matches_element_arithmetic(self, m):
-        import numpy as np
         f = make_field(m)
         kern = f.kernel
         rng = np.random.default_rng(m)
         arrays = [rng.integers(0, f.order, 50) for _ in range(3)]
         terms = [(1, arrays[0]), (-1, arrays[1]), (7, arrays[2]),
                  (3, kern.one)]
-        got = kern.bsum(terms)
+        got = bsum(kern, terms)
         for p in range(50):
             want = 3 * f.one
             for c, a in terms[:3]:
@@ -268,12 +268,66 @@ class TestBatchSum:
             assert f.from_index(int(got[p])) == want
 
     def test_badd_is_a_two_term_bsum(self, gf25):
-        import numpy as np
         kern = gf25.kernel
         a = np.arange(25).repeat(25)
         b = np.tile(np.arange(25), 25)
         got = kern.badd(a, b)
         assert [kern.add(int(x), int(y)) for x, y in zip(a, b)] == got.tolist()
+        assert (got == bsum(kern, ((1, a), (1, b)))).all()
+
+    def test_badd_matches_scalar_add_m8(self):
+        kern = make_field(8).kernel
+        rng = np.random.default_rng(8)
+        a, b = (rng.integers(0, kern.order, 2000) for _ in range(2))
+        a[:50], b[50:100], b[100:150] = 0, 0, a[100:150]
+        b[150:200] = [kern.neg(int(x)) for x in a[150:200]]   # sums to 0
+        got = kern.badd(a, b)
+        assert got.tolist() == [kern.add(int(x), int(y))
+                                for x, y in zip(a, b)]
+        assert kern.badd(0, 0) == 0
+
+
+class TestTableBuild:
+    """The log/antilog/Zech tables against powers of x taken in the packed
+    power-basis twin over the same modulus."""
+
+    @staticmethod
+    def _check_logs(field, logs):
+        kern, twin = field.kernel, polynomial_twin(field)
+        x = twin.generator_handle
+        for n in logs:
+            power = twin.pow(x, n)
+            assert kern.antilog[n] == twin.to_index(power)
+            plus_one = twin.add(power, twin.one)
+            z = int(kern.zech[n])
+            if plus_one == twin.zero:
+                assert z == -1
+            else:
+                assert kern.antilog[z] == twin.to_index(plus_one)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_every_log_small(self, m):
+        f = make_field(m)
+        kern = f.kernel
+        self._check_logs(f, range(kern.n1))
+        assert (kern.logt[kern.antilog] == np.arange(kern.n1)).all()
+        assert kern.logt[0] == -1
+
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_sampled_logs(self, m):
+        f = make_field(m)
+        rng = np.random.default_rng(m)
+        self._check_logs(f, rng.integers(0, f.kernel.n1, 300).tolist())
+
+    def test_build_peak_m8(self):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            field_mod.TableKernel(8, PRIMITIVE_MODULI[8])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6, f"TableKernel(8) build peak {peak} B"
 
 
 def _to_logs(kern, handles):
@@ -285,7 +339,8 @@ def _to_handles(kern, logs):
 
 
 class TestLogSum:
-    """log_sum (Zech steps on logs) against bsum (GF(5) digit arithmetic)."""
+    """log_sum (Zech steps on logs) against the twin's bsum (GF(5) digit
+    arithmetic on base-5 indices)."""
 
     @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
     def test_matches_bsum(self, m):
@@ -298,7 +353,7 @@ class TestLogSum:
         terms = list(zip(coeffs, arrays)) + [(3, kern.one)]
         got = kern.log_sum([(c, _to_logs(kern, a)) for c, a in terms[:5]]
                            + [(3, 0)])             # a scalar log term
-        assert (_to_handles(kern, got) == kern.bsum(terms)).all()
+        assert (_to_handles(kern, got) == bsum(kern, terms)).all()
 
     @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
     def test_single_terms_and_coefficients(self, m):
@@ -306,7 +361,7 @@ class TestLogSum:
         a = np.arange(kern.order)
         for c in range(-5, 6):
             got = kern.log_sum([(c, _to_logs(kern, a))])
-            assert (_to_handles(kern, got) == kern.bsum([(c, a)])).all()
+            assert (_to_handles(kern, got) == bsum(kern, [(c, a)])).all()
 
     @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
     def test_sum_that_cancels(self, m):
@@ -318,14 +373,17 @@ class TestLogSum:
         got = kern.log_sum([(2, la), (1, lb), (3, la), (-1, lb)])
         assert (got == -1).all()
         assert (kern.log_sum([(1, lb), (0, la)]) == lb).all()
-        assert kern.log_sum([(0, la)]) == -1
+        for terms in ([(0, la)], [(5, 0), (0, la)], [(-5, la), (0, 3)]):
+            got = kern.log_sum(terms)
+            assert got.shape == la.shape and (got == -1).all()
+        assert kern.log_sum([(0, 3)]).shape == ()
 
     def test_exhaustive_pairs_gf25(self, gf25):
         kern = gf25.kernel
         a = np.arange(25).repeat(25)
         b = np.tile(np.arange(25), 25)
         got = kern.log_sum([(1, _to_logs(kern, a)), (1, _to_logs(kern, b))])
-        assert (_to_handles(kern, got) == kern.badd(a, b)).all()
+        assert (_to_handles(kern, got) == bsum(kern, ((1, a), (1, b)))).all()
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     @pytest.mark.parametrize("size", [None, 1, 6])
@@ -343,9 +401,8 @@ class TestLogSum:
                 coeffs[-1] = -coeffs[0]
             got = kern.log_sum([(int(c), _to_logs(kern, a))
                                 for c, a in zip(coeffs, handles)])
-            want = kern.bsum(list(zip(coeffs.tolist(), handles)))
-            if (coeffs % 5).any():         # no live term gives a scalar -1
-                assert np.shape(got) == np.shape(want)
+            want = bsum(kern, list(zip(coeffs.tolist(), handles)))
+            assert np.shape(got) == np.shape(want)
             assert (_to_handles(kern, got) == want).all()
 
     @pytest.mark.parametrize("m", [1, 2, 4])
