@@ -1,6 +1,7 @@
 """CLI output pinned byte for byte against recorded digests.
 
-Each command's stdout, with every "elapsed_ms" value blanked, is hashed
+Each command's stdout, with every "elapsed_ms" value blanked (JSON keys and
+the Python-repr keys of the text format alike), is hashed
 with sha256 and compared with tests/golden_cli.json together with the exit
 code.  Re-record (only when an output change is intended) with
 
@@ -69,6 +70,12 @@ GOLDEN_COMMANDS = (
        for k, terms in ((5, "+1808,-39,-1213"), (5, "+0,+1241,-1298"),
                         (6, "+14686,+6028,-2346"))]
     + [["equivalents", "--family", "T3a", "--k", "5"]]
+    + [["field-info"], ["field-info", "--m", "2", "--modulus", "2,4,1"],
+       ["equivalents", "--pair", "+2,-4", "--k", "2"],
+       ["verify", "--family", "T1", "--k", "2", "--format", "text"],
+       ["search", "--k", "2", "--format", "text"],
+       ["conjecture", "--id", "1", "--k", "1,3", "--format", "tsv"],
+       ["oracle-compare", "--k", "1", "--samples", "5", "--format", "text"]]
 )
 
 
@@ -78,7 +85,8 @@ def golden_digest(argv) -> dict:
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(list(argv))
-    text = re.sub(r'"elapsed_ms": [0-9.]+', '"elapsed_ms": X', out.getvalue())
+    text = re.sub(r"([\"'])elapsed_ms\1: [0-9.]+", r"\1elapsed_ms\1: X",
+                  out.getvalue())
     return {"exit": code,
             "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
