@@ -364,22 +364,25 @@ def _patterns_of(sign_pattern: str) -> tuple[tuple[int, int], ...]:
         f"sign pattern must be two of +/- or 'all', got {sign_pattern!r}")
 
 
-def _t_values(s: int, constraint: str, n: int) -> range:
-    if constraint == "none":
-        return range(n)
-    t = (-s if constraint == "sum_zero" else n // 2 - s) % n
-    return range(t, t + 1)
-
-
 def _swap_closed(patterns) -> bool:
     """(s, t, l1, l2) and (t, s, l2, l1) give the same h; a pattern set
     closed under that swap lets the search evaluate t >= s only."""
     return all((l2, l1) in patterns for l1, l2 in patterns)
 
 
-def _evaluated_t(s: int, constraint: str, n: int, mirror: bool) -> range:
-    ts = _t_values(s, constraint, n)
-    return range(max(ts.start, s), ts.stop) if mirror else ts
+def _candidate_rows(s: np.ndarray, constraint: str, n: int, mirror: bool):
+    """Per s: the first evaluated t and the number of them, as arrays.
+
+    t runs over Z/n, or is the one residue the sum constraint fixes; with
+    mirror only t >= s is evaluated."""
+    if constraint == "none":
+        first, stop = np.zeros_like(s), np.full_like(s, n)
+    else:
+        first = (-s if constraint == "sum_zero" else n // 2 - s) % n
+        stop = first + 1
+    if mirror:
+        first = np.maximum(first, s)
+    return first, np.maximum(stop - first, 0)
 
 
 def _hit(s: int, t: int, l1: int, l2: int) -> SearchHit:
@@ -470,10 +473,9 @@ def _search_chunk(args) -> list[SearchHit]:
     k, s_lo, s_hi, constraint, patterns = args
     tabs = _search_tables(unity_group(tower_field(k)))
     mirror = _swap_closed(patterns)
-    rows = [_evaluated_t(s, constraint, int(tabs.n), mirror)
-            for s in range(s_lo, s_hi)]
-    starts = np.array([r.start for r in rows], dtype=np.int64)
-    prefix = np.cumsum([0] + [len(r) for r in rows])
+    starts, counts = _candidate_rows(np.arange(s_lo, s_hi), constraint,
+                                     int(tabs.n), mirror)
+    prefix = np.concatenate(([0], np.cumsum(counts)))
     size = max(1, SEARCH_BLOCK // len(tabs.points))
     found = [np.empty((4, 0), dtype=np.int64)]     # rows s, t, l1, l2
     for lo in range(0, int(prefix[-1]), size):
@@ -529,7 +531,7 @@ def search_problem_instances(k: int, constraint: str = "none",
     mirror = _swap_closed(patterns)
     n = group.n
     workers = min(max(1, int(threads)), os.cpu_count() or 1)
-    work = [len(_evaluated_t(s, constraint, n, mirror)) for s in range(n)]
+    work = _candidate_rows(np.arange(n), constraint, n, mirror)[1]
     chunks = [(k, lo, hi, constraint, patterns)
               for lo, hi in _split_by_work(work, workers)]
     if len(chunks) == 1:

@@ -473,7 +473,6 @@ class FieldParams:
         else:
             self.kernel = PolyKernel(m, modulus)
         self.signature = (m, modulus)
-        self._unity = None          # filled lazily by unity.unity_group
 
     def __repr__(self):
         return f"GF(5^{self.m})"
@@ -530,18 +529,6 @@ class FieldParams:
 
     def random_element(self, rng) -> "FieldElement":
         return self.from_index(rng.randrange(self.order))
-
-    # tower operations on raw handles (used by the hot paths)
-    def frob_handle(self, h: int) -> int:
-        if self.subfield_degree is None:
-            raise UsageError(f"{self!r} has no quadratic tower structure")
-        return self.kernel.pow(h, self.q)
-
-    def trace_handle(self, h: int) -> int:
-        return self.kernel.add(h, self.frob_handle(h))
-
-    def norm_handle(self, h: int) -> int:
-        return self.kernel.mul(h, self.frob_handle(h))
 
 
 _FIELD_TOKEN = object()
@@ -683,21 +670,21 @@ def tower_field(k: int) -> FieldParams:
 
 def frobenius(x: FieldElement) -> FieldElement:
     """x^(5^k) in the tower GF(5^k) < GF(5^{2k}); an involution."""
-    return FieldElement(x.field, x.field.frob_handle(x.handle))
+    return x ** x.field.q
 
 
 def trace(x: FieldElement) -> FieldElement:
     """Relative trace x + x^q onto the Frobenius-fixed subfield."""
-    return FieldElement(x.field, x.field.trace_handle(x.handle))
+    return x + frobenius(x)
 
 
 def norm(x: FieldElement) -> FieldElement:
     """Relative norm x^(q+1) onto the Frobenius-fixed subfield."""
-    return FieldElement(x.field, x.field.norm_handle(x.handle))
+    return x * frobenius(x)
 
 
 def in_subfield(x: FieldElement) -> bool:
-    return x.field.frob_handle(x.handle) == x.handle
+    return frobenius(x) == x
 
 
 # ---------------------------------------------------------------------------

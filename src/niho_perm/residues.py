@@ -3,6 +3,8 @@
 Exponents throughout the package are residues modulo q + 1 given as closed
 formulas in q (and occasionally k).  They are resolved exactly with Fraction
 arithmetic so that a non-integral value is an error, never a truncation.
+Catalog entries carry a parity condition on k, and users give residues as
+signed integers ("+7", "-14"); both have one reading here.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import ast
 import functools
 import operator
+import re
 from fractions import Fraction
 
 from .errors import NoInverseError, ResidueError
@@ -39,6 +42,25 @@ def frac_mod(num: int, den: int, modulus: int) -> int:
         raise NoInverseError(
             f"{den} is not invertible mod {modulus} (gcd {g})", gcd=g)
     return (num * x) % modulus
+
+
+def parity_admits(parity: str, k: int) -> bool:
+    """Whether a catalog condition "any", "odd" or "even" (k) admits k."""
+    return parity == "any" or (parity == "odd") == (k % 2 == 1)
+
+
+_SIGNED_RESIDUE = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_signed_residue(text: str) -> tuple[int, int] | None:
+    """(sign, value) of text matching [+-]?[0-9]+ (ASCII digits, at most
+    one sign), else None; callers word their own usage errors."""
+    if not _SIGNED_RESIDUE.fullmatch(text):
+        return None
+    try:
+        return (-1 if text[0] == "-" else 1), int(text.lstrip("+-"))
+    except ValueError:      # more digits than int() converts
+        return None
 
 
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from .errors import NoInverseError, UsageError
 from .field import CHAR
 from .report import VerificationReport, combine_reports
-from .residues import frac_mod, resolve_residue
+from .residues import (frac_mod, parity_admits, parse_signed_residue,
+                       resolve_residue)
 from .trinomials import (EXHAUSTIVE_GUARD_K, NihoTrinomial, build_trinomial,
                          is_permutation_exhaustive, is_permutation_via_criterion,
                          theorem_family)
@@ -66,13 +67,10 @@ def pair_from_text(text: str, k: int) -> SignedPair:
     parts = [p.strip() for p in cleaned.split(",") if p.strip()]
     if len(parts) != 2:
         raise UsageError(f"pair {text!r} must have exactly two signed residues")
-    terms = []
-    for p in parts:
-        sign = -1 if p.startswith("-") else 1
-        body = p.lstrip("+-")
-        if not body.lstrip("-").isdigit():
+    terms = [parse_signed_residue(p) for p in parts]
+    for p, term in zip(parts, terms):
+        if term is None:
             raise UsageError(f"bad residue {p!r} in pair")
-        terms.append((sign, int(body)))
     return SignedPair.make(terms[0], terms[1], n)
 
 
@@ -226,8 +224,7 @@ def _resolve_pair(raw: tuple[tuple[int, str], ...], q: int,
 
 
 def _row_admits(row: PairTableRow, k: int) -> bool:
-    return (row.condition == "any"
-            or (row.condition == "odd") == (k % 2 == 1))
+    return parity_admits(row.condition, k)
 
 
 def table_report(k: int) -> tuple[VerificationReport, list[dict]]:

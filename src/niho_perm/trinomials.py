@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GuardExceededError, UsageError
 from .field import CHAR, FieldElement, FieldParams, tower_field
 from .report import VerificationReport, timed
-from .residues import resolve_residue
+from .residues import parity_admits, resolve_residue
 from .unity import PowerFormMap, unity_group, unity_permutation_report
 
 EXHAUSTIVE_GUARD_K = 4
@@ -231,8 +231,7 @@ def family_parity(family_id: str) -> str:
 
 
 def family_admits(family_id: str, k: int) -> bool:
-    parity = family_parity(family_id)
-    return (parity == "any" or (parity == "odd") == (k % 2 == 1))
+    return parity_admits(family_parity(family_id), k)
 
 
 def theorem_family(family_id: str, k: int) -> NihoTrinomial:

@@ -38,7 +38,7 @@ numpy's stable sort is a radix sort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ from .errors import PoleError, UsageError
 from .field import (CHAR, FieldElement, FieldParams, TableKernel, _ppowmod,
                     factorize, power_rows, tower_field)
 from .report import VerificationReport, combine_reports, timed
-from .residues import resolve_residue
+from .residues import parity_admits, resolve_residue
 
 
 class UnityGroup:
@@ -257,11 +257,11 @@ def _inverse_mod5(mat: np.ndarray) -> np.ndarray:
     return aug[:, size:]
 
 
+@cache
 def unity_group(field: FieldParams) -> UnityGroup:
-    """Enumerate (or fetch the cached) mu_{q+1} of a tower field."""
-    if field._unity is None:
-        field._unity = UnityGroup(field)
-    return field._unity
+    """Enumerate (or fetch the cached) mu_{q+1} of a tower field.  A
+    search's forked workers inherit every group built before the fork."""
+    return UnityGroup(field)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +277,6 @@ class ClosedFormMap:
     num: tuple[tuple[int, int], ...]     # (coeff mod 5, exponent)
     den: tuple[tuple[int, int], ...]
     outer: int = 2
-    domain: str = "mu"
-    parity: str = "any"
 
     def eval_at(self, x: FieldElement) -> FieldElement:
         num = _sparse_at(self.num, x)
@@ -295,8 +293,6 @@ class PowerFormMap:
 
     name: str
     h_terms: tuple[tuple[int, int], ...]  # (sign, c) residues mod the subgroup order
-    domain: str = "mu"
-    parity: str = "any"
 
     def h_at(self, x: FieldElement) -> FieldElement:
         acc = x.field.zero
@@ -405,17 +401,16 @@ def build_map(name: str, k: int) -> FractionalMap:
             f"unknown map {name!r}; valid maps: {', '.join(PUBLIC_MAP_NAMES)}")
     q = CHAR ** k
     n = q + 1
-    parity = spec["parity"]
     if spec["kind"] == "power":
         terms = tuple((s, resolve_residue(e, q, k, modulus=n))
                       for s, e in spec["h"])
-        return PowerFormMap(name=name, h_terms=terms, parity=parity)
+        return PowerFormMap(name=name, h_terms=terms)
     resolve = lambda e: resolve_residue(e, q, k, modulus=n)
     num = tuple((c % CHAR, resolve(e)) for c, e in spec["num"])
     den = tuple((c % CHAR, resolve(e)) for c, e in spec["den"])
     return ClosedFormMap(
         name=name, sign=spec["sign"], pre_exp=resolve(spec["pre"]),
-        num=num, den=den, outer=spec.get("outer", 2), parity=parity)
+        num=num, den=den, outer=spec.get("outer", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +585,9 @@ def check_circle_claim(claim: str, k: int) -> VerificationReport:
         raise UsageError(
             f"unknown claim {claim!r}; valid: {sorted(CIRCLE_CLAIMS)}")
     parity, checks = CIRCLE_CLAIMS[claim]
-    if parity == "odd" and k % 2 == 0:
-        raise UsageError(f"claim {claim} is stated only where k is odd (got {k})")
-    if parity == "even" and k % 2 == 1:
-        raise UsageError(f"claim {claim} is stated only where k is even (got {k})")
+    if not parity_admits(parity, k):
+        raise UsageError(
+            f"claim {claim} is stated only where k is {parity} (got {k})")
     group = unity_group(tower_field(k))
     reports = [unity_permutation_report(build_map(name, k), group, dom)
                for name, dom in checks]

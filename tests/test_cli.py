@@ -1,9 +1,12 @@
 """CLI surface: exit codes, report shapes, determinism, witnesses."""
 
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from niho_perm import cli, transforms
 from niho_perm.cli import main
@@ -75,6 +78,32 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: every k must be >= 1 (got ")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--terms=+0,+1,+\u00b2", "--k", "1"],
+        ["verify", "--terms=+0,+-1,+2", "--k", "1"],
+        ["verify", "--terms=+0,+1,+\u0663", "--k", "1"],
+        ["verify", "--terms=+0,+1,+" + "1" * 5000, "--k", "1"],
+        ["equivalents", "--pair=+2,-\u00b2", "--k", "1"],
+        ["equivalents", "--pair=+-2,-4", "--k", "1"],
+        ["equivalents", "--pair=--2,-4", "--k", "1"]])
+    def test_bad_signed_residue_is_two(self, capsys, argv):
+        # one sign at most, ASCII digits only; never a traceback
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad ")
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.text(max_size=30))
+    def test_any_terms_text_never_exits_three(self, text):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(["verify", f"--terms={text}", "--k", "1"])
+            except SystemExit as exc:   # argparse rejects the argv itself
+                code = exc.code
+        assert code in (0, 1, 2)
 
     @pytest.mark.parametrize("argv", [
         ["mu-check", "--map", "g1"], ["verify", "--family", "T1"],
@@ -174,7 +203,7 @@ class TestReportShapes:
         def boom(cfg):
             raise RuntimeError("handler bug")
 
-        monkeypatch.setitem(cli._HANDLERS, "lemma1", boom)
+        monkeypatch.setattr(cli, "_cmd_lemma1", boom)
         code, out, err = run_cli(capsys, "lemma1", "--k", "1")
         assert code == 3
         assert out == ""
