@@ -400,6 +400,16 @@ class _SearchTables:
     terms add without a carry; a9 and b9 take a packed sum (a9 adding the
     1) to the group's la and lb, and ctn is the group's ct mod n, -2n where
     h = 0.  x*h^(q-1) maps zeta^i to zeta^(i + log h), log h = ct mod n.
+
+    Base 9 stays, though UnityGroup.sum_logs packs the same halves in
+    uint64 words: summing h in those words and reading them through its
+    4,096-entry table gave the same hits, but one k=3 screening block of
+    744 candidates x 44 points took 307 us against 156 us here, and the
+    whole k=3 square search 25-50% longer.  The sample points are spread
+    over Z/n, both parities.  Odd points alone would let one table serve
+    both signs, since -zeta^(si) = zeta^((s + n/2)i) at odd i, but they
+    screen worse: of the 8,001 k=3 "++" candidates with t >= s, 785
+    survive them against 174 here (112 are hits).
     """
 
     def __init__(self, group):
