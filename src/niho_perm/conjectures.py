@@ -398,7 +398,7 @@ class _SearchTables:
 
     Each GF(q) half of sign*zeta^j is packed in base 9, so the halves of two
     terms add without a carry; a9 and b9 take a packed sum (a9 adding the
-    1) to the group's la and lb, and ctn is the group's ct mod n, -2n where
+    1) to the group's la and lb, and ctn is the group's ctn with -2n where
     h = 0.  x*h^(q-1) maps zeta^i to zeta^(i + log h), log h = ct mod n.
 
     Base 9 stays, though UnityGroup.sum_logs packs the same halves in
@@ -424,7 +424,7 @@ class _SearchTables:
             red = ((np.arange(9) % CHAR * CHAR ** j)[:, None] + red).ravel()
         self.a9 = group.la[red - red % CHAR + (red + 1) % CHAR].astype(np.int32)
         self.b9 = group.lb[red].astype(np.int32)
-        self.ctn = np.where(group.ct < 0, -2 * n, group.ct % n).astype(np.int32)
+        self.ctn = np.where(group.ctn < 0, -2 * n, group.ctn).astype(np.int32)
         self._rows: dict[int, tuple] = {}
 
     def rows(self, sign):

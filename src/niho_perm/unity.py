@@ -33,10 +33,24 @@ three fields at a time into the GF(q) indices a and b.  The words are built
 on the first sum, and each domain's index array once per group; the
 collision witness sorts circle indices as uint16 keys at k <= 6, where
 numpy's stable sort is a radix sort.
+
+A power form on the whole circle (the subgroup criterion, mu-check g2..g10)
+has its own verdict path.  It needs log h mod n only, and since n divides
+q^2-1, n*lb[b] drops out: one table, ctn = ct mod n, gives it with no
+division.  Where the circle holds at least four prefixes of m =
+floor(4*sqrt(n)) points (k >= 4), the first m points are evaluated alone,
+since a failing random h repeats within about sqrt(n) points.  The witness
+stays the one a full evaluation names: a repeat in the prefix is the
+earliest over the circle by second position, and it is reported only after
+the packed words of the other n - m points show no zero of h (a zero beats
+a collision; the sum is 0 where every field folds to 0), and a zero in the
+prefix is the first on the circle.  A prefix with neither leads to the
+other n - m points, and a pass is read from the counts of the images.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, Sequence
@@ -103,51 +117,63 @@ class UnityGroup:
         self.ct[1:q1] = self.ct[q1 + 1:2 * q1]
         self.ct[2 * q1:3 * q1] = n * np.arange(q1)      # a = g^(n log_G a)
         self.ct[3 * q1 + 1:4 * q1 + 1] = n // 2         # omega = g^(n/2)
+        # n*lb[b] mod q^2-1 is 0 at b = 0, so a = b = 0 still reads -1; and
+        # as n divides q^2-1, log_g(a + b*omega) mod n is ct mod n alone
+        self.nlb = n * self.lb % self.log_order
+        self.ctn = np.where(self.ct < 0, -1, self.ct % n)
         self._words = None
         self._domains: dict[str, np.ndarray] = {}
 
     def pair_logs(self, a, b) -> np.ndarray:
         """log_g(a + b*omega) for arrays of GF(q) indices a and b, in
         Z/(q^2-1), and -1 where a = b = 0."""
-        lb = self.lb[b]
-        c = self.ct[self.la[a] - lb]
-        return np.where(c < 0, -1, (self.n * lb + c) % self.log_order)
+        logs = self.nlb[b] + self.ct[self.la[a] - self.lb[b]]
+        return logs - self.log_order * (logs >= self.log_order)
 
     def sum_logs(self, indices, terms) -> np.ndarray:
         """log_g of sum coeff * x^e at x = zeta^i for i in indices, in
-        Z/(q^2-1), and -1 where the sum is zero.
+        Z/(q^2-1), and -1 where the sum is zero."""
+        return self.pair_logs(*self._word_pairs(self.sum_words(indices,
+                                                               terms)))
+
+    def circle_logs(self, indices, terms) -> np.ndarray:
+        """sum_logs mod n, and -1 where the sum is zero: (sum)^(q-1) is
+        zeta to this power."""
+        a, b = self._word_pairs(self.sum_words(indices, terms))
+        return self.ctn[self.la[a] - self.lb[b]]
+
+    def _word_pairs(self, words):
+        """The GF(q) indices a and b of packed words, by the chunk table."""
+        return (_chunk_sum(words, half, self.k) for half in (0, HALF_BITS))
+
+    def sum_words(self, indices, terms) -> np.ndarray:
+        """Packed words of sum coeff * x^e at x = zeta^i for i in indices.
 
         Each term is one gather from the packed words of zeta^j: c = 3, 4
         read c = 2, 1 at j + n/2, since -1 = zeta^(n/2), and c = 2 doubles
         the word.  Words add field by field with no carry while the summed
         coefficients (the weight) stay <= FOLD_WEIGHT; a term that would
         pass it is added to the folded sum (every field mod 5, weight 1).
-        The chunk table then reads the GF(q) indices a and b for pair_logs.
+        So the sum is zero iff every field of its _fold is 0.
         """
         idx = np.asarray(indices, dtype=np.int64)
         n, words = self.n, self._packed_words()
-        acc, weight = None, 0
+        acc, weight = np.zeros(idx.shape, dtype=np.uint64), 0
         for c, e in terms:
-            c %= CHAR
+            c, e = c % CHAR, e % n
             if c == 0:
                 continue
-            at = idx * (e % n)
+            at = idx * e if e else 0            # x^0: one word, no gather
             if c > 2:                           # c * x = (5 - c) * (-x)
                 c, at = CHAR - c, at + n // 2
             term = words[at % n]
             if c == 2:
                 term <<= np.uint64(1)
-            if acc is None:
-                acc = term
-            else:
-                if weight + c > FOLD_WEIGHT:
-                    acc, weight = _fold(acc), 1
-                acc += term
+            if weight + c > FOLD_WEIGHT:
+                acc, weight = _fold(acc), 1
+            acc += term
             weight += c
-        if acc is None:
-            return np.full(idx.shape, -1, dtype=np.int64)
-        a, b = (_chunk_sum(acc, half, self.k) for half in (0, HALF_BITS))
-        return self.pair_logs(a, b)
+        return acc
 
     def _packed_words(self) -> np.ndarray:
         """The packed word of each zeta^j, built on first use."""
@@ -424,12 +450,13 @@ def eval_power_on_unity(map_: PowerFormMap, group: UnityGroup, indices):
     returned and values is None (the image would leave the circle).
     """
     idx = np.asarray(indices, dtype=np.int64)
-    logs = group.sum_logs(idx, map_.h_terms)     # signs are coefficients
+    logs = group.circle_logs(idx, map_.h_terms)  # signs are coefficients
     zeros = np.flatnonzero(logs < 0)
     if zeros.size:
         return None, int(idx[zeros[0]])
-    # h^(q-1) = g^((q-1) log h) = zeta^(log h)
-    return (idx + logs) % group.n, None
+    # h^(q-1) = g^((q-1) log h) = zeta^(log h mod n)
+    logs += idx
+    return logs - group.n * (logs >= group.n), None
 
 
 def eval_closed_on_unity(map_: ClosedFormMap, group: UnityGroup, indices):
@@ -484,17 +511,9 @@ def _verdict(subject: str, group: UnityGroup, map_: FractionalMap, indices,
     image escapes when it is off the circle or outside the domain.
     """
     idx = np.asarray(indices, dtype=np.int64)
-    counts = {"points": len(idx)}
-
-    def fail(witness):
-        return VerificationReport(subject=subject, method="enumeration",
-                                  passed=False, witness=witness, counts=counts)
-
     if values is None:
-        return fail({"type": ("zero" if isinstance(map_, PowerFormMap)
-                              else "pole"),
-                     "x": group.element(failure_index).csv(),
-                     "index": failure_index})
+        return _fail(subject, len(idx), _zero_witness(group, map_,
+                                                      failure_index))
     # slot n stays False, so an off-circle -1 reads as outside the domain
     inside = np.zeros(group.n + 1, dtype=bool)
     inside[idx] = True
@@ -502,28 +521,77 @@ def _verdict(subject: str, group: UnityGroup, map_: FractionalMap, indices,
     if escapes.size:
         i = int(idx[escapes[0]])
         x = group.element(i)
-        return fail({"type": "escape", "x": x.csv(), "index": i,
-                     "image": map_.eval_at(x).csv()})
+        return _fail(subject, len(idx), {"type": "escape", "x": x.csv(),
+                                         "index": i,
+                                         "image": map_.eval_at(x).csv()})
     # every value is now a domain index in [0, n), a uint16 at k <= 6
     coll = _first_collision(values.astype(np.uint16) if group.n <= 1 << 16
                             else values)
     if coll is not None:
-        p1, p2 = coll
-        i1, i2 = int(idx[p1]), int(idx[p2])
-        return fail({"type": "collision", "x1": group.element(i1).csv(),
-                     "x2": group.element(i2).csv(), "index1": i1,
-                     "index2": i2,
-                     "value": group.element(int(values[p2])).csv()})
+        return _fail(subject, len(idx),
+                     _collision_witness(group, idx, values, coll))
     return VerificationReport(subject=subject, method="enumeration",
-                              passed=True, counts=counts)
+                              passed=True, counts={"points": len(idx)})
+
+
+def _circle_verdict(subject: str, group: UnityGroup,
+                    map_: PowerFormMap) -> VerificationReport:
+    """_verdict's report for a power form on the whole circle, screened on
+    a prefix (see the module docstring).  A power form never escapes the
+    circle, so the first zero, else the earliest repeat, decides."""
+    idx, n = group.domain_indices("mu"), group.n
+    m = math.isqrt(16 * n)
+    if 4 * m > n:                   # k <= 3: too small a circle to screen
+        m = n
+    values, zero = eval_power_on_unity(map_, group, idx[:m])
+    coll = None
+    if zero is None and m < n:
+        coll = _first_collision(values)
+        if coll is None:
+            rest, zero = eval_power_on_unity(map_, group, idx[m:])
+            if zero is None:
+                values = np.concatenate((values, rest))
+        else:
+            words = group.sum_words(idx[m:], map_.h_terms)
+            zeros = np.flatnonzero(_fold(words) == 0)
+            if zeros.size:
+                zero = int(idx[m + zeros[0]])
+    if zero is not None:
+        return _fail(subject, n, _zero_witness(group, map_, zero))
+    if coll is None:
+        if np.bincount(values, minlength=n).max() <= 1:
+            return VerificationReport(subject=subject, method="enumeration",
+                                      passed=True, counts={"points": n})
+        coll = _first_collision(values)
+    return _fail(subject, n, _collision_witness(group, idx, values, coll))
+
+
+def _fail(subject: str, points: int, witness: dict) -> VerificationReport:
+    return VerificationReport(subject=subject, method="enumeration",
+                              passed=False, witness=witness,
+                              counts={"points": points})
+
+
+def _zero_witness(group: UnityGroup, map_: FractionalMap, i: int) -> dict:
+    return {"type": "zero" if isinstance(map_, PowerFormMap) else "pole",
+            "x": group.element(i).csv(), "index": i}
+
+
+def _collision_witness(group: UnityGroup, idx, values, coll) -> dict:
+    i1, i2 = (int(idx[p]) for p in coll)
+    return {"type": "collision", "x1": group.element(i1).csv(),
+            "x2": group.element(i2).csv(), "index1": i1, "index2": i2,
+            "value": group.element(int(values[coll[1]])).csv()}
 
 
 @timed
 def unity_permutation_report(map_: FractionalMap, group: UnityGroup,
                              domain: str = "mu") -> VerificationReport:
     """Does the map permute the named subset of the circle?"""
-    indices = group.domain_indices(domain)
     subject = f"{map_.name} on {domain} over {group.field!r}"
+    if domain == "mu" and isinstance(map_, PowerFormMap):
+        return _circle_verdict(subject, group, map_)
+    indices = group.domain_indices(domain)
     values, bad = eval_on_unity(map_, group, indices)
     return _verdict(subject, group, map_, indices, values, bad)
 

@@ -1,5 +1,6 @@
 """Trinomial construction, evaluation, and the two permutation routes."""
 
+import math
 import random
 
 import pytest
@@ -14,7 +15,9 @@ from niho_perm.trinomials import (FAMILY_CATALOG, FAMILY_IDS, build_trinomial,
                                   is_permutation_via_criterion,
                                   oracle_agreement_report, random_trinomial,
                                   theorem_family)
-from niho_perm.unity import eval_map, is_permutation_of, unity_group
+from niho_perm.unity import (eval_map, eval_power_on_unity,
+                             is_permutation_of, unity_group)
+from niho_perm import unity as unity_mod
 from representation_twin import digit_row_field_values
 
 
@@ -213,6 +216,57 @@ class TestCriterion:
             f = random_trinomial(k, rng)
             scalar = is_permutation_of(circle, induced_mu_map(f))
             assert is_permutation_via_criterion(f).passed == scalar.passed
+
+    @staticmethod
+    def unscreened_verdict(subject, group, map_):
+        """The circle verdict with no prefix screen: every point, then
+        _verdict."""
+        mu = group.domain_indices("mu")
+        return unity_mod._verdict(subject, group, map_, mu,
+                                  *eval_power_on_unity(map_, group, mu))
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_screen_gives_the_full_circle_report(self, k, monkeypatch):
+        rng = random.Random(300 + k)
+        n = 5 ** k + 1
+        m = math.isqrt(16 * n)          # the screen's prefix
+        cases = [build_trinomial(k, [(1, rng.randrange(n))] + [
+            (rng.choice((1, -1)), rng.randrange(n)) for _ in range(2)])
+            for _ in range(60)]
+        cases += [theorem_family(fid, k) for fid in FAMILY_IDS
+                  if family_admits(fid, k)]
+        # h = 3x^c sends zeta^i to zeta^((1-2c)i), whose first repeat lies
+        # past the prefix: at i = n/3 for c = 2 at k = 5, n/13 for c = 7
+        # at k = 6
+        late = {5: 2, 6: 7}.get(k)
+        if late:
+            cases.append(build_trinomial(k, [(1, late)] * 3))
+        # at k = 5 the prefix of this one holds a repeat, but h vanishes at
+        # index 521, past the prefix, and the zero wins
+        pinned = build_trinomial(5, [(1, 0), (-1, 533), (-1, 2413)])
+        if k == 5:
+            cases.append(pinned)
+        screened = [is_permutation_via_criterion(f).as_dict(with_elapsed=False)
+                    for f in cases]
+        monkeypatch.setattr(unity_mod, "_circle_verdict",
+                            self.unscreened_verdict)
+        full = [is_permutation_via_criterion(f).as_dict(with_elapsed=False)
+                for f in cases]
+        assert screened == full
+        # h = x^c0 * (1 + s1*y1 + s2*y2) with y1, y2 on the circle can only
+        # vanish where y1^2 + s1*y1 + 1 = 0: y1 of order 3 or 6, on the
+        # circle only where 3 divides q+1, i.e. k is odd
+        kinds = {(r.get("witness") or {}).get("type") for r in screened}
+        assert kinds == {None, "collision"} | ({"zero"} if k % 2 else set())
+        if late:
+            pos = cases.index(build_trinomial(k, [(1, late)] * 3))
+            assert screened[pos]["witness"]["index2"] == n // {5: 3, 6: 13}[k]
+        if k == 5:
+            assert screened[-1]["witness"] == {
+                "type": "zero", "x": "0,0,2,3,4,4,3,1,3,4", "index": 521}
+            values, zero = eval_power_on_unity(
+                induced_mu_map(pinned), unity_group(pinned.field), range(m))
+            assert zero is None and len(set(values.tolist())) < m <= 521
 
     def test_nonvanishing_facts(self):
         # the h polynomials behind T1, T2, T5a, T6 never vanish on the circle

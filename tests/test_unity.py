@@ -61,6 +61,8 @@ def assert_p1_logs_replay(g):
     picks = sorted({0, 1, 2, g.q - 1} | set(range(0, g.q, max(1, g.q // 12))))
     a, b = (np.array(v) for v in zip(*[(x, y) for x in picks for y in picks]))
     logs = g.pair_logs(a, b)
+    # the circle verdicts read log mod n from one table
+    assert (g.ctn[g.la[a] - g.lb[b]] == np.where(logs < 0, -1, logs % g.n)).all()
     for x, y, log in zip(a.tolist(), b.tolist(), logs.tolist()):
         elem = [field.zero, field.zero]
         for pos, idx in enumerate((x, y)):
@@ -322,6 +324,8 @@ class TestPackedKernel:
             got = g.sum_logs(idx, terms)
             assert got.dtype == np.int64
             assert (got == digit_row_sum_logs(g, idx, terms)).all(), terms
+            assert (g.circle_logs(idx, terms)
+                    == np.where(got < 0, -1, got % n)).all(), terms
 
     @pytest.mark.parametrize("k", [1, 3, 5, 6])
     def test_sum_logs_index_forms(self, k):
