@@ -232,19 +232,24 @@ def _cmd_equivalents(args):
         base = pair_from_text(args.pair, args.k)
     skipped: list[str] = []
     checks = []
-    passed = True
+    witness = None
     for p, crit in equivalent_pairs(base, args.k, skipped)[1].items():
         entry = {"pair": p.notation(), "criterion_pass": crit.passed,
                  "degenerate": p.degenerate}
+        reports = [crit]
         if args.k <= EXHAUSTIVE_GUARD_K:
-            orac = is_permutation_exhaustive(p.trinomial(args.k))
-            entry["oracle_pass"] = orac.passed
-            passed = passed and orac.passed
-        passed = passed and crit.passed
+            reports.append(is_permutation_exhaustive(p.trinomial(args.k)))
+            entry["oracle_pass"] = reports[1].passed
+        failed = next((r for r in reports if not r.passed), None)
+        if failed is not None and witness is None:
+            witness = {"failing_subject": failed.subject,
+                       "pair": p.notation(), **failed.witness}
         checks.append(entry)
     payload = {"k": args.k, "base": base.notation(),
                "equivalents": checks, "skipped_transforms": skipped}
-    return passed, payload, None
+    if witness is not None:
+        payload["witness"] = witness
+    return witness is None, payload, None
 
 
 def _cmd_conjecture(args):

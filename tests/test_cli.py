@@ -304,3 +304,26 @@ class TestWitnessReplay:
         x2 = field.from_csv(wit["x2"])
         assert x1 != x2
         assert eval_trinomial(f, x1) == eval_trinomial(f, x2)
+
+    def test_equivalents_witness_replays(self, capsys):
+        # (+[2], -[4]) fails at k=2, and so does every pair derived from it
+        code, out, _ = run_cli(capsys, "equivalents", "--pair", "+2,-4",
+                               "--k", "2")
+        assert code == 1
+        payload = json.loads(out)
+        wit = payload["witness"]
+        assert wit["pair"] == payload["equivalents"][0]["pair"]
+        f = transforms.pair_from_text(wit["pair"], 2).trinomial(2)
+        assert wit["failing_subject"] == f.subject()
+        assert wit["type"] == "collision"
+        field, q = f.field, f.q
+
+        def circle_map(x):
+            h = field.zero
+            for sign, c in f.terms:
+                h = h + x ** c if sign > 0 else h - x ** c
+            return x * h ** (q - 1)
+
+        x1, x2 = field.from_csv(wit["x1"]), field.from_csv(wit["x2"])
+        assert x1 != x2 and x1 ** (q + 1) == x2 ** (q + 1) == field.one
+        assert circle_map(x1) == circle_map(x2) == field.from_csv(wit["value"])
