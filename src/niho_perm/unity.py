@@ -96,8 +96,8 @@ class UnityGroup:
         self.subfield = TableKernel(k, tuple((-gk[:k]) % CHAR) + (1,))
         pow5 = CHAR ** np.arange(2 * k, dtype=np.int64)
         self.log_order = q * q - 1
-        # zeta^i as a field index, and as (a, b) digit rows
-        rows = power_rows(zeta, n, f)
+        # zeta^i as field digit rows, a field index, and (a, b) digit rows
+        rows = self.rows = power_rows(zeta, n, f)
         self.indices = rows @ pow5
         self.coords = (rows @ phi_inv.T % CHAR).astype(np.int8)
         # log_g(a + b*omega) = n*lb[b] + ct[la[a] - lb[b]].  With q1 = q-1,
@@ -133,13 +133,13 @@ class UnityGroup:
     def sum_logs(self, indices, terms) -> np.ndarray:
         """log_g of sum coeff * x^e at x = zeta^i for i in indices, in
         Z/(q^2-1), and -1 where the sum is zero."""
-        return self.pair_logs(*self._word_pairs(self.sum_words(indices,
-                                                               terms)))
+        words = self.sum_words(indices, terms)
+        return self.pair_logs(*self._word_pairs(words))
 
-    def circle_logs(self, indices, terms) -> np.ndarray:
-        """sum_logs mod n, and -1 where the sum is zero: (sum)^(q-1) is
-        zeta to this power."""
-        a, b = self._word_pairs(self.sum_words(indices, terms))
+    def circle_logs(self, words) -> np.ndarray:
+        """sum_logs mod n from the packed words of the sums, and -1 where a
+        sum is zero: (sum)^(q-1) is zeta to this power."""
+        a, b = self._word_pairs(words)
         return self.ctn[self.la[a] - self.lb[b]]
 
     def _word_pairs(self, words):
@@ -166,7 +166,9 @@ class UnityGroup:
             at = idx * e if e else 0            # x^0: one word, no gather
             if c > 2:                           # c * x = (5 - c) * (-x)
                 c, at = CHAR - c, at + n // 2
-            term = words[at % n]
+            # at - at // n * n is at % n: numpy divides by a scalar faster
+            # than it takes a remainder
+            term = words[at - at // n * n]
             if c == 2:
                 term <<= np.uint64(1)
             if weight + c > FOLD_WEIGHT:
@@ -217,6 +219,10 @@ class UnityGroup:
 
     def element(self, i: int) -> FieldElement:
         return self.field.from_index(int(self.indices[i % self.n]))
+
+    def csv(self, i: int) -> str:
+        """element(i).csv(), read from the digit rows (for witnesses)."""
+        return ",".join(map(str, self.rows[i % self.n].tolist()))
 
     def contains_handle(self, h: int) -> bool:
         x = FieldElement(self.field, h)
@@ -450,7 +456,13 @@ def eval_power_on_unity(map_: PowerFormMap, group: UnityGroup, indices):
     returned and values is None (the image would leave the circle).
     """
     idx = np.asarray(indices, dtype=np.int64)
-    logs = group.circle_logs(idx, map_.h_terms)  # signs are coefficients
+    # the signs are the coefficients
+    return _power_images(group, idx, group.sum_words(idx, map_.h_terms))
+
+
+def _power_images(group: UnityGroup, idx: np.ndarray, words: np.ndarray):
+    """eval_power_on_unity at the points idx, from h's packed words there."""
+    logs = group.circle_logs(words)
     zeros = np.flatnonzero(logs < 0)
     if zeros.size:
         return None, int(idx[zeros[0]])
@@ -543,17 +555,17 @@ def _circle_verdict(subject: str, group: UnityGroup,
     m = math.isqrt(16 * n)
     if 4 * m > n:                   # k <= 3: too small a circle to screen
         m = n
-    values, zero = eval_power_on_unity(map_, group, idx[:m])
+    words = group.sum_words(idx, map_.h_terms)
+    values, zero = _power_images(group, idx[:m], words[:m])
     coll = None
     if zero is None and m < n:
         coll = _first_collision(values)
         if coll is None:
-            rest, zero = eval_power_on_unity(map_, group, idx[m:])
+            rest, zero = _power_images(group, idx[m:], words[m:])
             if zero is None:
                 values = np.concatenate((values, rest))
         else:
-            words = group.sum_words(idx[m:], map_.h_terms)
-            zeros = np.flatnonzero(_fold(words) == 0)
+            zeros = np.flatnonzero(_fold(words[m:]) == 0)
             if zeros.size:
                 zero = int(idx[m + zeros[0]])
     if zero is not None:
@@ -574,14 +586,14 @@ def _fail(subject: str, points: int, witness: dict) -> VerificationReport:
 
 def _zero_witness(group: UnityGroup, map_: FractionalMap, i: int) -> dict:
     return {"type": "zero" if isinstance(map_, PowerFormMap) else "pole",
-            "x": group.element(i).csv(), "index": i}
+            "x": group.csv(i), "index": i}
 
 
 def _collision_witness(group: UnityGroup, idx, values, coll) -> dict:
     i1, i2 = (int(idx[p]) for p in coll)
-    return {"type": "collision", "x1": group.element(i1).csv(),
-            "x2": group.element(i2).csv(), "index1": i1, "index2": i2,
-            "value": group.element(int(values[coll[1]])).csv()}
+    return {"type": "collision", "x1": group.csv(i1), "x2": group.csv(i2),
+            "index1": i1, "index2": i2,
+            "value": group.csv(int(values[coll[1]]))}
 
 
 @timed

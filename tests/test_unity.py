@@ -49,6 +49,7 @@ def assert_coords_replay(g):
     digits = g.coords.astype(np.int64) @ phi.T % 5
     assert digits.tolist() == [list(p.digits) for p in powers]
     assert g.members(range(g.n)) == powers
+    assert [g.csv(i) for i in range(g.n)] == [p.csv() for p in powers]
 
 
 def assert_p1_logs_replay(g):
@@ -324,7 +325,7 @@ class TestPackedKernel:
             got = g.sum_logs(idx, terms)
             assert got.dtype == np.int64
             assert (got == digit_row_sum_logs(g, idx, terms)).all(), terms
-            assert (g.circle_logs(idx, terms)
+            assert (g.circle_logs(g.sum_words(idx, terms))
                     == np.where(got < 0, -1, got % n)).all(), terms
 
     @pytest.mark.parametrize("k", [1, 3, 5, 6])
