@@ -35,17 +35,17 @@ collision witness sorts circle indices as uint16 keys at k <= 6, where
 numpy's stable sort is a radix sort.
 
 A power form on the whole circle (the subgroup criterion, mu-check g2..g10)
-has its own verdict path.  It needs log h mod n only, and since n divides
-q^2-1, n*lb[b] drops out: one table, ctn = ct mod n, gives it with no
-division.  Where the circle holds at least four prefixes of m =
-floor(4*sqrt(n)) points (k >= 4), the first m points are evaluated alone,
-since a failing random h repeats within about sqrt(n) points.  The witness
-stays the one a full evaluation names: a repeat in the prefix is the
-earliest over the circle by second position, and it is reported only after
-the packed words of the other n - m points show no zero of h (a zero beats
-a collision; the sum is 0 where every field folds to 0), and a zero in the
-prefix is the first on the circle.  A prefix with neither leads to the
-other n - m points, and a pass is read from the counts of the images.
+has a leaner verdict path.  It needs log h only mod n, and n*lb[b] is 0 mod
+n since n divides q^2-1, so one table, ctn = ct mod n, reads it with no
+division.  From k = 4 on, where n >= 4m for m = floor(4*sqrt(n)), the
+first m points are decoded first, since a failing random h repeats within
+about sqrt(n) points.  The witness stays the one a full evaluation names.
+A zero of h in the prefix is the first on the circle.  A repeat in the
+prefix is the earliest over the circle by second position, but any zero
+outranks it, so it is reported only after the packed words of the other
+n - m points show no zero (h is 0 where every field of the folded sum is
+0).  A prefix with neither leads to the other points, and a pass is read
+from the counts of the images, with no sort.
 """
 
 from __future__ import annotations
