@@ -24,10 +24,8 @@ from .field import PRIMITIVE_MODULI, make_field, \
 from .residues import parse_signed_residue
 from .transforms import equivalent_pairs, pair_from_text, pair_of_family, \
     table_report
-from .trinomials import (EXHAUSTIVE_GUARD_K, FAMILY_IDS, build_trinomial,
-                         family_is_conjectural, is_permutation_exhaustive,
-                         is_permutation_via_criterion, oracle_agreement_report,
-                         theorem_family)
+from .trinomials import (FAMILY_IDS, build_trinomial, family_is_conjectural,
+                         oracle_agreement_report, theorem_family, verdicts)
 from .conjectures import (conjecture1_check, conjecture2_check,
                           proposition_check, search_problem_instances)
 from .unity import PUBLIC_MAP_NAMES, mu_check_report
@@ -178,35 +176,18 @@ def _cmd_verify(args):
         trin = theorem_family(args.family, args.k)
     else:
         trin = build_trinomial(args.k, _parse_terms(args.terms))
-    method = args.method
-    if method is None:
-        method = "both" if args.k <= EXHAUSTIVE_GUARD_K else "criterion"
-    methods: dict = {}
-    passed = True
-    if method in ("both", "criterion"):
-        rep = is_permutation_via_criterion(trin)
-        methods["criterion"] = rep.passed
-        passed = passed and rep.passed
-        crit_witness = rep.witness
-    else:
-        crit_witness = None
-    orac_witness = None
-    if method in ("both", "exhaustive"):
-        rep = is_permutation_exhaustive(trin)
-        methods["exhaustive"] = rep.passed
-        passed = passed and rep.passed
-        orac_witness = rep.witness
+    reports = verdicts(trin, args.method)
     payload = {
         "family": args.family, "terms": list(trin.terms), "k": args.k,
         "subject": trin.subject(), "exponents": list(trin.exponents),
-        "methods": methods,
+        "methods": {m: r.passed for m, r in reports.items()},
     }
     if args.family and family_is_conjectural(args.family):
         payload["conjectural"] = True
-    witness = orac_witness or crit_witness
-    if witness:
-        payload["witness"] = witness
-    return passed, payload, None
+    failed = [r for r in reports.values() if not r.passed]
+    if failed:      # the oracle's witness when both fail
+        payload["witness"] = failed[-1].witness
+    return not failed, payload, None
 
 
 _TABLE_COLUMNS = ("row", "pair", "condition", "criterion_pass", "oracle_pass",
@@ -233,14 +214,13 @@ def _cmd_equivalents(args):
     skipped: list[str] = []
     checks = []
     witness = None
-    for p, crit in equivalent_pairs(base, args.k, skipped)[1].items():
-        entry = {"pair": p.notation(), "criterion_pass": crit.passed,
+    for p, reports in equivalent_pairs(base, args.k, skipped)[1].items():
+        entry = {"pair": p.notation(),
+                 "criterion_pass": reports["criterion"].passed,
                  "degenerate": p.degenerate}
-        reports = [crit]
-        if args.k <= EXHAUSTIVE_GUARD_K:
-            reports.append(is_permutation_exhaustive(p.trinomial(args.k)))
-            entry["oracle_pass"] = reports[1].passed
-        failed = next((r for r in reports if not r.passed), None)
+        if "exhaustive" in reports:
+            entry["oracle_pass"] = reports["exhaustive"].passed
+        failed = next((r for r in reports.values() if not r.passed), None)
         if failed is not None and witness is None:
             witness = {"failing_subject": failed.subject,
                        "pair": p.notation(), **failed.witness}

@@ -24,9 +24,8 @@ from .errors import GuardExceededError, NihoPermError, UsageError
 from .field import (CHAR, FieldElement, in_subfield, make_field, norm,
                     trace, tower_field)
 from .report import VerificationReport, combine_reports, timed
-from .trinomials import (EXHAUSTIVE_GUARD_K, eval_trinomial, field_values,
-                         induced_mu_map, is_permutation_exhaustive,
-                         is_permutation_via_criterion, theorem_family)
+from .trinomials import (eval_trinomial, field_values, induced_mu_map,
+                         theorem_family, verdicts)
 from .unity import (build_map, maps_agree_report, pointwise_agreement_report,
                     unity_group)
 
@@ -312,12 +311,11 @@ def proposition_check(prop_id: str, k: int) -> VerificationReport:
     if prop_id not in ("P1", "P2"):
         raise UsageError(f"unknown proposition id {prop_id!r}; valid: P1, P2")
     f = theorem_family(prop_id, k)     # parity guard lives here
-    reports = [is_permutation_via_criterion(f)]
-    if k <= EXHAUSTIVE_GUARD_K:
-        reports.append(is_permutation_exhaustive(f))
+    checks = verdicts(f)
+    reports = list(checks.values())
     group = unity_group(f.field)
     if prop_id == "P1":
-        if k <= EXHAUSTIVE_GUARD_K:
+        if "exhaustive" in checks:
             image = _p1_image_off_subfield(f.field)
             reports.append(subfield_stability_report(k, image=image))
             reports.append(profile_sweep_report(k, image=image))

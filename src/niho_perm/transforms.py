@@ -20,9 +20,8 @@ from .field import CHAR
 from .report import VerificationReport, combine_reports
 from .residues import (frac_mod, parity_admits, parse_signed_residue,
                        resolve_residue)
-from .trinomials import (EXHAUSTIVE_GUARD_K, NihoTrinomial, build_trinomial,
-                         is_permutation_exhaustive, is_permutation_via_criterion,
-                         theorem_family)
+from .trinomials import (NihoTrinomial, build_trinomial, theorem_family,
+                         verdicts)
 
 
 def _sign_key(sign: int) -> int:
@@ -140,14 +139,14 @@ def _applications(pair: SignedPair) -> list[tuple[str, int, int]]:
 
 
 def equivalent_pairs(pair: SignedPair, k: int, skipped: list | None = None):
-    """The source's subgroup-criterion report, and every pair reachable from
-    the source by a single applicable transform, with its report.
+    """The source's `verdicts`, and every pair reachable from the source by
+    a single applicable transform, with its `verdicts`.
 
     Inapplicable clauses (gcd obstruction) are skipped, optionally logged
     into `skipped`.  The pairs are deduplicated, in canonical order, and
     exclude the input pair.  Permutation preservation is verified, not
     assumed: if the source passes the criterion, every derived pair must
-    too.  The criterion runs once per trinomial.
+    too.  Each trinomial is verified once.
     """
     found: set[SignedPair] = set()
     for case, i, j in _applications(pair):
@@ -159,15 +158,15 @@ def equivalent_pairs(pair: SignedPair, k: int, skipped: list | None = None):
             continue
         found.add(SignedPair.make((sig_s, s), (sig_t, t), CHAR ** k + 1))
     found.discard(pair)
-    crit = is_permutation_via_criterion(pair.trinomial(k))
+    base = verdicts(pair.trinomial(k))
     derived = {}
     for p in sorted(found):
-        derived[p] = is_permutation_via_criterion(p.trinomial(k))
-        if crit.passed and not derived[p].passed:
+        derived[p] = verdicts(p.trinomial(k))
+        if base["criterion"].passed and not derived[p]["criterion"].passed:
             raise UsageError(
                 f"transform contract violated: {pair.notation()} passes "
                 f"but derived {p.notation()} fails at k={k}")
-    return crit, derived
+    return base, derived
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +229,12 @@ def _row_admits(row: PairTableRow, k: int) -> bool:
 def table_report(k: int) -> tuple[VerificationReport, list[dict]]:
     """Reproduce every admissible table row at this k.
 
-    Per row: resolve the pair, run the criterion (and the oracle within
-    guard), recompute the equivalent pairs and verify each, and diff the
-    recomputed set against the transcription.  Rows whose parity condition
-    excludes k appear with a skip reason.
+    Per row: resolve the pair, recompute the equivalent pairs, take the
+    `verdicts` of each, and diff the recomputed set against the
+    transcription.  Rows whose parity condition excludes k appear with a
+    skip reason.
     """
     q = CHAR ** k
-    use_oracle = k <= EXHAUSTIVE_GUARD_K
     rows: list[dict] = []
     reports: list[VerificationReport] = []
     for row in PAIR_TABLE:
@@ -252,23 +250,10 @@ def table_report(k: int) -> tuple[VerificationReport, list[dict]]:
             continue
         pair = _resolve_pair(row.pair, q, k)
         skipped_cases: list[str] = []
-        crit, derived = equivalent_pairs(pair, k, skipped_cases)
+        base, derived = equivalent_pairs(pair, k, skipped_cases)
         recomputed = list(derived)
-        reports.append(crit)
-        if use_oracle:
-            orac = is_permutation_exhaustive(pair.trinomial(k))
-            reports.append(orac)
-            oracle_pass: bool | str = orac.passed
-        else:
-            oracle_pass = "skipped"
-        equiv_ok = True
-        for p, pr in derived.items():
-            reports.append(pr)
-            equiv_ok = equiv_ok and pr.passed
-            if use_oracle:
-                orp = is_permutation_exhaustive(p.trinomial(k))
-                reports.append(orp)
-                equiv_ok = equiv_ok and orp.passed
+        derived_reports = [r for v in derived.values() for r in v.values()]
+        reports += [*base.values(), *derived_reports]
         transcribed = sorted(
             _resolve_pair(raw, q, k) for raw in row.equivalents)
         rec_set, tr_set = set(recomputed), set(transcribed)
@@ -280,10 +265,13 @@ def table_report(k: int) -> tuple[VerificationReport, list[dict]]:
         }
         rows.append({
             "row": row.index, "pair": pair.notation(),
-            "condition": row.condition, "criterion_pass": crit.passed,
-            "oracle_pass": oracle_pass,
+            "condition": row.condition,
+            "criterion_pass": base["criterion"].passed,
+            "oracle_pass": (base["exhaustive"].passed if "exhaustive" in base
+                            else "skipped"),
             "equivalents_checked": len(recomputed),
-            "equivalents_pass": equiv_ok, "source": source,
+            "equivalents_pass": all(r.passed for r in derived_reports),
+            "source": source,
             "recomputed_equivalents": [p.notation() for p in recomputed],
             "transcribed_equivalents": [p.notation() for p in transcribed],
             "transcription_diff": diff,

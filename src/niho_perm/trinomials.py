@@ -197,6 +197,27 @@ def is_permutation_via_criterion(f: NihoTrinomial) -> VerificationReport:
                f"condition 2: {'pass' if circle.passed else 'fail'}"])
 
 
+def verdicts(f: NihoTrinomial,
+             method: str | None = None) -> dict[str, VerificationReport]:
+    """f's permutation reports keyed by method, criterion first.
+
+    By default the criterion, and the exhaustive oracle too where the
+    field has log tables (k <= EXHAUSTIVE_GUARD_K); "both", "criterion"
+    or "exhaustive" select explicitly, the oracle still guarded.
+    """
+    if method is None:
+        method = "both" if f.k <= EXHAUSTIVE_GUARD_K else "criterion"
+    if method not in ("both", "criterion", "exhaustive"):
+        raise UsageError(f"unknown method {method!r}; valid: both, "
+                         "criterion, exhaustive")
+    out = {}
+    if method != "exhaustive":
+        out["criterion"] = is_permutation_via_criterion(f)
+    if method != "criterion":
+        out["exhaustive"] = is_permutation_exhaustive(f)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # named families
 

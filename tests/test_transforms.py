@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from niho_perm import transforms
+from niho_perm import transforms, trinomials
 from niho_perm.errors import NoInverseError, ResidueError, UsageError
 from niho_perm.residues import frac_mod, resolve_residue
 from niho_perm.transforms import (PAIR_TABLE, SignedPair, equivalent_pairs,
@@ -237,8 +237,8 @@ class TestPairTable:
     @pytest.mark.parametrize("k", [2, 3])
     def test_criterion_once_per_trinomial(self, k, monkeypatch):
         calls = []
-        criterion = transforms.is_permutation_via_criterion
-        monkeypatch.setattr(transforms, "is_permutation_via_criterion",
+        criterion = trinomials.is_permutation_via_criterion
+        monkeypatch.setattr(trinomials, "is_permutation_via_criterion",
                             lambda t: calls.append(t) or criterion(t))
         table_report(k)
         assert len(calls) == len(set(calls)) == {2: 20, 3: 10}[k]
@@ -247,9 +247,9 @@ class TestPairTable:
         # the source passes and a derived pair fails: the table stops
         source = pair_of_family("T1", 3).trinomial(3)
         monkeypatch.setattr(
-            transforms, "is_permutation_via_criterion",
+            trinomials, "is_permutation_via_criterion",
             lambda t: SimpleNamespace(passed=t == source))
-        monkeypatch.setattr(transforms, "is_permutation_exhaustive",
+        monkeypatch.setattr(trinomials, "is_permutation_exhaustive",
                             lambda t: SimpleNamespace(passed=True))
         with pytest.raises(UsageError, match="transform contract violated"):
             table_report(3)
