@@ -21,6 +21,7 @@ import traceback
 from .errors import NihoPermError, UsageError
 from .field import PRIMITIVE_MODULI, make_field, \
     trace_power_identity_report
+from .report import combine_reports
 from .residues import parse_signed_residue
 from .transforms import equivalent_pairs, pair_from_text, pair_of_family, \
     table_report
@@ -204,6 +205,13 @@ def _cmd_table1(args):
     return overall.passed, payload, tsv
 
 
+def _verdict_fields(reports: dict) -> dict:
+    fields = {"criterion_pass": reports["criterion"].passed}
+    if "exhaustive" in reports:
+        fields["oracle_pass"] = reports["exhaustive"].passed
+    return fields
+
+
 def _cmd_equivalents(args):
     if (args.family is None) == (args.pair is None):
         raise UsageError("equivalents needs exactly one of --family or --pair")
@@ -212,24 +220,21 @@ def _cmd_equivalents(args):
     else:
         base = pair_from_text(args.pair, args.k)
     skipped: list[str] = []
-    checks = []
-    witness = None
-    for p, reports in equivalent_pairs(base, args.k, skipped)[1].items():
-        entry = {"pair": p.notation(),
-                 "criterion_pass": reports["criterion"].passed,
-                 "degenerate": p.degenerate}
-        if "exhaustive" in reports:
-            entry["oracle_pass"] = reports["exhaustive"].passed
-        failed = next((r for r in reports.values() if not r.passed), None)
-        if failed is not None and witness is None:
-            witness = {"failing_subject": failed.subject,
-                       "pair": p.notation(), **failed.witness}
-        checks.append(entry)
+    base_reports, derived = equivalent_pairs(base, args.k, skipped)
     payload = {"k": args.k, "base": base.notation(),
-               "equivalents": checks, "skipped_transforms": skipped}
-    if witness is not None:
-        payload["witness"] = witness
-    return witness is None, payload, None
+               **_verdict_fields(base_reports),
+               "equivalents": [{"pair": p.notation(), **_verdict_fields(r),
+                                "degenerate": p.degenerate}
+                               for p, r in derived.items()],
+               "skipped_transforms": skipped}
+    # the first failing pair's witness: base first, criterion before oracle
+    for p, reports in {base: base_reports, **derived}.items():
+        pair_rep = combine_reports(p.notation(), "criterion+oracle",
+                                   list(reports.values()))
+        if not pair_rep.passed:
+            payload["witness"] = {**pair_rep.witness, "pair": p.notation()}
+            return False, payload, None
+    return True, payload, None
 
 
 def _cmd_conjecture(args):

@@ -223,6 +223,26 @@ class TestReportShapes:
         assert payload["base"] == "(+[2], -[4])"
         assert payload["equivalents"][0]["pair"] == "(-[2], -[4])"
 
+    def test_equivalents_gates_on_base(self, capsys):
+        # every transform of (+[2], +[4]) is skipped at k=1, and the base
+        # pair itself does not permute: exit 1 with the base's witness
+        code, out, _ = run_cli(capsys, "equivalents", "--pair", "+2,+4",
+                               "--k", "1")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["equivalents"] == []
+        assert payload["criterion_pass"] is False
+        assert payload["oracle_pass"] is False
+        wit = payload["witness"]
+        assert wit["pair"] == payload["base"] == "(+[2], +[4])"
+        assert wit["type"] == "zero"
+        f = transforms.pair_from_text(wit["pair"], 1).trinomial(1)
+        x = f.field.from_csv(wit["x"])
+        h = f.field.zero
+        for sign, c in f.terms:
+            h = h + x ** c if sign > 0 else h - x ** c
+        assert x ** (f.q + 1) == f.field.one and h == f.field.zero
+
     def test_equivalents_criterion_once_per_trinomial(self, capsys,
                                                       monkeypatch):
         # T1 at k=3 and its one equivalent: two trinomials, two calls
@@ -305,13 +325,14 @@ class TestWitnessReplay:
         assert eval_trinomial(f, x1) == eval_trinomial(f, x2)
 
     def test_equivalents_witness_replays(self, capsys):
-        # (+[2], -[4]) fails at k=2, and so does every pair derived from it
+        # (+[2], -[4]) fails at k=2, and so does every pair derived from
+        # it; the base pair's witness comes first
         code, out, _ = run_cli(capsys, "equivalents", "--pair", "+2,-4",
                                "--k", "2")
         assert code == 1
         payload = json.loads(out)
         wit = payload["witness"]
-        assert wit["pair"] == payload["equivalents"][0]["pair"]
+        assert wit["pair"] == payload["base"]
         f = transforms.pair_from_text(wit["pair"], 2).trinomial(2)
         assert wit["failing_subject"] == f.subject()
         assert wit["type"] == "collision"
