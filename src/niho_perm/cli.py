@@ -206,10 +206,8 @@ def _cmd_table1(args):
 
 
 def _verdict_fields(reports: dict) -> dict:
-    fields = {"criterion_pass": reports["criterion"].passed}
-    if "exhaustive" in reports:
-        fields["oracle_pass"] = reports["exhaustive"].passed
-    return fields
+    names = {"criterion": "criterion_pass", "exhaustive": "oracle_pass"}
+    return {names[m]: r.passed for m, r in reports.items()}
 
 
 def _cmd_equivalents(args):

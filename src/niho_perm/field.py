@@ -260,12 +260,6 @@ class PolyKernel:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def scale(self, a: int, c: int) -> int:
-        c %= CHAR
-        if c == 0:
-            return 0
-        return self._mod5(a * c)
-
     def mul(self, a: int, b: int) -> int:
         acc = self._mod5(a * b)
         hi = acc >> self._shift

@@ -1,4 +1,4 @@
-"""Residue arithmetic: extended Euclid, modular fractions, q-expressions.
+"""Residue arithmetic: modular fractions and q-expressions.
 
 Exponents throughout the package are residues modulo q + 1 given as closed
 formulas in q (and occasionally k).  They are resolved exactly with Fraction
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import math
 import operator
 import re
 from fractions import Fraction
@@ -18,30 +19,16 @@ from fractions import Fraction
 from .errors import NoInverseError, ResidueError
 
 
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def frac_mod(num: int, den: int, modulus: int) -> int:
-    """num * den^-1 mod modulus via extended Euclid."""
+    """num * den^-1 mod modulus."""
     if modulus < 2:
         raise ResidueError(f"modulus must be >= 2, got {modulus}")
-    g, x, _ = extended_gcd(den % modulus, modulus)
-    if g != 1:
-        raise NoInverseError(
-            f"{den} is not invertible mod {modulus} (gcd {g})", gcd=g)
-    return (num * x) % modulus
+    try:
+        return num * pow(den, -1, modulus) % modulus
+    except ValueError:
+        g = math.gcd(den, modulus)
+        raise NoInverseError(f"{den} is not invertible mod {modulus} "
+                             f"(gcd {g})", gcd=g) from None
 
 
 def parity_admits(parity: str, k: int) -> bool:

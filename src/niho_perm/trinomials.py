@@ -199,15 +199,13 @@ def is_permutation_via_criterion(f: NihoTrinomial) -> VerificationReport:
 
 def verdicts(f: NihoTrinomial,
              method: str | None = None) -> dict[str, VerificationReport]:
-    """f's permutation reports keyed by method, criterion first.
-
-    By default the criterion, and the exhaustive oracle too where the
-    field has log tables (k <= EXHAUSTIVE_GUARD_K); "both", "criterion"
-    or "exhaustive" select explicitly, the oracle still guarded.
-    """
+    """f's permutation reports keyed by method, criterion first: by default
+    the criterion, and the exhaustive oracle too where the field has log
+    tables (k <= EXHAUSTIVE_GUARD_K).  "both", "criterion" or "exhaustive"
+    select explicitly; the oracle stays guarded."""
     if method is None:
         method = "both" if f.k <= EXHAUSTIVE_GUARD_K else "criterion"
-    if method not in ("both", "criterion", "exhaustive"):
+    elif method not in ("both", "criterion", "exhaustive"):
         raise UsageError(f"unknown method {method!r}; valid: both, "
                          "criterion, exhaustive")
     out = {}

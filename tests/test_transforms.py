@@ -40,6 +40,24 @@ class TestFracMod:
             return
         assert frac_mod(a * c, b * c, m) == frac_mod(a, b, m)
 
+    def test_brute_force_small_moduli(self):
+        # every denominator in [-2m, 2m] against a search for its inverse;
+        # without one, the error reports gcd(den, m)
+        for m in range(2, 41):
+            for den in range(-2 * m, 2 * m + 1):
+                inv = [y for y in range(m) if den * y % m == 1]
+                g = max(d for d in range(1, m + 1)
+                        if den % d == 0 and m % d == 0)
+                for num in (-m - 3, -7, -1, 0, 1, 5, m + 2):
+                    if inv:
+                        assert frac_mod(num, den, m) == num * inv[0] % m
+                        continue
+                    with pytest.raises(NoInverseError) as exc:
+                        frac_mod(num, den, m)
+                    assert exc.value.gcd == g > 1
+                    assert str(exc.value) == \
+                        f"{den} is not invertible mod {m} (gcd {g})"
+
     def test_small_modulus_rejected(self):
         with pytest.raises(ResidueError):
             frac_mod(1, 1, 1)

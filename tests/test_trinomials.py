@@ -14,7 +14,7 @@ from niho_perm.trinomials import (FAMILY_CATALOG, FAMILY_IDS, build_trinomial,
                                   is_permutation_exhaustive,
                                   is_permutation_via_criterion,
                                   oracle_agreement_report, random_trinomial,
-                                  theorem_family)
+                                  theorem_family, verdicts)
 from niho_perm.unity import (eval_map, eval_power_on_unity,
                              is_permutation_of, unity_group)
 from niho_perm import unity as unity_mod
@@ -276,6 +276,37 @@ class TestCriterion:
             m = induced_mu_map(f)
             for i in range(group.n):
                 assert not m.h_at(group.element(i)).is_zero, (fam, k, i)
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("k, method, keys", [
+        (4, None, ["criterion", "exhaustive"]),
+        (4, "both", ["criterion", "exhaustive"]),
+        (4, "criterion", ["criterion"]),
+        (4, "exhaustive", ["exhaustive"]),
+        (5, None, ["criterion"]),
+        (5, "criterion", ["criterion"])])
+    @pytest.mark.parametrize("terms", [None, [(1, 0), (1, 1), (-1, 2)]])
+    def test_keys_and_reports(self, k, method, keys, terms):
+        f = theorem_family("T1", k) if terms is None else \
+            build_trinomial(k, terms)
+        reports = verdicts(f, method)
+        assert list(reports) == keys
+        direct = {"criterion": is_permutation_via_criterion,
+                  "exhaustive": is_permutation_exhaustive}
+        for m, rep in reports.items():
+            assert rep.method == m
+            assert rep.as_dict(with_elapsed=False) == \
+                direct[m](f).as_dict(with_elapsed=False)
+
+    @pytest.mark.parametrize("method", ["both", "exhaustive"])
+    def test_oracle_guarded_at_k5(self, method):
+        with pytest.raises(GuardExceededError, match="criterion"):
+            verdicts(theorem_family("T1", 5), method)
+
+    def test_unknown_method(self):
+        with pytest.raises(UsageError, match="unknown method"):
+            verdicts(theorem_family("T1", 1), "oracle")
 
 
 class TestFamilies:
