@@ -313,12 +313,30 @@ def _render(args, passed: bool, payload: dict, tsv_rows,
     return json.dumps(body, indent=2) + "\n"
 
 
+# Options whose value may start with a minus sign, as in "--pair -2,+4"
+SIGNED_OPTIONS = ("--pair", "--terms")
+
+
+def _join_signed_values(argv) -> list[str]:
+    """argv with "--pair -2,+4" joined to "--pair=-2,+4": argparse would
+    read a value with a leading minus as an option of its own."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in SIGNED_OPTIONS and arg[:1] == "-" \
+                and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     """Run one CLI invocation and return its exit code: 0 pass, 1 a
     verification failed (with a witness), 2 usage or I/O error, 3 any other
     (internal) error, reported on stderr as its traceback and an
     ``internal error:`` line."""
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         # conjecture's --k is a comma list, checked by its handler
         if isinstance(getattr(args, "k", None), int) and args.k < 1:

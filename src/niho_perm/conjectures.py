@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GuardExceededError, NihoPermError, UsageError
 from .field import (CHAR, FieldElement, in_subfield, make_field, norm,
-                    trace, tower_field)
+                    trace, tower_field, wrap_mod)
 from .report import VerificationReport, combine_reports, timed
 from .trinomials import (eval_trinomial, field_values, induced_mu_map,
                          theorem_family, verdicts)
@@ -451,7 +451,7 @@ class _SearchTables:
         img = np.take(self.ctn, np.take(self.a9, u[0][i] + w[0][j])
                       - np.take(self.b9, u[1][i] + w[1][j]))
         img += points
-        img -= self.n * (img >= self.n)
+        wrap_mod(img, self.n)       # the -2n zero marker stays negative
         img.sort(axis=1)
         return (img[:, 0] >= 0) & (img[:, 1:] != img[:, :-1]).all(axis=1)
 

@@ -104,6 +104,23 @@ def power_rows(base: list[int], count: int, f: Sequence[int]) -> np.ndarray:
     return rows
 
 
+_UNSIGNED = {np.dtype(np.int64): np.uint64, np.dtype(np.int32): np.uint32}
+
+
+def wrap_mod(s, n: int) -> np.ndarray:
+    """s mod n, in place, for int64 or int32 sums s of two residues in
+    [0, n).  Viewed unsigned, s - n wraps above s exactly where s < n, so
+    the smaller of the two is the residue: no mask, branch or division.  A
+    negative s (a marker) comes back as s - n, still negative.  A numpy
+    scalar comes back as a new 0-d array.  The unsigned n keeps numpy 1.x
+    from promoting the difference to float64."""
+    s = np.asarray(s)
+    unsigned = _UNSIGNED[s.dtype]
+    u = s.view(unsigned)
+    np.minimum(u, u - unsigned(n), out=u)
+    return s
+
+
 def _psub(a: Sequence[int], b: Sequence[int]) -> list[int]:
     n = max(len(a), len(b))
     return _pstrip([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0))
@@ -410,9 +427,10 @@ class TableKernel:
             lb = np.asarray(lb, dtype=np.int64)
             zero = bool(lb.size) and lb.min() < 0
             if c != 1:
-                scaled = lb + self.logt[c]
-                scaled -= n1 * (scaled >= n1)
-                lb = np.where(lb < 0, -1, scaled) if zero else scaled
+                scaled = wrap_mod(lb + self.logt[c], n1)
+                if zero:
+                    np.copyto(scaled, -1, where=lb < 0)
+                lb = scaled
             if acc is None:
                 acc, acc_zero = lb, zero
                 continue
@@ -422,8 +440,8 @@ class TableKernel:
             if acc_zero:
                 d %= n1                      # lA = -1 can put d at n1
             z = self.zech[d]
-            s = acc + z
-            s = np.where(z < 0, -1, s - n1 * (s >= n1))
+            s = wrap_mod(acc + z, n1)
+            np.copyto(s, -1, where=z < 0)
             if acc_zero:
                 s = np.where(acc < 0, lb, s)
             if zero:

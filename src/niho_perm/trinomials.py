@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardExceededError, UsageError
-from .field import CHAR, FieldElement, FieldParams, tower_field
+from .field import CHAR, FieldElement, FieldParams, tower_field, wrap_mod
 from .report import VerificationReport, timed
 from .residues import parity_admits, resolve_residue
 from .unity import PowerFormMap, unity_group, unity_permutation_report
@@ -125,8 +125,9 @@ def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
     grid = out[1:].reshape(d, m)            # g^L at row L // m, column L % m
     np.add((np.arange(d, dtype=np.int64) * m * e0 % n1)[:, None],
            (j * e0 + h) % n1, out=grid)
-    np.subtract(grid, n1, out=grid, where=grid >= n1)
-    grid[:, h < 0] = -1
+    wrap_mod(grid, n1)
+    if h.min() < 0:
+        grid[:, h < 0] = -1
     return out
 
 

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import PoleError, UsageError
 from .field import (CHAR, FieldElement, FieldParams, TableKernel, _ppowmod,
-                    factorize, power_rows, tower_field)
+                    factorize, power_rows, tower_field, wrap_mod)
 from .report import VerificationReport, combine_reports, timed
 from .residues import parity_admits, resolve_residue
 
@@ -468,7 +468,7 @@ def _power_images(group: UnityGroup, idx: np.ndarray, words: np.ndarray):
         return None, int(idx[zeros[0]])
     # h^(q-1) = g^((q-1) log h) = zeta^(log h mod n)
     logs += idx
-    return logs - group.n * (logs >= group.n), None
+    return wrap_mod(logs, group.n), None
 
 
 def eval_closed_on_unity(map_: ClosedFormMap, group: UnityGroup, indices):

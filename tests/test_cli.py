@@ -94,6 +94,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: bad ")
 
+    @pytest.mark.parametrize("option, value, rest", [
+        ("--pair", "-2,+4", ["--k", "1"]),
+        ("--terms", "-0,+1,+2", ["--k", "1"]),
+        ("--terms", "-2,+1,+3", ["--k", "1", "--format", "text"])])
+    def test_leading_minus_value_reads_as_equals_form(self, capsys, option,
+                                                      value, rest):
+        command = "equivalents" if option == "--pair" else "verify"
+        plain = run_cli(capsys, command, option, value, *rest)
+        joined = run_cli(capsys, command, f"{option}={value}", *rest)
+        assert plain[0] == joined[0] in (1, 2)
+        assert strip_elapsed(plain[1]) == strip_elapsed(joined[1])
+        assert plain[2] == joined[2]
+
+    def test_missing_value_is_still_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["equivalents", "--pair", "--k", "1"])
+        assert exc.value.code == 2
+        assert "--pair: expected one argument" in capsys.readouterr().err
+
     @settings(deadline=None, max_examples=150)
     @given(st.text(max_size=30))
     def test_any_terms_text_never_exits_three(self, text):

@@ -19,7 +19,7 @@ from niho_perm.conjectures import (CONSTRAINTS, ProfileMismatchError,
                                    _quartic_report, _search_chunk,
                                    _search_tables)
 from niho_perm.field import (in_subfield, make_field, norm, tower_field,
-                             trace)
+                             trace, wrap_mod)
 from niho_perm.trinomials import (build_trinomial, induced_mu_map,
                                   is_permutation_exhaustive,
                                   is_permutation_via_criterion, theorem_family)
@@ -371,6 +371,32 @@ class TestSearch:
                         and (sign[h.sign1], sign[h.sign2]) in patterns)
                     got = _search_chunk((k, 0, n, constraint, patterns))
                     assert got == want, (k, constraint, signs)
+
+    def test_zero_marker_survives_the_wrap(self):
+        # ctn is -2n where h = 0: plus a point and wrapped it stays
+        # negative, so a row with a zero of h sorts it first and fails.
+        # At k=1, 10 of the 14 rows with a zero have otherwise distinct
+        # images: only the marker fails them.
+        g = unity_group(tower_field(1))
+        tabs = _search_tables(g)
+        n = int(tabs.n)
+        assert tabs.ctn.min() == -2 * n
+        img = wrap_mod(tabs.ctn.min() + np.arange(n, dtype=np.int32), tabs.n)
+        assert img.dtype == np.int32 and (img < 0).all()
+        s, t = np.divmod(np.arange(n * n), n)
+        every = np.arange(n, dtype=np.int32)
+        i, j = (np.outer(x, every) % n for x in (s, t))
+        zeros = 0
+        for l1, l2 in _patterns_of("all"):
+            distinct = tabs._distinct(tabs.rows(l1)[0], tabs.rows(l2)[0],
+                                      i, j, every)
+            for c in range(n * n):
+                f = build_trinomial(1, [(1, 0), (l1, int(s[c])),
+                                        (l2, int(t[c]))])
+                rep = is_permutation_via_criterion(f)
+                assert distinct[c] == rep.passed, (int(s[c]), int(t[c]))
+                zeros += not rep.passed and rep.witness["type"] == "zero"
+        assert zeros == 14
 
     def test_sample_survivors_that_fail(self):
         # seeded k=4 candidates whose images are distinct and nonzero at

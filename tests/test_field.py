@@ -12,7 +12,10 @@ from niho_perm.errors import (FieldConstructionError, GuardExceededError,
 from niho_perm.field import (PRIMITIVE_MODULI, PolyKernel, make_field,
                              tower_field, frobenius, trace, norm, in_subfield,
                              factorize, power_rows,
-                             trace_power_identity_report, _pmulmod, _pstrip)
+                             trace_power_identity_report, wrap_mod, _pmulmod,
+                             _pstrip)
+from niho_perm.trinomials import build_trinomial, field_values, induced_mu_map
+from niho_perm.unity import eval_power_on_unity, unity_group
 from representation_twin import (bsum, identity_first_failure,
                                  polynomial_twin,
                                  representation_agreement_report)
@@ -420,6 +423,70 @@ class TestLogSum:
                 x, y = f.from_index(int(a[p])), f.from_index(int(b[p]))
                 want = x ** ea * y.inverse() ** 3        # 0^0 = 1
                 assert f.from_index(int(_to_handles(kern, got[p]))) == want
+
+
+class TestWrapMod:
+    """wrap_mod: s mod n for sums of two residues, by an unsigned view."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("n", [1, 2, 24, 5 ** 8 - 1, 2 ** 30 - 1])
+    def test_matches_mod_at_the_edges(self, dtype, n):
+        s = np.array([0, n - 1, n, 2 * n - 1], dtype=dtype)
+        want = s % n
+        got = wrap_mod(s, n)
+        assert got is s                          # in place, same array
+        assert got.dtype == dtype and (got == want).all()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_every_sum_of_two_residues(self, dtype):
+        n = 26
+        a, b = np.divmod(np.arange(n * n, dtype=dtype), dtype(n))
+        assert (wrap_mod(a + b, n) == (a + b) % n).all()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_negative_marker_stays_negative(self, dtype):
+        n = 626
+        s = np.array([-1, -2 * n, -2 * n + n - 1], dtype=dtype)
+        assert (wrap_mod(s.copy(), n) == s - n).all()
+
+    def test_numpy_scalar_gives_a_zero_d_array(self):
+        got = wrap_mod(np.int64(30), 24)
+        assert isinstance(got, np.ndarray) and got.shape == () and got == 6
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_log_sum_of_scalar_logs(self, m):
+        # 2*g^0 + g^5 with both logs scalars: the sum is a 0-d array
+        kern = make_field(m).kernel
+        got = kern.log_sum([(2, 0), (1, 5)])
+        want = kern.logt[kern.add(kern.mul(2, kern.one),
+                                  int(kern.antilog[5]))]
+        assert np.shape(got) == () and got == want
+        cancel = kern.log_sum([(2, 3), (-2, 3)])
+        assert np.shape(cancel) == () and cancel == -1
+
+    def test_log_sum_leaves_its_operands_alone(self):
+        kern = make_field(4).kernel
+        la = np.arange(-1, kern.n1, dtype=np.int64)
+        lb = la[::-1].copy()
+        keep_a, keep_b = la.copy(), lb.copy()
+        kern.log_sum([(1, la), (1, lb), (1, la)])
+        kern.log_sum([(3, la), (1, lb)])
+        assert (la == keep_a).all() and (lb == keep_b).all()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_wrapped_results_stay_int64(self, k):
+        # under numpy 1.x value-based casting, uint64 mixed with an int64
+        # scalar promotes to float64; every wrap site must stay int64
+        f = build_trinomial(k, [(1, 0), (1, 1), (-1, 2)])
+        kern = f.field.kernel
+        assert field_values(f.field, list(zip(
+            (s for s, _ in f.terms), f.exponents))).dtype == np.int64
+        logs = np.arange(kern.n1, dtype=np.int64)
+        assert kern.log_sum([(2, logs), (1, logs[::-1])]).dtype == np.int64
+        group = unity_group(f.field)
+        values, zero = eval_power_on_unity(
+            induced_mu_map(f), group, np.arange(group.n))
+        assert zero is None and values.dtype == np.int64
 
 
 class TestIdentitySuite:

@@ -73,6 +73,7 @@ GOLDEN_COMMANDS = (
     + [["field-info"], ["field-info", "--m", "2", "--modulus", "2,4,1"],
        ["equivalents", "--pair", "+2,-4", "--k", "2"],
        ["equivalents", "--pair", "+2,+4", "--k", "1"],
+       ["equivalents", "--pair", "-2,+4", "--k", "1"],
        ["verify", "--family", "T1", "--k", "2", "--format", "text"],
        ["search", "--k", "2", "--format", "text"],
        ["conjecture", "--id", "1", "--k", "1,3", "--format", "tsv"],
