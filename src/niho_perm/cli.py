@@ -313,16 +313,13 @@ def _render(args, passed: bool, payload: dict, tsv_rows,
     return json.dumps(body, indent=2) + "\n"
 
 
-# Options whose value may start with a minus sign, as in "--pair -2,+4"
-SIGNED_OPTIONS = ("--pair", "--terms")
-
-
 def _join_signed_values(argv) -> list[str]:
-    """argv with "--pair -2,+4" joined to "--pair=-2,+4": argparse would
-    read a value with a leading minus as an option of its own."""
+    """argv with "--pair -2,+4" joined to "--pair=-2,+4", and so for
+    --terms: argparse would read a value with a leading minus as an option
+    of its own."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in SIGNED_OPTIONS and arg[:1] == "-" \
+        if out and out[-1] in ("--pair", "--terms") and arg[:1] == "-" \
                 and arg[:2] != "--":
             out[-1] += "=" + arg
         else:
