@@ -70,7 +70,7 @@ def conjecture1_check(k: int) -> VerificationReport:
     val_logs = kern.log_product(((logs, 1), (num, 2), (den, -2)))
     # permutation over the full field: 0 maps to 0, so nonzero values must
     # be nonzero and pairwise distinct; the duplicate reported is 0 if it
-    # is hit, else the smallest duplicated handle
+    # is hit, else the smallest duplicated element index
     counts = np.bincount(val_logs + 1, minlength=n1 + 1)
     if counts.max() > 1 or counts[0] > 0:
         dup = -1 if counts[0] else int(kern.logt[

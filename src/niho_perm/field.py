@@ -1,11 +1,12 @@
 """Exact arithmetic in GF(5^m) and the quadratic tower GF(5^k) < GF(5^{2k}).
 
-Elements live in the power basis of a validated primitive modulus.  Small
-fields (5^m <= 5^8) get log/antilog/Zech acceleration tables built with
-numpy; larger fields use packed power-basis arithmetic, one 32-bit limb per
-base-5 digit, so that products reduce with whole-integer operations instead
-of per-digit Python loops.  The digit vector is the canonical form either
-way and the two representations are cross-checkable.
+Elements live in the power basis of a validated primitive modulus.  Every
+element is a handle in one format at every m: the packed power basis, one
+32-bit limb per base-5 digit, so that products reduce with whole-integer
+operations instead of per-digit Python loops.  Small fields (5^m <= 5^8)
+also get log/antilog/Zech tables built with numpy, indexed by element
+index (the integer whose base-5 digits are the coordinates); the exhaustive
+sweeps read only those tables.
 """
 
 from __future__ import annotations
@@ -213,8 +214,6 @@ class PolyKernel:
     stays below 81920.
     """
 
-    has_tables = False
-
     def __init__(self, m: int, modulus: Sequence[int]):
         self.m = m
         self.modulus = tuple(modulus)
@@ -310,96 +309,30 @@ class PolyKernel:
 # ---------------------------------------------------------------------------
 # table-accelerated kernel (5^m <= TABLE_LIMIT)
 
-class TableKernel:
-    """Log/antilog/Zech tables over the packed base-5 index representation.
+class TableKernel(PolyKernel):
+    """PolyKernel plus log/antilog/Zech tables over the element index.
 
-    Handles are plain integers in [0, 5^m): the base-5 digits are the power
-    basis coordinates.  Scalar ops are table lookups.  Logs are the only
-    batch form: log_sum/log_product work on whole arrays of logs, as the
-    exhaustive sweeps do.  bmul/badd on arrays of handles are kept only as
+    Handles and scalar ops are PolyKernel's.  The tables are indexed by
+    element index, the integer whose base-5 digits are the power-basis
+    coordinates: antilog[n] is the index of g^n, logt[i] the log of the
+    element of index i (-1 at zero).  Logs are the only batch form:
+    log_sum/log_product work on whole arrays of logs, as the exhaustive
+    sweeps do.  bmul/badd on arrays of element indices are kept only as
     benchmark probe surface.
     """
 
-    has_tables = True
-
     def __init__(self, m: int, modulus: Sequence[int]):
-        self.m = m
-        self.modulus = tuple(modulus)
-        self.order = CHAR ** m
+        super().__init__(m, modulus)
         self.n1 = self.order - 1
         pow5 = CHAR ** np.arange(m, dtype=np.int64)
         ids = power_rows([0, 1], self.n1, modulus).astype(np.int64) @ pow5
-        self.antilog = ids                       # antilog[n] = id of g^n
+        self.antilog = ids                       # antilog[n] = index of g^n
         self.logt = np.full(self.order, -1, dtype=np.int64)
         self.logt[ids] = np.arange(self.n1, dtype=np.int64)
-        # id of g^n + 1: add 1 to the lowest base-5 digit, wrapping 4 to 0
+        # index of g^n + 1: add 1 to the lowest base-5 digit, wrapping 4 to 0
         self.zech = self.logt[ids + 1 - CHAR * (ids % CHAR == CHAR - 1)]
-        self.zero = 0
-        self.one = 1
-        self.generator_handle = int(ids[1]) if self.n1 > 1 else 1
-        self._neg_shift = self.n1 // 2 if self.n1 > 1 else 0
 
-    # -- scalar ops -------------------------------------------------------
-    def from_digits(self, digits: Iterable[int]) -> int:
-        v = 0
-        for i, d in enumerate(digits):
-            v += (int(d) % CHAR) * CHAR ** i
-        return v
-
-    def digits(self, h: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.m):
-            h, d = divmod(h, CHAR)
-            out.append(d)
-        return tuple(out)
-
-    def from_index(self, idx: int) -> int:
-        return idx
-
-    def to_index(self, h: int) -> int:
-        return h
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.antilog[(int(self.logt[a]) + int(self.logt[b]))
-                                % self.n1])
-
-    def add(self, a: int, b: int) -> int:
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        la, lb = int(self.logt[a]), int(self.logt[b])
-        z = int(self.zech[(lb - la) % self.n1])
-        if z < 0:
-            return 0
-        return int(self.antilog[(la + z) % self.n1])
-
-    def neg(self, a: int) -> int:
-        if a == 0 or self.n1 == 1:
-            return 0 if a == 0 else a
-        return int(self.antilog[(int(self.logt[a]) + self._neg_shift)
-                                % self.n1])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("0 has no negative power")
-            return 0
-        return int(self.antilog[(int(self.logt[a]) * (e % self.n1)) % self.n1])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return int(self.antilog[(-int(self.logt[a])) % self.n1])
-
-    # -- batch ops on int64 arrays of handles -------------------------------
+    # -- batch ops on int64 arrays of element indices ---------------------
     def bmul(self, a, b):
         out = self.antilog[(self.logt[a] + self.logt[b]) % self.n1]
         zero = (a == 0) | (b == 0)
@@ -468,7 +401,7 @@ class FieldParams:
     """Immutable description of one realization of GF(5^m).
 
     Holds the validated modulus, the cached generator, the arithmetic kernel
-    (table-backed when 5^m fits the table budget), and, for even m, the
+    (with log tables when 5^m fits the table budget), and, for even m, the
     tower structure GF(5^k) < GF(5^{2k}) with k = m/2.
     """
 
@@ -481,7 +414,7 @@ class FieldParams:
         self.order = CHAR ** m
         self.subfield_degree = m // 2 if m % 2 == 0 else None
         if self.order <= TABLE_LIMIT:
-            self.kernel: TableKernel | PolyKernel = TableKernel(m, modulus)
+            self.kernel: PolyKernel = TableKernel(m, modulus)
         else:
             self.kernel = PolyKernel(m, modulus)
         self.signature = (m, modulus)
@@ -504,7 +437,7 @@ class FieldParams:
 
     @property
     def accel_tables(self) -> TableKernel | None:
-        return self.kernel if self.kernel.has_tables else None
+        return self.kernel if isinstance(self.kernel, TableKernel) else None
 
     @property
     def generator(self) -> "FieldElement":
@@ -577,7 +510,7 @@ class FieldElement:
         return f"<{self.field!r} {self.csv()}>"
 
     def __hash__(self):
-        return hash((self.field.signature, self.index))
+        return hash((self.field.signature, self.handle))
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):

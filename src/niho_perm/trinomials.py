@@ -121,7 +121,7 @@ def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
         [(sign, (j * ((e - e0) % n1)) % n1) for sign, e in abs_terms]), m)
     at_zero = sum(sign for sign, e in abs_terms if e == 0)    # 0^0 = 1
     out = np.empty(field.order, dtype=np.int64)
-    out[0] = kern.logt[kern.from_digits([at_zero])]
+    out[0] = kern.logt[at_zero % CHAR]
     grid = out[1:].reshape(d, m)            # g^L at row L // m, column L % m
     np.add((np.arange(d, dtype=np.int64) * m * e0 % n1)[:, None],
            (j * e0 + h) % n1, out=grid)

@@ -1,10 +1,9 @@
-"""Cross-checks of the log/Zech table kernel: against packed power-basis
+"""Cross-checks of the log/Zech table kernel: its tables against PolyKernel
 arithmetic over the same modulus, the whole-field sweep and the circle sum
 against their digit-row forms, and the coset identity sweep against the
 sweep over every log (test helpers, not collected)."""
 
 import functools
-import itertools
 import random
 
 import numpy as np
@@ -22,10 +21,10 @@ def _digit_rows(m: int) -> np.ndarray:
 
 
 def bsum(kern, terms):
-    """Handles of sum coeff * a over (coeff, handles) pairs, where a may be
-    an array or one handle of a table kernel: GF(5) digit arithmetic on the
-    base-5 indices, reading none of the kernel's tables (the reference for
-    TableKernel.log_sum).  One digit-row gather per term and one reduction
+    """Element indices of sum coeff * a over (coeff, indices) pairs, where a
+    may be an array or one index of a table kernel's field: GF(5) digit
+    arithmetic on the base-5 indices, reading none of the kernel's tables
+    (the reference for TableKernel.log_sum).  One digit-row gather per term and one reduction
     mod 5."""
     rows, pow5 = _digit_rows(kern.m), CHAR ** np.arange(kern.m, dtype=np.int64)
     acc = sum(np.multiply(rows[a], c % CHAR, dtype=np.int16) for c, a in terms)
@@ -33,14 +32,14 @@ def bsum(kern, terms):
 
 
 def digit_row_field_values(field: FieldParams, abs_terms):
-    """trinomials.field_values by digit rows: every power x^e as a handle,
-    summed with bsum (GF(5) digit arithmetic, no Zech table)."""
+    """trinomials.field_values by digit rows: every power x^e as an element
+    index, summed with bsum (GF(5) digit arithmetic, no Zech table)."""
     kern = field.accel_tables
     n1 = kern.n1
     logs = np.arange(n1, dtype=np.int64)
     at_zero = sum(sign for sign, e in abs_terms if e == 0)    # 0^0 = 1
     out = np.empty(field.order, dtype=np.int64)
-    out[0] = kern.from_digits([at_zero])
+    out[0] = at_zero % CHAR
     out[1:] = bsum(kern, [(sign, kern.antilog[(logs * (e % n1)) % n1])
                           for sign, e in abs_terms])
     return out
@@ -91,54 +90,60 @@ def polynomial_twin(field: FieldParams) -> PolyKernel:
 def representation_agreement_report(field: FieldParams,
                                     samples: int = 10_000,
                                     seed: int = 0) -> VerificationReport:
-    """Table arithmetic vs packed power-basis arithmetic on random pairs.
+    """Log/antilog/Zech tables vs PolyKernel arithmetic on ordered pairs.
 
     Exhaustive over all ordered pairs when the field has at most 5^4
-    elements; otherwise a seeded sample of the given size.  Both sides'
-    handles are made once per index, and results compare as indices.
+    elements; otherwise a seeded sample of the given size.  The tables
+    give the index of a*b from logt/antilog and of a + b and a - b from
+    log_sum, over the whole pair array at once; PolyKernel gives each
+    pair's product, sum and difference, read back as indices.  The witness
+    is the first pair in sweep order that disagrees, and its first op.
     """
-    kern = field.kernel
-    if not kern.has_tables:
+    kern = field.accel_tables
+    if kern is None:
         raise UsageError("agreement check applies to table-backed fields")
     twin = polynomial_twin(field)
     if field.order <= CHAR ** 4:
-        ids = range(field.order)
-        pairs = itertools.product(ids, repeat=2)
-        total = field.order ** 2
+        ids = np.arange(field.order, dtype=np.int64)
+        a, b = ids.repeat(field.order), np.tile(ids, field.order)
         method = "exhaustive"
     else:
         rng = random.Random(seed)
-        pairs = [(rng.randrange(field.order), rng.randrange(field.order))
-                 for _ in range(samples)]
-        ids = {i for pair in pairs for i in pair}
-        total = samples
+        a, b = np.array([(rng.randrange(field.order),
+                          rng.randrange(field.order))
+                         for _ in range(samples)], dtype=np.int64).T
         method = f"sampled(seed={seed})"
-    table = {i: kern.from_index(i) for i in ids}
-    poly = {i: twin.from_index(i) for i in ids}
-    poly_index = {h: i for i, h in poly.items()}
+    la, lb = kern.logt[a], kern.logt[b]
+    via_table = (
+        np.where((la < 0) | (lb < 0), -1, (la + lb) % kern.n1),
+        kern.log_sum([(1, la), (1, lb)]),
+        kern.log_sum([(1, la), (-1, lb)]),
+    )
+    handles = {i: twin.from_index(i)
+               for i in set(a.tolist()) | set(b.tolist())}
+    pairs = [(handles[i], handles[j]) for i, j in zip(a.tolist(), b.tolist())]
     # an exhaustive sweep maps every reduced handle; -1 marks any other
     if method == "exhaustive":
+        index_of = {h: i for i, h in handles.items()}
+
         def to_index(h):
-            return poly_index.get(h, -1)
+            return index_of.get(h, -1)
     else:
         to_index = twin.to_index
-    checked = 0
-    for ia, ib in pairs:
-        a_t, b_t, a_p, b_p = table[ia], table[ib], poly[ia], poly[ib]
-        ops = (
-            ("mul", kern.mul(a_t, b_t), twin.mul(a_p, b_p)),
-            ("add", kern.add(a_t, b_t), twin.add(a_p, b_p)),
-            ("sub", kern.sub(a_t, b_t), twin.sub(a_p, b_p)),
-        )
-        for name, via_table, via_poly in ops:
-            if kern.to_index(via_table) != to_index(via_poly):
-                return VerificationReport(
-                    subject=f"representation agreement over {field!r}",
-                    method=method, passed=False,
-                    witness={"type": "representation_mismatch", "op": name,
-                             "a": str(ia), "b": str(ib)},
-                    counts={"pairs": total})
-        checked += 1
-    return VerificationReport(
-        subject=f"representation agreement over {field!r}",
-        method=method, passed=True, counts={"pairs": checked})
+    names = ("mul", "add", "sub")
+    bad = np.array([
+        np.where(logs < 0, 0, kern.antilog[logs])
+        != np.array([to_index(op(x, y)) for x, y in pairs])
+        for logs, op in zip(via_table, (twin.mul, twin.add, twin.sub))])
+    subject = f"representation agreement over {field!r}"
+    hit = np.flatnonzero(bad.any(axis=0))
+    if hit.size:
+        p = int(hit[0])
+        return VerificationReport(
+            subject=subject, method=method, passed=False,
+            witness={"type": "representation_mismatch",
+                     "op": names[int(np.argmax(bad[:, p]))],
+                     "a": str(a[p]), "b": str(b[p])},
+            counts={"pairs": a.size})
+    return VerificationReport(subject=subject, method=method, passed=True,
+                              counts={"pairs": a.size})

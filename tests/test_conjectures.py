@@ -47,10 +47,10 @@ class TestConjecture1:
         for k in (1, 3):
             f = make_field(k)
             logt = f.accel_tables.logt
-            squares = {(x * x).handle for x in f.elements() if not x.is_zero}
+            squares = {(x * x).index for x in f.elements() if not x.is_zero}
             assert all((h in squares) == (logt[h] % 2 == 0)
                        for h in range(1, f.order))
-            assert [logt[f.scalar(c).handle] % 2
+            assert [logt[f.scalar(c).index] % 2
                     for c in (1, 4, 2)] == [0, 0, 1]
 
     @pytest.mark.parametrize("k", [1, 3, 5])

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from niho_perm import field as field_mod
 from niho_perm.errors import (FieldConstructionError, GuardExceededError,
                               UsageError)
-from niho_perm.field import (PRIMITIVE_MODULI, PolyKernel, make_field,
-                             tower_field, frobenius, trace, norm, in_subfield,
-                             factorize, power_rows,
+from niho_perm.field import (PRIMITIVE_MODULI, PolyKernel, TableKernel,
+                             make_field, tower_field, frobenius, trace, norm,
+                             in_subfield, factorize, power_rows,
                              trace_power_identity_report, wrap_mod, _pmulmod,
                              _pstrip)
 from niho_perm.trinomials import build_trinomial, field_values, induced_mu_map
@@ -159,6 +159,13 @@ class TestArithmetic:
         assert hash(w) == hash(gf25.from_csv("0,1"))
         assert w != gf25.one
         assert gf25.scalar(7) == 2
+        for m in (4, 10):                      # a table field and a larger one
+            f = make_field(m)
+            x = f.generator ** 7
+            y = f.from_csv(x.csv())
+            assert x == y and hash(x) == hash(y)
+            assert len({f.from_index(i) for i in range(50)}
+                       | {f.from_index(i) for i in range(25, 75)}) == 75
 
     def test_int_coercion(self, gf25):
         w = gf25.generator
@@ -275,7 +282,9 @@ class TestBatchSum:
         a = np.arange(25).repeat(25)
         b = np.tile(np.arange(25), 25)
         got = kern.badd(a, b)
-        assert [kern.add(int(x), int(y)) for x, y in zip(a, b)] == got.tolist()
+        assert [kern.to_index(kern.add(kern.from_index(int(x)),
+                                       kern.from_index(int(y))))
+                for x, y in zip(a, b)] == got.tolist()
         assert (got == bsum(kern, ((1, a), (1, b)))).all()
 
     def test_badd_matches_scalar_add_m8(self):
@@ -283,9 +292,11 @@ class TestBatchSum:
         rng = np.random.default_rng(8)
         a, b = (rng.integers(0, kern.order, 2000) for _ in range(2))
         a[:50], b[50:100], b[100:150] = 0, 0, a[100:150]
-        b[150:200] = [kern.neg(int(x)) for x in a[150:200]]   # sums to 0
+        b[150:200] = [kern.to_index(kern.neg(kern.from_index(int(x))))
+                      for x in a[150:200]]                    # sums to 0
         got = kern.badd(a, b)
-        assert got.tolist() == [kern.add(int(x), int(y))
+        assert got.tolist() == [kern.to_index(kern.add(kern.from_index(int(x)),
+                                                       kern.from_index(int(y))))
                                 for x, y in zip(a, b)]
         assert kern.badd(0, 0) == 0
 
@@ -333,11 +344,11 @@ class TestTableBuild:
         assert peak <= 32e6, f"TableKernel(8) build peak {peak} B"
 
 
-def _to_logs(kern, handles):
-    return kern.logt[handles]                  # logt[0] = -1
+def _to_logs(kern, indices):
+    return kern.logt[indices]                  # logt[0] = -1
 
 
-def _to_handles(kern, logs):
+def _to_indices(kern, logs):
     return np.where(logs < 0, 0, kern.antilog[logs])
 
 
@@ -356,7 +367,7 @@ class TestLogSum:
         terms = list(zip(coeffs, arrays)) + [(3, kern.one)]
         got = kern.log_sum([(c, _to_logs(kern, a)) for c, a in terms[:5]]
                            + [(3, 0)])             # a scalar log term
-        assert (_to_handles(kern, got) == bsum(kern, terms)).all()
+        assert (_to_indices(kern, got) == bsum(kern, terms)).all()
 
     @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
     def test_single_terms_and_coefficients(self, m):
@@ -364,7 +375,7 @@ class TestLogSum:
         a = np.arange(kern.order)
         for c in range(-5, 6):
             got = kern.log_sum([(c, _to_logs(kern, a))])
-            assert (_to_handles(kern, got) == bsum(kern, [(c, a)])).all()
+            assert (_to_indices(kern, got) == bsum(kern, [(c, a)])).all()
 
     @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
     def test_sum_that_cancels(self, m):
@@ -386,7 +397,7 @@ class TestLogSum:
         a = np.arange(25).repeat(25)
         b = np.tile(np.arange(25), 25)
         got = kern.log_sum([(1, _to_logs(kern, a)), (1, _to_logs(kern, b))])
-        assert (_to_handles(kern, got) == bsum(kern, ((1, a), (1, b)))).all()
+        assert (_to_indices(kern, got) == bsum(kern, ((1, a), (1, b)))).all()
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     @pytest.mark.parametrize("size", [None, 1, 6])
@@ -406,7 +417,7 @@ class TestLogSum:
                                 for c, a in zip(coeffs, handles)])
             want = bsum(kern, list(zip(coeffs.tolist(), handles)))
             assert np.shape(got) == np.shape(want)
-            assert (_to_handles(kern, got) == want).all()
+            assert (_to_indices(kern, got) == want).all()
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_log_product_matches_element_arithmetic(self, m):
@@ -422,7 +433,7 @@ class TestLogSum:
             for p in range(200):
                 x, y = f.from_index(int(a[p])), f.from_index(int(b[p]))
                 want = x ** ea * y.inverse() ** 3        # 0^0 = 1
-                assert f.from_index(int(_to_handles(kern, got[p]))) == want
+                assert f.from_index(int(_to_indices(kern, got[p]))) == want
 
 
 class TestWrapMod:
@@ -452,8 +463,9 @@ class TestWrapMod:
         # 2*g^0 + g^5 with both logs scalars: the sum is a 0-d array
         kern = make_field(m).kernel
         got = kern.log_sum([(2, 0), (1, 5)])
-        want = kern.logt[kern.add(kern.mul(2, kern.one),
-                                  int(kern.antilog[5]))]
+        want = kern.logt[kern.to_index(kern.add(
+            kern.mul(kern.from_index(2), kern.one),
+            kern.from_index(int(kern.antilog[5]))))]
         assert np.shape(got) == () and got == want
         cancel = kern.log_sum([(2, 3), (-2, 3)])
         assert np.shape(cancel) == () and cancel == -1
@@ -607,6 +619,41 @@ class TestRepresentations:
                                               seed=0)
         assert rep.passed
         assert rep.counts["pairs"] == 10_000
+
+    def test_agreement_sampled_m8(self):
+        rep = representation_agreement_report(make_field(8), samples=10_000,
+                                              seed=0)
+        assert rep.passed
+        assert rep.counts["pairs"] == 10_000
+
+    def test_agreement_catches_a_corrupted_antilog_entry(self):
+        # a fresh, uncached field, so the corruption reaches no other test
+        f = field_mod.FieldParams(2, PRIMITIVE_MODULI[2],
+                                  _token=field_mod._FIELD_TOKEN)
+        kern = f.kernel
+        g7 = int(kern.antilog[7])
+        kern.antilog[7] = kern.antilog[8]
+        rep = representation_agreement_report(f)
+        assert not rep.passed
+        # first in sweep order: 0 + g^7 reads its log back through antilog
+        assert rep.witness == {"type": "representation_mismatch", "op": "add",
+                               "a": "0", "b": str(g7)}
+
+    @pytest.mark.parametrize("m", [4, 8, 9, 10])
+    def test_one_handle_format(self, m):
+        # PolyKernel handles at every m; up to m = 8 the field also carries
+        # tables, indexed by element index
+        f = make_field(m)
+        twin = PolyKernel(m, PRIMITIVE_MODULI[m])
+        rng = np.random.default_rng(m)
+        for d in rng.integers(0, 5, (50, m)).tolist():
+            assert f.from_digits(d).handle == twin.from_digits(d)
+        kern = f.accel_tables
+        assert isinstance(kern, TableKernel) == (m <= 8)
+        if kern is not None:
+            logs = rng.integers(0, kern.n1, 50).tolist() + [0, kern.n1 - 1]
+            for log in logs:
+                assert kern.antilog[log] == (f.generator ** log).index
 
     @pytest.mark.parametrize("m", [2, 5, 10, 12])
     def test_poly_kernel_against_dense_reference(self, m):

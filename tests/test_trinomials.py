@@ -137,9 +137,9 @@ class TestExhaustiveOracle:
         vanishing = [(1, 1), (2, 2 * (q - 1) + 1), (2, q * (q - 1) + 1)]
         cases.append(vanishing)
         for terms in cases:
-            handles = digit_row_field_values(field, terms)
+            indices = digit_row_field_values(field, terms)
             assert (field_values(field, terms)
-                    == field.kernel.logt[handles]).all(), terms
+                    == field.kernel.logt[indices]).all(), terms
         assert (field_values(field, vanishing) < 0).sum() >= q
 
     @pytest.mark.parametrize("k", [3, 4])

@@ -67,7 +67,7 @@ def assert_p1_logs_replay(g):
     for x, y, log in zip(a.tolist(), b.tolist(), logs.tolist()):
         elem = [field.zero, field.zero]
         for pos, idx in enumerate((x, y)):
-            for j, d in enumerate(sub.digits(idx)):
+            for j, d in enumerate(sub.digits(sub.from_index(idx))):
                 elem[pos] = elem[pos] + d * big_g ** j
         value = elem[0] + elem[1] * omega
         if value.is_zero:
