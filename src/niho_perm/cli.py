@@ -19,7 +19,7 @@ import time
 import traceback
 
 from .errors import NihoPermError, UsageError
-from .field import PRIMITIVE_MODULI, make_field, \
+from .field import PRIMITIVE_MODULI, TableKernel, make_field, \
     trace_power_identity_report
 from .report import combine_reports
 from .residues import parse_signed_residue
@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma1", help="power-trace identity sweep")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--force", action="store_true")
     add_common(p, _cmd_lemma1)
 
     p = sub.add_parser("mu-check", help="does a named map permute the circle")
@@ -145,13 +144,13 @@ def _cmd_field_info(args):
         "modulus": ",".join(str(c) for c in fld.modulus),
         "generator": fld.generator.csv(),
         "subfield_degree": fld.subfield_degree,
-        "accel_tables": fld.accel_tables is not None,
+        "accel_tables": isinstance(fld.kernel, TableKernel),
     }
     return True, payload, None
 
 
 def _cmd_lemma1(args):
-    rep = trace_power_identity_report(args.k, force=args.force)
+    rep = trace_power_identity_report(args.k)
     return rep.passed, {"k": args.k, "report": rep.as_dict()}, None
 
 

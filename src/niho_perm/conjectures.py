@@ -29,7 +29,6 @@ from .trinomials import (eval_trinomial, field_values, induced_mu_map,
 from .unity import (build_map, maps_agree_report, pointwise_agreement_report,
                     unity_group)
 
-SUBFIELD_SWEEP_GUARD_K = 8      # GF(5^k) itself: the table limit is 5^8
 SEARCH_GUARD_K = 4
 
 
@@ -49,9 +48,6 @@ def conjecture1_check(k: int) -> VerificationReport:
     """Exhaustive permutation and square-class stability sweep on GF(5^k)."""
     if k % 2 == 0:
         raise UsageError(f"the subfield map claim needs odd k (got {k})")
-    if k > SUBFIELD_SWEEP_GUARD_K:
-        raise GuardExceededError(
-            f"subfield sweep guarded at k <= {SUBFIELD_SWEEP_GUARD_K}")
     field = make_field(k)
     kern = field.accel_tables
     subject = f"x*((x^2-x+2)/(x^2+x+2))^2 permutes GF(5^{k})"
@@ -62,10 +58,9 @@ def conjecture1_check(k: int) -> VerificationReport:
     den = kern.log_sum(((1, sq), (1, logs), (2, 0)))
     poles = np.nonzero(den < 0)[0]
     if poles.size:
-        x = field.from_index(int(kern.antilog[poles[0]]))
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
-            witness={"type": "pole", "x": x.csv()},
+            witness={"type": "pole", "x": field.from_log(poles[0]).csv()},
             counts={"elements": field.order})
     val_logs = kern.log_product(((logs, 1), (num, 2), (den, -2)))
     # permutation over the full field: 0 maps to 0, so nonzero values must
@@ -77,19 +72,19 @@ def conjecture1_check(k: int) -> VerificationReport:
             kern.antilog[np.nonzero(counts[1:] > 1)[0]].min()])
         positions = np.nonzero(val_logs == dup)[0][:2]
         wit = {"type": "collision",
-               "x1": field.from_index(int(kern.antilog[positions[0]])).csv(),
-               "x2": field.from_index(int(kern.antilog[positions[-1]])).csv()
-               if positions.size > 1 else field.zero.csv()}
+               "x1": field.from_log(positions[0]).csv(),
+               "x2": field.from_log(positions[-1] if positions.size > 1
+                                    else -1).csv()}
         return VerificationReport(subject=subject, method="exhaustive",
                                   passed=False, witness=wit,
                                   counts={"elements": field.order})
     # square-class stability: squares sit at even logs, twice-squares at odd
     escape = np.nonzero((logs % 2) != (val_logs % 2))[0]
     if escape.size:
-        x = field.from_index(int(kern.antilog[escape[0]]))
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
-            witness={"type": "class_escape", "x": x.csv()},
+            witness={"type": "class_escape",
+                     "x": field.from_log(escape[0]).csv()},
             counts={"elements": field.order})
     return VerificationReport(
         subject=subject, method="exhaustive", passed=True,
@@ -125,15 +120,13 @@ class TraceNormProfile:
     gamma: FieldElement      # alpha^2/beta
 
 
-def profile_of(x: FieldElement, family: str = "P1") -> TraceNormProfile:
-    """Compute the profile both directly and by the closed formulas.
+def profile_of(x: FieldElement) -> TraceNormProfile:
+    """Compute x's family-P1 profile both directly and by the closed formulas.
 
     The two routes must agree and gamma must equal
     -r*((r^2-r+2)/(r^2+r+2))^2; any mismatch raises ProfileMismatchError
     with the witness point.
     """
-    if family != "P1":
-        raise UsageError(f"profiles are defined for family P1, not {family!r}")
     field = x.field
     k = field.subfield_degree
     if k is None or k % 2 == 0:
@@ -176,7 +169,7 @@ def profile_of(x: FieldElement, family: str = "P1") -> TraceNormProfile:
 
 def _p1_image_off_subfield(field):
     """Logs of every x outside GF(5^k) (x^q != x), and the log of the
-    family-P1 image f(x) at each, -1 for zero.  Needs acceleration tables."""
+    family-P1 image f(x) at each, -1 for zero."""
     n1 = field.order - 1
     logs = np.arange(n1, dtype=np.int64)
     off = logs[(logs * field.q) % n1 != logs]
@@ -195,8 +188,6 @@ def profile_sweep_report(k: int, *, image=None) -> VerificationReport:
         raise UsageError(f"the profile chain needs odd k (got {k})")
     field = tower_field(k)
     kern = field.accel_tables
-    if kern is None:
-        raise UsageError("profile sweep needs acceleration tables (k <= 4)")
     q = field.q
     n1 = kern.n1
     subject = f"trace/norm profile chain over GF(5^{2*k}) minus GF(5^{k})"
@@ -206,8 +197,7 @@ def profile_sweep_report(k: int, *, image=None) -> VerificationReport:
         bad = int(np.nonzero(mask)[0][0])
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
-            witness={"type": kind, "x": field.from_index(
-                int(kern.antilog[off[bad]])).csv()},
+            witness={"type": kind, "x": field.from_log(off[bad]).csv()},
             counts={"points": off.size})
 
     if np.any(lf < 0):
@@ -250,8 +240,6 @@ def subfield_stability_report(k: int, *, image=None) -> VerificationReport:
         raise UsageError(f"stability fact needs odd k (got {k})")
     field = tower_field(k)
     kern = field.accel_tables
-    if kern is None:
-        raise UsageError("stability sweep needs acceleration tables (k <= 4)")
     q = field.q
     n1 = kern.n1
     subject = f"P1 maps GF(5^{2*k}) minus GF(5^{k}) into itself"
@@ -259,10 +247,10 @@ def subfield_stability_report(k: int, *, image=None) -> VerificationReport:
     in_sub = (lf < 0) | ((lf * q) % n1 == lf)
     if np.any(in_sub):
         bad = int(np.nonzero(in_sub)[0][0])
-        x = field.from_index(int(kern.antilog[off[bad]]))
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
-            witness={"type": "subfield_image", "x": x.csv()},
+            witness={"type": "subfield_image",
+                     "x": field.from_log(off[bad]).csv()},
             counts={"points": off.size})
     return VerificationReport(subject=subject, method="exhaustive",
                               passed=True, counts={"points": off.size})

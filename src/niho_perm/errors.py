@@ -14,7 +14,7 @@ class UsageError(NihoPermError):
 
 
 class GuardExceededError(UsageError):
-    """A size guard was exceeded (only lemma1 and search take --force)."""
+    """A size guard was exceeded (only search takes --force)."""
 
 
 class FieldConstructionError(NihoPermError):

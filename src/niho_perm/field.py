@@ -436,8 +436,15 @@ class FieldParams:
         return CHAR ** self.subfield_degree
 
     @property
-    def accel_tables(self) -> TableKernel | None:
-        return self.kernel if isinstance(self.kernel, TableKernel) else None
+    def accel_tables(self) -> TableKernel:
+        """The log/antilog/Zech tables that every whole-field sweep reads.
+        Only fields of at most TABLE_LIMIT = 5^8 elements have them; any
+        other field raises GuardExceededError naming it."""
+        if not isinstance(self.kernel, TableKernel):
+            raise GuardExceededError(
+                f"{self!r} has no log tables (fields of at most 5^8 elements "
+                f"have them: k <= 4 for GF(5^2k))")
+        return self.kernel
 
     @property
     def generator(self) -> "FieldElement":
@@ -467,6 +474,13 @@ class FieldParams:
         if not 0 <= idx < self.order:
             raise UsageError("element index out of range")
         return FieldElement(self, self.kernel.from_index(idx))
+
+    def from_log(self, log: int) -> "FieldElement":
+        """g^log, read from the log tables; a negative log, the tables'
+        mark for zero, gives zero."""
+        if log < 0:
+            return self.zero
+        return self.from_index(int(self.accel_tables.antilog[log]))
 
     def elements(self) -> Iterator["FieldElement"]:
         for idx in range(self.order):
@@ -645,12 +659,8 @@ TRACE_POWER_IDENTITIES: tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
 )
 
 
-IDENTITY_GUARD_K = 3
-
-
 @timed
-def trace_power_identity_report(k: int,
-                                force: bool = False) -> VerificationReport:
+def trace_power_identity_report(k: int) -> VerificationReport:
     """Check all five Tr(x^e)-in-(Tr, N) identities over every x in GF(5^{2k}).
 
     Every identity is homogeneous, a + 2b = e in each term: for lambda in
@@ -662,17 +672,8 @@ def trace_power_identity_report(k: int,
     whole field and finds the same first failing x = g^L as a sweep over
     every log would.
     """
-    if k < 1:
-        raise UsageError("k must be >= 1")
-    if k > IDENTITY_GUARD_K and not force:
-        raise GuardExceededError(
-            f"exhaustive identity sweep guarded at k <= {IDENTITY_GUARD_K}; "
-            f"pass force to override")
     field = tower_field(k)
     kern = field.accel_tables
-    if kern is None:
-        raise UsageError(
-            "exhaustive identity sweep needs acceleration tables (k <= 4)")
     q = field.q
     n1 = kern.n1
     logs = np.arange(q + 1, dtype=np.int64)      # one x per GF(q)* coset
@@ -696,10 +697,10 @@ def trace_power_identity_report(k: int,
                             for coeff, a_exp, b_exp in terms])
         bad = np.nonzero(lhs != rhs)[0]
         if bad.size:
-            x = field.from_index(int(kern.antilog[bad[0]]))
             return VerificationReport(
                 subject=subject, method="exhaustive", passed=False,
-                witness={"type": "identity_mismatch", "power": e, "x": x.csv()},
+                witness={"type": "identity_mismatch", "power": e,
+                         "x": field.from_log(bad[0]).csv()},
                 counts={"elements": field.order, "identities": 5})
     return VerificationReport(
         subject=subject, method="exhaustive", passed=True,

@@ -100,7 +100,8 @@ def eval_trinomial(f: NihoTrinomial, x: FieldElement) -> FieldElement:
 
 def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
     """Logs of sum sign * x^e over every field element, -1 where the sum is
-    zero, in index order [0, g^0, g^1, ...].  Requires acceleration tables.
+    zero, in index order [0, g^0, g^1, ...], read from the field's log
+    tables (FieldParams.accel_tables).
 
     With d = gcd(n1, e - e0 over the terms), e0 the first exponent, the sum
     is x^e0 * H(x^d): H is taken by Zech steps once per coset of the
@@ -109,9 +110,6 @@ def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
     n1/d <= q + 1; unrelated exponents give d = 1, a sweep of every log.
     """
     kern = field.accel_tables
-    if kern is None:
-        raise UsageError(
-            "exhaustive evaluation needs acceleration tables (k <= 4)")
     n1 = kern.n1
     e0 = abs_terms[0][1] % n1 if abs_terms else 0
     d = math.gcd(n1, *(e - e0 for _, e in abs_terms))
@@ -131,13 +129,6 @@ def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
     return out
 
 
-def _element_at_position(field: FieldParams, pos: int) -> FieldElement:
-    kern = field.accel_tables
-    if pos == 0:
-        return field.zero
-    return field.from_index(int(kern.antilog[pos - 1]))
-
-
 @timed
 def exhaustive_permutation_report(field: FieldParams,
                                   abs_terms: Sequence[tuple[int, int]],
@@ -154,8 +145,8 @@ def exhaustive_permutation_report(field: FieldParams,
     dup_index = np.where(dup < 0, 0, kern.antilog[dup])
     first = int(np.argmin(dup_index))
     positions = np.flatnonzero(vals == dup[first])[:2]
-    x1 = _element_at_position(field, int(positions[0]))
-    x2 = _element_at_position(field, int(positions[1]))
+    # position p holds x = g^(p - 1), and position 0 holds zero
+    x1, x2 = (field.from_log(p - 1) for p in positions)
     return VerificationReport(
         subject=subject, method="exhaustive", passed=False,
         witness={"type": "collision", "x1": x1.csv(), "x2": x2.csv(),
@@ -291,10 +282,6 @@ def oracle_agreement_report(k: int, samples: int,
     if samples < 1:
         raise UsageError(f"agreement run needs at least one sample "
                          f"(got {samples})")
-    if k > EXHAUSTIVE_GUARD_K:
-        raise GuardExceededError(
-            f"agreement run needs the exhaustive oracle (k <= "
-            f"{EXHAUSTIVE_GUARD_K})")
     rng = random.Random(seed)
     agreements = 0
     for idx in range(samples):

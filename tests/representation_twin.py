@@ -8,7 +8,6 @@ import random
 
 import numpy as np
 
-from niho_perm.errors import UsageError
 from niho_perm.field import CHAR, FieldParams, PolyKernel, tower_field
 from niho_perm.report import VerificationReport, timed
 
@@ -77,7 +76,7 @@ def identity_first_failure(k: int, identities):
                             for c, a, b in terms])
         bad = np.flatnonzero(tr_of_power(e) != rhs)
         if bad.size:
-            return e, field.from_index(int(kern.antilog[bad[0]])).csv()
+            return e, field.from_log(bad[0]).csv()
     return None
 
 
@@ -100,8 +99,6 @@ def representation_agreement_report(field: FieldParams,
     is the first pair in sweep order that disagrees, and its first op.
     """
     kern = field.accel_tables
-    if kern is None:
-        raise UsageError("agreement check applies to table-backed fields")
     twin = polynomial_twin(field)
     if field.order <= CHAR ** 4:
         ids = np.arange(field.order, dtype=np.int64)

@@ -56,9 +56,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--terms", "+0,+1,+2", "--k", "5", "--force"],
-        ["table1", "--k", "5", "--force"]])
+        ["table1", "--k", "5", "--force"],
+        ["lemma1", "--k", "4", "--force"]])
     def test_removed_force_flags_are_usage_errors(self, capsys, argv):
-        # the oracle needs tables at k <= 4, so --force could only fail
+        # these commands are limited only by the log tables at k <= 4, so
+        # --force could only fail
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -117,11 +117,6 @@ class TestProfileChain:
         with pytest.raises(UsageError, match="odd"):
             profile_of(f.generator)
 
-    def test_unknown_family(self):
-        f = tower_field(1)
-        with pytest.raises(UsageError):
-            profile_of(f.generator, family="T1")
-
     @pytest.mark.parametrize("k", [1, 3])
     def test_sweep(self, k):
         rep = profile_sweep_report(k)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from niho_perm import field as field_mod
+from niho_perm.conjectures import (conjecture1_check, profile_sweep_report,
+                                   subfield_stability_report)
 from niho_perm.errors import (FieldConstructionError, GuardExceededError,
                               UsageError)
 from niho_perm.field import (PRIMITIVE_MODULI, PolyKernel, TableKernel,
@@ -250,7 +252,8 @@ class TestTower:
 
     def test_poly_kernel_frobenius_involution(self):
         f = tower_field(5)      # m = 10, no tables
-        assert f.accel_tables is None
+        with pytest.raises(GuardExceededError, match=r"GF\(5\^10\)"):
+            f.accel_tables
         import random
         rng = random.Random(11)
         for _ in range(20):
@@ -516,9 +519,10 @@ class TestIdentitySuite:
             assert trace(x) ** 2 - 2 * norm(x) == gf25.scalar(2 * c * c)
 
     def test_guard(self):
+        # the table limit is the sweep's only limit: k = 4 runs unforced
+        assert trace_power_identity_report(4).passed
         with pytest.raises(GuardExceededError):
-            trace_power_identity_report(4)
-        assert trace_power_identity_report(4, force=True).passed
+            trace_power_identity_report(5)
 
     @pytest.mark.parametrize("which", range(5))
     def test_corrupted_identity_witness_is_first_failure(self, monkeypatch,
@@ -607,6 +611,25 @@ class TestIdentitySuite:
                                      + 2 * nm ** 2 * t ** 5)
 
 
+class TestTableGuard:
+    """FieldParams.accel_tables is the one table guard: every whole-field
+    sweep refuses a field without log tables with one error naming it."""
+
+    @pytest.mark.parametrize("sweep, name", [
+        (lambda: field_values(tower_field(5), [(1, 1)]), "GF(5^10)"),
+        (lambda: trace_power_identity_report(5), "GF(5^10)"),
+        (lambda: profile_sweep_report(5), "GF(5^10)"),
+        (lambda: subfield_stability_report(5), "GF(5^10)"),
+        (lambda: conjecture1_check(9), "GF(5^9)"),
+        (lambda: conjecture1_check(11), "GF(5^11)"),
+    ], ids=["field_values", "lemma1", "profile_sweep", "subfield_stability",
+            "conjecture1_k9", "conjecture1_k11"])
+    def test_every_sweep_refuses_a_field_without_tables(self, sweep, name):
+        with pytest.raises(GuardExceededError) as exc:
+            sweep()
+        assert str(exc.value).startswith(f"{name} has no log tables")
+
+
 class TestRepresentations:
     def test_agreement_exhaustive_small(self):
         for m in (1, 2, 3, 4):
@@ -648,12 +671,14 @@ class TestRepresentations:
         rng = np.random.default_rng(m)
         for d in rng.integers(0, 5, (50, m)).tolist():
             assert f.from_digits(d).handle == twin.from_digits(d)
-        kern = f.accel_tables
+        kern = f.kernel
         assert isinstance(kern, TableKernel) == (m <= 8)
-        if kern is not None:
+        if m <= 8:
             logs = rng.integers(0, kern.n1, 50).tolist() + [0, kern.n1 - 1]
             for log in logs:
                 assert kern.antilog[log] == (f.generator ** log).index
+                assert f.from_log(log) == f.generator ** log
+        assert f.from_log(-1).is_zero
 
     @pytest.mark.parametrize("m", [2, 5, 10, 12])
     def test_poly_kernel_against_dense_reference(self, m):
