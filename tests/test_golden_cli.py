@@ -47,7 +47,7 @@ GOLDEN_COMMANDS = (
     + [["conjecture", "--id", "1", "--k", "1,3,5,7"],
        ["conjecture", "--id", "2", "--k", "2,4,6"]]
     + [["lemma1", "--k", str(k)] for k in (1, 2, 3, 4)]
-    + [["lemma1", "--k", "4", "--force"]]
+    + [["lemma1", "--k", "5"]]
     + [["oracle-compare", "--k", str(k), "--samples", "40"]
        for k in (1, 2, 3)]
     + [["oracle-compare", "--k", "4", "--samples", "20", "--seed", "4"],
