@@ -607,7 +607,8 @@ def make_field(m: int, modulus_override: Sequence[int] | str | None = None
     primitive; validation failures name the failing check.
     """
     if not isinstance(m, int) or not 1 <= m <= MAX_DEGREE:
-        raise UsageError(f"degree m must be an integer in 1..{MAX_DEGREE}")
+        raise UsageError(
+            f"degree m must be an integer in 1..{MAX_DEGREE} (got {m!r})")
     if modulus_override is None:
         return _make_field_cached(m, PRIMITIVE_MODULI[m])
     digits = (modulus_override.split(",") if isinstance(modulus_override, str)

@@ -65,7 +65,7 @@ class TestConstruction:
     def test_degree_out_of_range(self):
         with pytest.raises(UsageError):
             make_field(0)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"\(got 13\)"):
             make_field(13)
 
     def test_csv_override(self):
