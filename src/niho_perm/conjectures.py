@@ -396,6 +396,22 @@ class _SearchTables:
     both signs, since -zeta^(si) = zeta^((s + n/2)i) at odd i, but they
     screen worse: of the 8,001 k=3 "++" candidates with t >= s, 785
     survive them against 174 here (112 are hits).
+
+    A block's intermediates go to four int32 buffers of SEARCH_BLOCK
+    entries that the tables keep (np.take with out=, +=, and wrap_mod in
+    place), so no block allocates an array of its own size.  Blocks that
+    allocated and freed arrays of about 128 KiB let glibc's malloc trim and
+    regrow the heap around every block unless an earlier large free had
+    raised its trim threshold: in a process that had built no field
+    tables, a k=3 "++" square search took about 1,300 minor page faults
+    and 35% more time.  The takes are unbuffered (mode="clip"), since
+    np.take with out= and the default mode="raise" still allocates a
+    buffer for its output.  No index is ever clipped: the build checks
+    that a9 - b9 lies in ctn and that each packed half is at most
+    (9^k - 1)/2, so two of them sum below 9^k; each chunk checks that its
+    s and t lie in [0, n); and the exponents s*i are reduced mod n before
+    they index a row.  The buffers make one table object single-threaded;
+    the search's workers are processes.
     """
 
     def __init__(self, group):
@@ -404,6 +420,7 @@ class _SearchTables:
         self.n = np.int32(n)        # the kernel's arithmetic stays in int32
         m = min(n, math.isqrt(16 * n))
         self.points = (np.arange(m) * n // m).astype(np.int32)
+        self.every = np.arange(n, dtype=np.int32)
         # the GF(q) index of each of the 9^k packed values
         red = np.zeros(1, dtype=np.int64)
         for j in range(k):
@@ -411,6 +428,20 @@ class _SearchTables:
         self.a9 = group.la[red - red % CHAR + (red + 1) % CHAR].astype(np.int32)
         self.b9 = group.lb[red].astype(np.int32)
         self.ctn = np.where(group.ctn < 0, -2 * n, group.ctn).astype(np.int32)
+        # the packed halves of sign*zeta^j for j in Z/n
+        place = 9 ** np.arange(k, dtype=np.int32)
+        self.halves = {}
+        for sign in (1, -1):
+            digits = group.coords * np.int8(sign) % CHAR
+            self.halves[sign] = tuple(digits[:, h:h + k] @ place
+                                      for h in (0, k))
+        packed = np.concatenate([x for pair in self.halves.values()
+                                 for x in pair])
+        if not (self.a9.min() - self.b9.max() >= 0
+                and self.a9.max() - self.b9.min() < self.ctn.size
+                and packed.min() >= 0 and 2 * packed.max() < self.a9.size):
+            raise IndexError("search table index out of range")
+        self._bufs = np.empty((4, max(SEARCH_BLOCK, n)), dtype=np.int32)
         self._rows: dict[int, tuple] = {}
 
     def rows(self, sign):
@@ -418,10 +449,7 @@ class _SearchTables:
         sign*zeta^(j*i) at the stride points i (row j), built on first use,
         a block of rows at a time."""
         if sign not in self._rows:
-            k = self.group.k
-            digits = self.group.coords * np.int8(sign) % CHAR
-            place = 9 ** np.arange(k, dtype=np.int32)
-            every = tuple(digits[:, h:h + k] @ place for h in (0, k))
+            every = self.halves[sign]
             sampled = tuple(np.empty((self.n, self.points.size), np.int32)
                             for _ in every)
             step = max(1, SEARCH_BLOCK // self.points.size)
@@ -434,25 +462,61 @@ class _SearchTables:
             self._rows[sign] = every, sampled
         return self._rows[sign]
 
+    def _blocks(self, rows: int, width: int):
+        """The four block buffers as (rows, width) arrays."""
+        return [buf[:rows * width].reshape(rows, width) for buf in self._bufs]
+
+    def _verdict(self, a, b, c, points) -> np.ndarray:
+        """Per row of packed half-sums a and b: h has no zero and distinct
+        images.  Overwrites a, b and c."""
+        np.take(self.a9, a, out=c, mode="clip")
+        np.take(self.b9, b, out=a, mode="clip")
+        c -= a
+        np.take(self.ctn, c, out=a, mode="clip")
+        a += points
+        wrap_mod(a, self.n, scratch=b)  # the -2n zero marker stays negative
+        a.sort(axis=1)
+        return (a[:, 0] >= 0) & (a[:, 1:] != a[:, :-1]).all(axis=1)
+
     def _distinct(self, u, w, i, j, points) -> np.ndarray:
-        """Per row: h = 1 + u[i] + w[j] has no zero and distinct images."""
-        img = np.take(self.ctn, np.take(self.a9, u[0][i] + w[0][j])
-                      - np.take(self.b9, u[1][i] + w[1][j]))
-        img += points
-        wrap_mod(img, self.n)       # the -2n zero marker stays negative
-        img.sort(axis=1)
-        return (img[:, 0] >= 0) & (img[:, 1:] != img[:, :-1]).all(axis=1)
+        """Per row: h = 1 + u[i] + w[j] has no zero and distinct images,
+        the halves gathered along axis 0 a buffer's worth of rows at a
+        time."""
+        step = max(1, self._bufs.shape[1] // points.size)
+        ok = np.empty(len(i), dtype=bool)
+        for lo in range(0, len(i), step):
+            a, b, c, _ = self._blocks(min(step, len(i) - lo), points.size)
+            for out, uh, wh in zip((a, b), u, w):
+                np.take(uh, i[lo:lo + step], axis=0, out=out, mode="clip")
+                out += np.take(wh, j[lo:lo + step], axis=0, out=c,
+                               mode="clip")
+            ok[lo:lo + step] = self._verdict(a, b, c, points)
+        return ok
 
     def hits(self, s, t, l1, l2) -> np.ndarray:
         """Positions j where (s[j], t[j], l1, l2) passes the criterion.
 
         A repeat or a zero at the sampled points is one over the whole
-        circle, so the n-point verdict runs only on the survivors."""
+        circle, so the n-point verdict runs only on the survivors, a
+        buffer's worth of rows at a time."""
         (pu, su), (pw, sw) = self.rows(l1), self.rows(l2)
         keep = np.flatnonzero(self._distinct(su, sw, s, t, self.points))
-        every = np.arange(self.n, dtype=np.int32)
-        i, j = (np.outer(x[keep], every) % self.n for x in (s, t))
-        return keep[self._distinct(pu, pw, i, j, every)]
+        n = self.n
+        step = max(1, self._bufs.shape[1] // int(n))
+        passed = [keep[:0]]
+        for lo in range(0, keep.size, step):
+            part = keep[lo:lo + step]
+            a, b, c, d = self._blocks(part.size, n)
+            np.multiply.outer(s[part].astype(np.int32), self.every, out=d)
+            d %= n                          # the exponents s*i mod n
+            np.take(pu[0], d, out=a, mode="clip")
+            np.take(pu[1], d, out=b, mode="clip")
+            np.multiply.outer(t[part].astype(np.int32), self.every, out=d)
+            d %= n
+            a += np.take(pw[0], d, out=c, mode="clip")
+            b += np.take(pw[1], d, out=c, mode="clip")
+            passed.append(part[self._verdict(a, b, c, self.every)])
+        return np.concatenate(passed)
 
 
 _search_tables = functools.cache(_SearchTables)    # one per circle
@@ -469,8 +533,14 @@ def _search_chunk(args) -> list[SearchHit]:
     k, s_lo, s_hi, constraint, patterns = args
     tabs = _search_tables(unity_group(tower_field(k)))
     mirror = _swap_closed(patterns)
-    starts, counts = _candidate_rows(np.arange(s_lo, s_hi), constraint,
-                                     int(tabs.n), mirror)
+    n = int(tabs.n)
+    starts, counts = _candidate_rows(np.arange(s_lo, s_hi), constraint, n,
+                                     mirror)
+    live = counts > 0           # the kernel's takes leave indices unchecked
+    if live.any() and not (0 <= s_lo and s_hi <= n
+                           and starts[live].min() >= 0
+                           and (starts + counts)[live].max() <= n):
+        raise IndexError(f"search candidates outside Z/{n}")
     prefix = np.concatenate(([0], np.cumsum(counts)))
     size = max(1, SEARCH_BLOCK // len(tabs.points))
     found = [np.empty((4, 0), dtype=np.int64)]     # rows s, t, l1, l2

@@ -108,17 +108,19 @@ def power_rows(base: list[int], count: int, f: Sequence[int]) -> np.ndarray:
 _UNSIGNED = {np.dtype(np.int64): np.uint64, np.dtype(np.int32): np.uint32}
 
 
-def wrap_mod(s, n: int) -> np.ndarray:
+def wrap_mod(s, n: int, scratch=None) -> np.ndarray:
     """s mod n, in place, for int64 or int32 sums s of two residues in
     [0, n).  Viewed unsigned, s - n wraps above s exactly where s < n, so
     the smaller of the two is the residue: no mask, branch or division.  A
     negative s (a marker) comes back as s - n, still negative.  A numpy
     scalar comes back as a new 0-d array.  The unsigned n keeps numpy 1.x
-    from promoting the difference to float64."""
+    from promoting the difference to float64.  A scratch array of s's
+    shape and dtype takes the difference, so that nothing is allocated."""
     s = np.asarray(s)
     unsigned = _UNSIGNED[s.dtype]
     u = s.view(unsigned)
-    np.minimum(u, u - unsigned(n), out=u)
+    diff = None if scratch is None else scratch.view(unsigned)
+    np.minimum(u, np.subtract(u, unsigned(n), out=diff), out=u)
     return s
 
 

@@ -17,7 +17,7 @@ from niho_perm.conjectures import (CONSTRAINTS, ProfileMismatchError,
                                    search_problem_instances,
                                    subfield_stability_report, _patterns_of,
                                    _quartic_report, _search_chunk,
-                                   _search_tables)
+                                   _search_tables, _SearchTables)
 from niho_perm.field import (in_subfield, make_field, norm, tower_field,
                              trace, wrap_mod)
 from niho_perm.trinomials import (build_trinomial, induced_mu_map,
@@ -26,6 +26,7 @@ from niho_perm.trinomials import (build_trinomial, induced_mu_map,
 from niho_perm.unity import (ClosedFormMap, UnityGroup, build_map, eval_map,
                              maps_agree_report, pointwise_agreement_report,
                              unity_group)
+from fresh_interpreter import run_python
 
 
 class TestConjecture1:
@@ -413,6 +414,43 @@ class TestSearch:
                 assert (j in hits) == passed, (int(s[j]), int(t[j]), l1, l2)
                 false_survivors += not passed
         assert false_survivors >= 3
+
+    def test_warm_search_allocates_no_block(self):
+        # in a process that built no field tables, so that no earlier
+        # large free has raised malloc's trim threshold: a warm k=3 "++"
+        # square search keeps its block intermediates in the tables'
+        # buffers (without them it peaks at about 680 KiB and takes
+        # about 1,300 minor faults)
+        run = run_python("""
+import resource, tracemalloc
+from niho_perm import tower_field, unity_group
+from niho_perm.conjectures import search_problem_instances
+unity_group(tower_field(3))
+search_problem_instances(3, "none", "++")
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+hits = search_problem_instances(3, "none", "++")
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+tracemalloc.start()
+search_problem_instances(3, "none", "++")
+print(len(hits), faults, tracemalloc.get_traced_memory()[1])
+""")
+        assert run.returncode == 0, run.stderr
+        hits, faults, peak = map(int, run.stdout.split())
+        assert hits == 197
+        assert peak < 400 * 1024, f"warm search peak {peak} B"
+        assert faults < 100, f"{faults} minor faults in a warm search"
+
+    def test_corrupted_a9_fails_the_range_check(self):
+        # a fresh, uncached circle whose la puts one a9 entry past ctn
+        group = UnityGroup(tower_field(2))
+        group.la[3] = 5 * group.q
+        with pytest.raises(IndexError, match="out of range"):
+            _SearchTables(group)
+        _SearchTables(UnityGroup(tower_field(2)))      # intact: no error
+
+    def test_chunk_outside_the_circle_is_refused(self):
+        with pytest.raises(IndexError, match="outside Z/26"):
+            _search_chunk((2, 20, 27, "none", ((1, 1),)))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("constraint", CONSTRAINTS)
