@@ -4,14 +4,14 @@ Elements live in the power basis of a validated primitive modulus.  Every
 element is a handle in one format at every m: the packed power basis, one
 32-bit limb per base-5 digit, so that products reduce with whole-integer
 operations instead of per-digit Python loops.  Small fields (5^m <= 5^8)
-also get log/antilog/Zech tables built with numpy, indexed by element
-index (the integer whose base-5 digits are the coordinates); the exhaustive
-sweeps read only those tables.
+also have log/antilog/Zech tables, indexed by element index (the integer
+whose base-5 digits are the coordinates) and built with numpy on the first
+whole-field sweep; the exhaustive sweeps read only those tables.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -317,22 +317,38 @@ class TableKernel(PolyKernel):
     Handles and scalar ops are PolyKernel's.  The tables are indexed by
     element index, the integer whose base-5 digits are the power-basis
     coordinates: antilog[n] is the index of g^n, logt[i] the log of the
-    element of index i (-1 at zero).  Logs are the only batch form:
-    log_sum/log_product work on whole arrays of logs, as the exhaustive
-    sweeps do.  bmul/badd on arrays of element indices are kept only as
-    benchmark probe surface.
+    element of index i (-1 at zero).  Each table is built on its first
+    read, so a field whose tables no whole-field sweep reads (a search or
+    a criterion verdict at k = 4) never pays for them; zech reads the
+    other two.  Logs are the only batch form: log_sum/log_product work on
+    whole arrays of logs, as the exhaustive sweeps do.  bmul/badd on arrays
+    of element indices are kept only as benchmark probe surface.
     """
 
     def __init__(self, m: int, modulus: Sequence[int]):
         super().__init__(m, modulus)
         self.n1 = self.order - 1
-        pow5 = CHAR ** np.arange(m, dtype=np.int64)
-        ids = power_rows([0, 1], self.n1, modulus).astype(np.int64) @ pow5
-        self.antilog = ids                       # antilog[n] = index of g^n
-        self.logt = np.full(self.order, -1, dtype=np.int64)
-        self.logt[ids] = np.arange(self.n1, dtype=np.int64)
+
+    @cached_property
+    def antilog(self) -> np.ndarray:
+        """antilog[n] = index of g^n."""
+        pow5 = CHAR ** np.arange(self.m, dtype=np.int64)
+        return power_rows([0, 1], self.n1,
+                          self.modulus).astype(np.int64) @ pow5
+
+    @cached_property
+    def logt(self) -> np.ndarray:
+        """logt[i] = log of the element of index i, -1 at zero."""
+        logt = np.full(self.order, -1, dtype=np.int64)
+        logt[self.antilog] = np.arange(self.n1, dtype=np.int64)
+        return logt
+
+    @cached_property
+    def zech(self) -> np.ndarray:
+        """zech[n] = log(g^n + 1), -1 where g^n = -1."""
+        ids = self.antilog
         # index of g^n + 1: add 1 to the lowest base-5 digit, wrapping 4 to 0
-        self.zech = self.logt[ids + 1 - CHAR * (ids % CHAR == CHAR - 1)]
+        return self.logt[ids + 1 - CHAR * (ids % CHAR == CHAR - 1)]
 
     # -- batch ops on int64 arrays of element indices ---------------------
     def bmul(self, a, b):
@@ -403,8 +419,8 @@ class FieldParams:
     """Immutable description of one realization of GF(5^m).
 
     Holds the validated modulus, the cached generator, the arithmetic kernel
-    (with log tables when 5^m fits the table budget), and, for even m, the
-    tower structure GF(5^k) < GF(5^{2k}) with k = m/2.
+    (with log tables, built on first read, when 5^m fits the table budget),
+    and, for even m, the tower structure GF(5^k) < GF(5^{2k}) with k = m/2.
     """
 
     def __init__(self, m: int, modulus: tuple[int, ...], _token=None):
@@ -439,7 +455,8 @@ class FieldParams:
 
     @property
     def accel_tables(self) -> TableKernel:
-        """The log/antilog/Zech tables that every whole-field sweep reads.
+        """The log/antilog/Zech tables that every whole-field sweep reads,
+        each built on its first read (the kernel's cached properties).
         Only fields of at most TABLE_LIMIT = 5^8 elements have them; any
         other field raises GuardExceededError naming it."""
         if not isinstance(self.kernel, TableKernel):

@@ -18,9 +18,13 @@ from niho_perm.field import (PRIMITIVE_MODULI, PolyKernel, TableKernel,
                              _pstrip)
 from niho_perm.trinomials import build_trinomial, field_values, induced_mu_map
 from niho_perm.unity import eval_power_on_unity, unity_group
+from fresh_interpreter import run_python
 from representation_twin import (bsum, identity_first_failure,
                                  polynomial_twin,
                                  representation_agreement_report)
+
+
+TABLES = ("antilog", "logt", "zech")
 
 
 @pytest.fixture(scope="module")
@@ -340,11 +344,41 @@ class TestTableBuild:
         import tracemalloc
         tracemalloc.start()
         try:
-            field_mod.TableKernel(8, PRIMITIVE_MODULI[8])
+            # zech reads the other two tables: all three are built
+            field_mod.TableKernel(8, PRIMITIVE_MODULI[8]).zech
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 32e6, f"TableKernel(8) build peak {peak} B"
+
+    def test_tables_built_on_first_read(self):
+        kern = TableKernel(8, PRIMITIVE_MODULI[8])
+        assert not set(TABLES) & set(vars(kern))
+        built = make_field(8).kernel
+        for name in TABLES:
+            assert (getattr(kern, name) == getattr(built, name)).all()
+        assert set(TABLES) <= set(vars(kern))
+
+    def test_table_free_paths_build_no_table(self):
+        # in a fresh interpreter: the circle verdicts and the search read
+        # only the circle's GF(q) tables, and the first oracle sweep builds
+        # the field's own
+        script = f"""
+from niho_perm import mu_check_report, tower_field
+from niho_perm.conjectures import search_problem_instances
+from niho_perm.trinomials import (build_trinomial, is_permutation_exhaustive,
+                                  is_permutation_via_criterion)
+tables, kern = set({TABLES!r}), tower_field(4).kernel
+f = build_trinomial(4, [(1, 0), (1, 1), (-1, 2)])
+assert mu_check_report("g1", 4).passed
+assert not is_permutation_via_criterion(f).passed
+assert search_problem_instances(4, "sum_half", "++")
+assert not tables & set(vars(kern)), vars(kern).keys()
+assert not is_permutation_exhaustive(f).passed
+assert tables <= set(vars(kern)), vars(kern).keys()
+"""
+        run = run_python(script)
+        assert run.returncode == 0, run.stderr
 
 
 def _to_logs(kern, indices):
