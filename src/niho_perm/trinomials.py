@@ -23,6 +23,9 @@ from .residues import parity_admits, resolve_residue
 from .unity import PowerFormMap, unity_group, unity_permutation_report
 
 EXHAUSTIVE_GUARD_K = 4
+# one k = 4 sample (an oracle and a criterion verdict) takes about 4.4 ms
+# on a 2-vCPU Xeon VM, so the largest agreement run takes about 45 s
+AGREEMENT_SAMPLE_LIMIT = 10_000
 
 
 class NihoTrinomial:
@@ -282,6 +285,10 @@ def oracle_agreement_report(k: int, samples: int,
     if samples < 1:
         raise UsageError(f"agreement run needs at least one sample "
                          f"(got {samples})")
+    if samples > AGREEMENT_SAMPLE_LIMIT:
+        raise GuardExceededError(
+            f"agreement run takes at most {AGREEMENT_SAMPLE_LIMIT} samples "
+            f"(got {samples})")
     rng = random.Random(seed)
     agreements = 0
     for idx in range(samples):

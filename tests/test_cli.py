@@ -220,6 +220,20 @@ class TestReportShapes:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_oracle_compare_sample_limit(self, capsys, monkeypatch):
+        # the count is refused before any sample is drawn
+        def no_draws(k, rng):
+            raise AssertionError("sampled past the limit")
+        monkeypatch.setattr(trinomials, "random_trinomial", no_draws)
+        limit = trinomials.AGREEMENT_SAMPLE_LIMIT
+        for samples in (str(limit + 1), "99999999999999999999"):
+            code, out, err = run_cli(capsys, "oracle-compare", "--k", "2",
+                                     "--samples", samples)
+            assert code == 2
+            assert out == ""
+            assert err == (f"error: agreement run takes at most {limit} "
+                           f"samples (got {samples})\n")
+
     def test_unexpected_error_is_three(self, capsys, monkeypatch):
         def boom(cfg):
             raise RuntimeError("handler bug")

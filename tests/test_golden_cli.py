@@ -78,6 +78,7 @@ GOLDEN_COMMANDS = (
        ["search", "--k", "2", "--format", "text"],
        ["conjecture", "--id", "1", "--k", "1,3", "--format", "tsv"],
        ["oracle-compare", "--k", "1", "--samples", "5", "--format", "text"]]
+    + [["oracle-compare", "--k", "2", "--samples", "99999999999999999999"]]
 )
 
 

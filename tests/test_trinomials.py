@@ -7,7 +7,8 @@ import pytest
 
 from niho_perm.errors import GuardExceededError, UsageError
 from niho_perm.field import frobenius, tower_field
-from niho_perm.trinomials import (FAMILY_CATALOG, FAMILY_IDS, build_trinomial,
+from niho_perm.trinomials import (AGREEMENT_SAMPLE_LIMIT, FAMILY_CATALOG,
+                                  FAMILY_IDS, build_trinomial,
                                   eval_trinomial, exhaustive_permutation_report,
                                   family_admits, family_is_conjectural,
                                   field_values, induced_mu_map,
@@ -359,6 +360,11 @@ class TestAgreement:
         rep = oracle_agreement_report(4, samples=40, seed=4)
         assert rep.passed
         assert rep.counts == {"samples": 40, "agreements": 40}
+
+    def test_sample_limit(self):
+        assert AGREEMENT_SAMPLE_LIMIT == 10_000
+        with pytest.raises(GuardExceededError, match="at most 10000 "):
+            oracle_agreement_report(1, samples=10_001, seed=0)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_small_agreement_run(self, k):
