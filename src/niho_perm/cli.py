@@ -22,7 +22,7 @@ from .errors import NihoPermError, UsageError
 from .field import PRIMITIVE_MODULI, TableKernel, make_field, \
     trace_power_identity_report
 from .report import combine_reports
-from .residues import parse_signed_residue
+from .residues import parse_signed_residues
 from .transforms import equivalent_pairs, pair_from_text, pair_of_family, \
     table_report
 from .trinomials import (FAMILY_IDS, build_trinomial, family_is_conjectural,
@@ -32,21 +32,6 @@ from .conjectures import (conjecture1_check, conjecture2_check,
 from .unity import PUBLIC_MAP_NAMES, mu_check_report
 
 SCHEMA_VERSION = 1
-
-
-def _parse_terms(text: str) -> list[tuple[int, int]]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        term = parse_signed_residue(part)
-        if term is None:
-            raise UsageError(f"bad signed residue {part!r} in --terms")
-        out.append(term)
-    if len(out) != 3:
-        raise UsageError("--terms needs exactly three signed residues")
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,7 +160,8 @@ def _cmd_verify(args):
                 f"{', '.join(PUBLIC_MAP_NAMES)}")
         trin = theorem_family(args.family, args.k)
     else:
-        trin = build_trinomial(args.k, _parse_terms(args.terms))
+        trin = build_trinomial(
+            args.k, parse_signed_residues(args.terms, 3, "--terms"))
     reports = verdicts(trin, args.method)
     payload = {
         "family": args.family, "terms": list(trin.terms), "k": args.k,
@@ -216,8 +202,7 @@ def _cmd_equivalents(args):
         base = pair_of_family(args.family, args.k)
     else:
         base = pair_from_text(args.pair, args.k)
-    skipped: list[str] = []
-    base_reports, derived = equivalent_pairs(base, args.k, skipped)
+    base_reports, derived, skipped = equivalent_pairs(base, args.k)
     payload = {"k": args.k, "base": base.notation(),
                **_verdict_fields(base_reports),
                "equivalents": [{"pair": p.notation(), **_verdict_fields(r),

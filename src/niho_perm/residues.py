@@ -4,7 +4,7 @@ Exponents throughout the package are residues modulo q + 1 given as closed
 formulas in q (and occasionally k).  They are resolved exactly with Fraction
 arithmetic so that a non-integral value is an error, never a truncation.
 Catalog entries carry a parity condition on k, and users give residues as
-signed integers ("+7", "-14"); both have one reading here.
+comma lists of signed integers ("+0,+7,-14"); both have one reading here.
 """
 
 from __future__ import annotations
@@ -39,15 +39,25 @@ def parity_admits(parity: str, k: int) -> bool:
 _SIGNED_RESIDUE = re.compile(r"[+-]?[0-9]+")
 
 
-def parse_signed_residue(text: str) -> tuple[int, int] | None:
-    """(sign, value) of text matching [+-]?[0-9]+ (ASCII digits, at most
-    one sign), else None; callers word their own usage errors."""
-    if not _SIGNED_RESIDUE.fullmatch(text):
-        return None
-    try:
-        return (-1 if text[0] == "-" else 1), int(text.lstrip("+-"))
-    except ValueError:      # more digits than int() converts
-        return None
+def parse_signed_residues(text: str, count: int,
+                          what: str) -> list[tuple[int, int]]:
+    """(sign, value) of each entry of a comma list of exactly `count`
+    signed residues [+-]?[0-9]+ (ASCII digits, at most one sign); empty
+    entries are skipped, and a ResidueError names the list as `what`."""
+    terms = []
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        value = None
+        if _SIGNED_RESIDUE.fullmatch(part):
+            try:
+                value = int(part.lstrip("+-"))
+            except ValueError:      # more digits than int() converts
+                pass
+        if value is None:
+            raise ResidueError(f"bad signed residue {part!r} in {what}")
+        terms.append((-1 if part[0] == "-" else 1, value))
+    if len(terms) != count:
+        raise ResidueError(f"{what} needs exactly {count} signed residues")
+    return terms
 
 
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -78,18 +88,12 @@ def _evaluate(node: ast.expr, names: dict[str, Fraction]):
                        f"formula (integers, q, k, + - * / ** only)")
 
 
-def resolve_residue(expr: str | int, q: int, k: int | None = None,
-                    modulus: int | None = None) -> int:
-    """Evaluate a closed formula in q (and k) to a canonical residue.
+def resolve_residue(expr: str, q: int, k: int | None = None) -> int:
+    """Evaluate a closed formula in q (and k) to a residue mod q + 1.
 
     The expression is evaluated with exact Fractions; a fractional result
-    raises ResidueError.  Result is reduced into [0, modulus), modulus
-    defaulting to q + 1.
+    raises ResidueError.
     """
-    if modulus is None:
-        modulus = q + 1
-    if isinstance(expr, int):
-        return expr % modulus
     names = {"q": Fraction(q)}
     if k is not None:
         names["k"] = Fraction(k)
@@ -101,4 +105,4 @@ def resolve_residue(expr: str | int, q: int, k: int | None = None,
     if value.denominator != 1:
         raise ResidueError(
             f"expression {expr!r} is not an integer at q={q} (got {value})")
-    return int(value) % modulus
+    return int(value) % (q + 1)

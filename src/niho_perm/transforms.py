@@ -16,16 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoInverseError, UsageError
-from .field import CHAR
+from .field import tower_field
 from .report import VerificationReport, combine_reports
-from .residues import (frac_mod, parity_admits, parse_signed_residue,
+from .residues import (frac_mod, parity_admits, parse_signed_residues,
                        resolve_residue)
 from .trinomials import (NihoTrinomial, build_trinomial, theorem_family,
                          verdicts)
-
-
-def _sign_key(sign: int) -> int:
-    return 0 if sign > 0 else 1
 
 
 @dataclass(frozen=True, order=True)
@@ -37,9 +33,9 @@ class SignedPair:
     @classmethod
     def make(cls, t1: tuple[int, int], t2: tuple[int, int],
              n: int) -> "SignedPair":
-        # inputs are (sign, c); stored sorted as (c, sign_key, sign)
-        items = sorted(((c % n, _sign_key(s), s) for s, c in (t1, t2)))
-        return cls(terms=tuple((c, s) for c, _, s in items))
+        # inputs are (sign, c); stored as (c, sign), + before - at equal c
+        items = sorted((c % n, -s) for s, c in (t1, t2))
+        return cls(terms=tuple((c, -s) for c, s in items))
 
     @property
     def signed_terms(self) -> tuple[tuple[int, int], ...]:
@@ -61,16 +57,9 @@ class SignedPair:
 
 def pair_from_text(text: str, k: int) -> SignedPair:
     """Parse "+2,-4" (or "(+[2], -[4])") into a canonical pair."""
-    n = CHAR ** k + 1
+    n = tower_field(k).q + 1
     cleaned = text.strip().strip("()").replace("[", "").replace("]", "")
-    parts = [p.strip() for p in cleaned.split(",") if p.strip()]
-    if len(parts) != 2:
-        raise UsageError(f"pair {text!r} must have exactly two signed residues")
-    terms = [parse_signed_residue(p) for p in parts]
-    for p, term in zip(parts, terms):
-        if term is None:
-            raise UsageError(f"bad residue {p!r} in pair")
-    return SignedPair.make(terms[0], terms[1], n)
+    return SignedPair.make(*parse_signed_residues(cleaned, 2, "pair"), n)
 
 
 def pair_of_family(family_id: str, k: int) -> SignedPair:
@@ -114,7 +103,7 @@ def exponent_transform(case: str, i: int, j: int,
     """
     if case not in _CASES:
         raise UsageError(f"unknown transform case {case!r}; valid: 1, 2a, 2b, 3")
-    n = CHAR ** k + 1
+    n = tower_field(k).q + 1
     i %= n
     j %= n
     if case == "2b":
@@ -138,25 +127,26 @@ def _applications(pair: SignedPair) -> list[tuple[str, int, int]]:
     return [("2a", plus_c, minus_c), ("2b", plus_c, minus_c)]
 
 
-def equivalent_pairs(pair: SignedPair, k: int, skipped: list | None = None):
-    """The source's `verdicts`, and every pair reachable from the source by
-    a single applicable transform, with its `verdicts`.
+def equivalent_pairs(pair: SignedPair, k: int):
+    """The source's `verdicts`, every pair reachable from the source by a
+    single applicable transform with its `verdicts`, and the skip log.
 
-    Inapplicable clauses (gcd obstruction) are skipped, optionally logged
-    into `skipped`.  The pairs are deduplicated, in canonical order, and
-    exclude the input pair.  Permutation preservation is verified, not
+    Inapplicable clauses (gcd obstruction) are skipped, each logged as one
+    line of the skip log.  The pairs are deduplicated, in canonical order,
+    and exclude the input pair.  Permutation preservation is verified, not
     assumed: if the source passes the criterion, every derived pair must
     too.  Each trinomial is verified once.
     """
+    n = tower_field(k).q + 1
     found: set[SignedPair] = set()
+    skipped: list[str] = []
     for case, i, j in _applications(pair):
         try:
             (sig_s, sig_t), s, t = exponent_transform(case, i, j, k)
         except NoInverseError as exc:
-            if skipped is not None:
-                skipped.append(f"case {case} at (i={i}, j={j}): gcd {exc.gcd}")
+            skipped.append(f"case {case} at (i={i}, j={j}): gcd {exc.gcd}")
             continue
-        found.add(SignedPair.make((sig_s, s), (sig_t, t), CHAR ** k + 1))
+        found.add(SignedPair.make((sig_s, s), (sig_t, t), n))
     found.discard(pair)
     base = verdicts(pair.trinomial(k))
     derived = {}
@@ -166,7 +156,7 @@ def equivalent_pairs(pair: SignedPair, k: int, skipped: list | None = None):
             raise UsageError(
                 f"transform contract violated: {pair.notation()} passes "
                 f"but derived {p.notation()} fails at k={k}")
-    return base, derived
+    return base, derived, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +212,6 @@ def _resolve_pair(raw: tuple[tuple[int, str], ...], q: int,
                            (s2, resolve_residue(e2, q, k)), q + 1)
 
 
-def _row_admits(row: PairTableRow, k: int) -> bool:
-    return parity_admits(row.condition, k)
-
-
 def table_report(k: int) -> tuple[VerificationReport, list[dict]]:
     """Reproduce every admissible table row at this k.
 
@@ -234,12 +220,12 @@ def table_report(k: int) -> tuple[VerificationReport, list[dict]]:
     transcription.  Rows whose parity condition excludes k appear with a
     skip reason.
     """
-    q = CHAR ** k
+    q = tower_field(k).q
     rows: list[dict] = []
     reports: list[VerificationReport] = []
     for row in PAIR_TABLE:
         source = row.source + (" (conjectural)" if row.conjectural else "")
-        if not _row_admits(row, k):
+        if not parity_admits(row.condition, k):
             rows.append({
                 "row": row.index, "pair": "-",
                 "condition": row.condition, "criterion_pass": "skipped",
@@ -249,8 +235,7 @@ def table_report(k: int) -> tuple[VerificationReport, list[dict]]:
             })
             continue
         pair = _resolve_pair(row.pair, q, k)
-        skipped_cases: list[str] = []
-        base, derived = equivalent_pairs(pair, k, skipped_cases)
+        base, derived, skipped_cases = equivalent_pairs(pair, k)
         recomputed = list(derived)
         derived_reports = [r for v in derived.values() for r in v.values()]
         reports += [*base.values(), *derived_reports]

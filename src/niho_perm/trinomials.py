@@ -255,7 +255,7 @@ def theorem_family(family_id: str, k: int) -> NihoTrinomial:
         raise UsageError(
             f"family {family_id} is defined only where k is {parity} "
             f"(got k={k})")
-    q = CHAR ** k
+    q = tower_field(k).q
     _, exprs, _ = FAMILY_CATALOG[family_id]
     terms = [(sign, resolve_residue(e, q, k)) for sign, e in exprs]
     return build_trinomial(k, terms)
@@ -271,7 +271,7 @@ def family_is_conjectural(family_id: str) -> bool:
 
 def random_trinomial(k: int, rng: random.Random) -> NihoTrinomial:
     """Uniform c1, c2 in [0, q], independent signs, fixed leading +x."""
-    q = CHAR ** k
+    q = tower_field(k).q
     c1, c2 = rng.randrange(q + 1), rng.randrange(q + 1)
     s1 = 1 if rng.randrange(2) == 0 else -1
     s2 = 1 if rng.randrange(2) == 0 else -1
@@ -293,8 +293,9 @@ def oracle_agreement_report(k: int, samples: int,
     agreements = 0
     for idx in range(samples):
         f = random_trinomial(k, rng)
-        via_oracle = is_permutation_exhaustive(f).passed
-        via_criterion = is_permutation_via_criterion(f).passed
+        reports = verdicts(f, "both")
+        via_criterion = reports["criterion"].passed
+        via_oracle = reports["exhaustive"].passed
         if via_oracle != via_criterion:
             return VerificationReport(
                 subject=f"oracle agreement at k={k}", method="dual",

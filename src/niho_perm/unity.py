@@ -96,9 +96,8 @@ class UnityGroup:
         self.subfield = TableKernel(k, tuple((-gk[:k]) % CHAR) + (1,))
         pow5 = CHAR ** np.arange(2 * k, dtype=np.int64)
         self.log_order = q * q - 1
-        # zeta^i as field digit rows, a field index, and (a, b) digit rows
+        # zeta^i as field digit rows and (a, b) digit rows
         rows = self.rows = power_rows(zeta, n, f)
-        self.indices = rows @ pow5
         self.coords = (rows @ phi_inv.T % CHAR).astype(np.int8)
         # log_g(a + b*omega) = n*lb[b] + ct[la[a] - lb[b]].  With q1 = q-1,
         # la[a] - lb[b] is q1 + log_G(a/b) for a, b != 0, 2q1 + log_G a for
@@ -218,7 +217,7 @@ class UnityGroup:
         return self.element(i).handle
 
     def element(self, i: int) -> FieldElement:
-        return self.field.from_index(int(self.indices[i % self.n]))
+        return self.field.from_digits(self.rows[i % self.n].tolist())
 
     def csv(self, i: int) -> str:
         """element(i).csv(), read from the digit rows (for witnesses)."""
@@ -431,18 +430,30 @@ def build_map(name: str, k: int) -> FractionalMap:
     if spec is None:
         raise UsageError(
             f"unknown map {name!r}; valid maps: {', '.join(PUBLIC_MAP_NAMES)}")
-    q = CHAR ** k
-    n = q + 1
+    q = tower_field(k).q
+    resolve = lambda e: resolve_residue(e, q, k)
     if spec["kind"] == "power":
-        terms = tuple((s, resolve_residue(e, q, k, modulus=n))
-                      for s, e in spec["h"])
-        return PowerFormMap(name=name, h_terms=terms)
-    resolve = lambda e: resolve_residue(e, q, k, modulus=n)
+        return PowerFormMap(name=name, h_terms=tuple(
+            (s, resolve(e)) for s, e in spec["h"]))
     num = tuple((c % CHAR, resolve(e)) for c, e in spec["num"])
     den = tuple((c % CHAR, resolve(e)) for c, e in spec["den"])
     return ClosedFormMap(
         name=name, sign=spec["sign"], pre_exp=resolve(spec["pre"]),
         num=num, den=den, outer=spec.get("outer", 2))
+
+
+def reciprocal_map(map_: FractionalMap) -> ClosedFormMap:
+    """1/map_ on the circle, as a closed form.  There x^q = 1/x, and h has
+    GF(5) coefficients, so h(x)^q = h(1/x) and x * h(x)^(q-1) has the
+    reciprocal x^-1 * h(x)/h(x^-1); a closed form swaps num and den and
+    negates pre_exp."""
+    name = f"1/{map_.name}"
+    if isinstance(map_, PowerFormMap):
+        h = tuple((s % CHAR, c) for s, c in map_.h_terms)
+        return ClosedFormMap(name=name, sign=1, pre_exp=-1, num=h,
+                             den=tuple((s, -c) for s, c in h), outer=1)
+    return ClosedFormMap(name=name, sign=map_.sign, pre_exp=-map_.pre_exp,
+                         num=map_.den, den=map_.num, outer=map_.outer)
 
 
 # ---------------------------------------------------------------------------
@@ -674,34 +685,15 @@ def check_circle_claim(claim: str, k: int) -> VerificationReport:
     return combine_reports(f"claim {claim} at k={k}", "enumeration", reports)
 
 
-@timed
 def reciprocal_identity_report(name_a: str, name_b: str,
                                k: int) -> VerificationReport:
-    """Pointwise product of two maps equals 1 everywhere on the circle."""
+    """Pointwise product of two maps equals 1 everywhere on the circle:
+    the first map agrees with the reciprocal of the second."""
     group = unity_group(tower_field(k))
-    map_a, map_b = build_map(name_a, k), build_map(name_b, k)
-    subject = f"{name_a}*{name_b} = 1 on mu over GF(5^{2*k})"
-    counts = {"points": group.n}
     mu = group.domain_indices("mu")
-    va, bad_a = eval_on_unity(map_a, group, mu)
-    vb, bad_b = eval_on_unity(map_b, group, mu)
-    if bad_a is not None or bad_b is not None:
-        i = bad_a if bad_a is not None else bad_b
-        return VerificationReport(
-            subject=subject, method="enumeration", passed=False,
-            witness={"type": "zero", "x": group.element(i).csv(), "index": i},
-            counts=counts)
-    # zeta^a * zeta^b = 1 iff a + b = 0 mod n
-    bad = np.flatnonzero((va < 0) | (vb < 0) | ((va + vb) % group.n != 0))
-    if bad.size:
-        i = int(bad[0])
-        return VerificationReport(
-            subject=subject, method="enumeration", passed=False,
-            witness={"type": "product_not_one",
-                     "x": group.element(i).csv(), "index": i},
-            counts=counts)
-    return VerificationReport(subject=subject, method="enumeration",
-                              passed=True, counts=counts)
+    return pointwise_agreement_report(
+        f"{name_a}*{name_b} = 1 on mu over GF(5^{2*k})", group,
+        build_map(name_a, k), mu, reciprocal_map(build_map(name_b, k)), mu)
 
 
 @timed

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +133,22 @@ class TestExitCodes:
         ["equivalents", "--family", "T1"]])
     def test_k_above_tower_limit_names_k(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--k", "7")
+        assert code == 2
+        assert out == ""
+        assert err == "error: k must be an integer in 1..6\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--k", "6152"],
+        ["equivalents", "--pair", "+2,+4", "--k", "7001"],
+        ["mu-check", "--map", "g2", "--k", "100000000"],
+        ["verify", "--family", "T1", "--k", "100000000"],
+        ["oracle-compare", "--k", "100000000", "--samples", "1"],
+        ["table1", "--k", "100000000"]])
+    def test_huge_k_is_a_quick_two(self, capsys, argv):
+        # k is checked before anything computes 5^k from it
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2
         assert code == 2
         assert out == ""
         assert err == "error: k must be an integer in 1..6\n"

@@ -70,6 +70,85 @@ class TestConjecture1:
             conjecture1_check(9)
 
 
+class TestConjecture1Witnesses:
+    """Failure paths the conjecture never reaches at odd k <= 8: the GF(5^k)
+    kernel's batch logs are corrupted at logs J and J + 5 (J and J + 1 for
+    the class swap).  The witness must be the first failing x in log order,
+    replayed by scalar evaluation of x*((x^2-x+2)/(x^2+x+2))^2 under the
+    same corruption; elsewhere the logs are the true ones, which pass."""
+
+    J = 13
+
+    @staticmethod
+    def _corrupt(monkeypatch, kern, method, edit):
+        true = getattr(kern, method)
+
+        def corrupted(arg):
+            out = true(arg).copy()
+            edit(arg, out)
+            return out
+        monkeypatch.setattr(kern, method, corrupted)
+
+    @staticmethod
+    def _image(field, log):
+        """x*((x^2-x+2)/(x^2+x+2))^2 at x = g^log, by scalar arithmetic."""
+        x = field.generator ** log
+        return x * ((x * x - x + 2) / (x * x + x + 2)) ** 2
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_pole(self, monkeypatch, k):
+        field = make_field(k)
+        bad = [self.J, self.J + 5]
+
+        def edit(terms, out):
+            if terms[1][0] == 1:            # the denominator x^2 + x + 2
+                out[bad] = -1
+        self._corrupt(monkeypatch, field.accel_tables, "log_sum", edit)
+        rep = conjecture1_check(k)
+        for log in range(field.order - 1):
+            x = field.generator ** log
+            if (x * x + x + 2).is_zero or log in bad:
+                break
+        assert log == self.J
+        assert rep.witness == {"type": "pole", "x": x.csv()}
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_collision(self, monkeypatch, k):
+        field = make_field(k)
+
+        def edit(_, out):
+            out[self.J + 5] = out[self.J]
+        self._corrupt(monkeypatch, field.accel_tables, "log_product", edit)
+        rep = conjecture1_check(k)
+        seen = {}
+        for log in range(field.order - 1):
+            fx = self._image(field, self.J if log == self.J + 5 else log)
+            if fx in seen:
+                break
+            seen[fx] = field.generator ** log
+        assert log == self.J + 5
+        assert rep.witness == {"type": "collision", "x1": seen[fx].csv(),
+                               "x2": (field.generator ** log).csv()}
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_class_escape(self, monkeypatch, k):
+        field = make_field(k)
+        swap = {self.J: self.J + 1, self.J + 1: self.J}
+
+        def edit(_, out):
+            out[[self.J, self.J + 1]] = out[[self.J + 1, self.J]]
+        self._corrupt(monkeypatch, field.accel_tables, "log_product", edit)
+        rep = conjecture1_check(k)
+
+        def square(y):
+            return y ** ((field.order - 1) // 2) == field.one
+        for log in range(field.order - 1):
+            x = field.generator ** log
+            if square(x) != square(self._image(field, swap.get(log, log))):
+                break
+        assert log == self.J
+        assert rep.witness == {"type": "class_escape", "x": x.csv()}
+
 class TestConjecture2:
     @pytest.mark.parametrize("k", [2, 4])
     def test_verified_range(self, k):

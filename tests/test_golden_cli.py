@@ -79,6 +79,8 @@ GOLDEN_COMMANDS = (
        ["conjecture", "--id", "1", "--k", "1,3", "--format", "tsv"],
        ["oracle-compare", "--k", "1", "--samples", "5", "--format", "text"]]
     + [["oracle-compare", "--k", "2", "--samples", "99999999999999999999"]]
+    + [["table1", "--k", "6152"],
+       ["mu-check", "--map", "g2", "--k", "100000000"]]
 )
 
 

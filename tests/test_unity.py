@@ -7,11 +7,13 @@ import pytest
 
 from niho_perm.errors import PoleError, ResidueError, UsageError
 from niho_perm.field import make_field, tower_field
+from niho_perm.residues import parity_admits
 from niho_perm.unity import (MAP_SPECS, OMEGA_SPECIALIZATIONS,
                              ClosedFormMap, PowerFormMap, build_map,
                              check_circle_claim, eval_map, eval_on_unity,
                              is_permutation_of, maps_agree_report,
-                             mu_check_report, reciprocal_identity_report,
+                             mu_check_report, pointwise_agreement_report,
+                             reciprocal_identity_report, reciprocal_map,
                              unity_group, unity_permutation_report)
 from niho_perm import unity as unity_mod
 
@@ -506,6 +508,39 @@ class TestStructure:
         for a, b in pairs:
             rep = reciprocal_identity_report(a, b, k)
             assert rep.passed, (a, b, k)
+
+    def test_non_reciprocal_pair_names_first_mismatch(self):
+        rep = reciprocal_identity_report("g1", "g3", 1)
+        g = unity_group(tower_field(1))
+        g1, g3 = build_map("g1", 1), build_map("g3", 1)
+        for i in range(g.n):
+            x = g.element(i)
+            if g1.eval_at(x) * g3.eval_at(x) != x.field.one:
+                break
+        assert rep.witness == {"type": "mismatch", "x": x.csv(), "index": i}
+
+    def test_reciprocal_of_vanishing_h_is_a_zero(self, mu6):
+        # 1 + y^2 + y^4 vanishes first at zeta on the 6-circle
+        pf = PowerFormMap(name="vanishing", h_terms=((1, 0), (1, 2), (1, 4)))
+        mu = mu6.domain_indices("mu")
+        rep = pointwise_agreement_report("pf = 1/pf", mu6, pf, mu,
+                                         reciprocal_map(pf), mu)
+        assert rep.witness == {"type": "zero_or_pole", "x": "2,2", "index": 1}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_reciprocal_map_inverts_on_the_circle(self, k):
+        # every catalog map: the public g1..g10, and the internal closed
+        # forms, whose pre_exp is not n/2 as g1's is
+        g = unity_group(tower_field(k))
+        for name, spec in MAP_SPECS.items():
+            if not parity_admits(spec["parity"], k):
+                continue
+            m = build_map(name, k)
+            inverse = reciprocal_map(m)
+            for i in range(g.n):
+                x = g.element(i)
+                assert inverse.eval_at(x) * m.eval_at(x) == g.field.one, \
+                    (name, k, i)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_omega_specializations_odd(self, k):
