@@ -319,9 +319,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(
         _join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
-        # conjecture's --k is a comma list, checked by its handler
-        if isinstance(getattr(args, "k", None), int) and args.k < 1:
-            raise UsageError("k must be >= 1")
         start = time.perf_counter()
         passed, payload, tsv_rows = args.handler(args)
         elapsed_ms = (time.perf_counter() - start) * 1e3

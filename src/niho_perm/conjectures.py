@@ -21,13 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardExceededError, NihoPermError, UsageError
-from .field import (CHAR, FieldElement, in_subfield, make_field, norm,
-                    trace, tower_field, wrap_mod)
+from .field import (CHAR, MAX_DEGREE, FieldElement, in_subfield, make_field,
+                    norm, trace, tower_field, wrap_mod)
 from .report import VerificationReport, combine_reports, timed
 from .trinomials import (eval_trinomial, field_values, induced_mu_map,
                          theorem_family, verdicts)
 from .unity import (build_map, maps_agree_report, pointwise_agreement_report,
-                    unity_group)
+                    unity_group, unity_permutation_report)
 
 SEARCH_GUARD_K = 4
 
@@ -46,8 +46,9 @@ class ProfileMismatchError(NihoPermError):
 @timed
 def conjecture1_check(k: int) -> VerificationReport:
     """Exhaustive permutation and square-class stability sweep on GF(5^k)."""
-    if k % 2 == 0:
-        raise UsageError(f"the subfield map claim needs odd k (got {k})")
+    if k % 2 == 0 or not 1 <= k <= MAX_DEGREE:
+        raise UsageError(f"the subfield map claim needs odd k in "
+                         f"1..{MAX_DEGREE} (got k={k})")
     field = make_field(k)
     kern = field.accel_tables
     subject = f"x*((x^2-x+2)/(x^2+x+2))^2 permutes GF(5^{k})"
@@ -101,7 +102,6 @@ def conjecture2_check(k: int) -> VerificationReport:
     if k % 2 == 1:
         raise UsageError(f"the circle map claim needs even k (got {k})")
     group = unity_group(tower_field(k))
-    from .unity import unity_permutation_report
     return unity_permutation_report(build_map("conj2_map", k), group, "mu")
 
 
@@ -174,8 +174,7 @@ def _p1_image_off_subfield(field):
     logs = np.arange(n1, dtype=np.int64)
     off = logs[(logs * field.q) % n1 != logs]
     f = theorem_family("P1", field.subfield_degree)
-    vals = field_values(field, [(sign, e) for (sign, _), e
-                                in zip(f.terms, f.exponents)])
+    vals = field_values(field, f.monomials)
     return off, vals[off + 1]           # vals[0] is f(0)
 
 

@@ -426,7 +426,6 @@ class FieldParams:
     def __init__(self, m: int, modulus: tuple[int, ...], _token=None):
         if _token is not _FIELD_TOKEN:
             raise UsageError("use make_field() to construct fields")
-        self.p = CHAR
         self.m = m
         self.modulus = modulus
         self.order = CHAR ** m
@@ -505,9 +504,6 @@ class FieldParams:
         for idx in range(self.order):
             yield self.from_index(idx)
 
-    def random_element(self, rng) -> "FieldElement":
-        return self.from_index(rng.randrange(self.order))
-
 
 _FIELD_TOKEN = object()
 
@@ -560,31 +556,27 @@ class FieldElement:
             return NotImplemented
         return self.handle == o.handle
 
-    def __add__(self, other):
+    def _binary(self, other, op, swap=False):
+        """op on the handles of self and coerced other (swapped if swap)."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field.kernel.add(self.handle, o.handle))
+        a, b = (o, self) if swap else (self, o)
+        return FieldElement(self.field, op(a.handle, b.handle))
+
+    def __add__(self, other):
+        return self._binary(other, self.field.kernel.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.kernel.sub(self.handle, o.handle))
+        return self._binary(other, self.field.kernel.sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.kernel.sub(o.handle, self.handle))
+        return self._binary(other, self.field.kernel.sub, swap=True)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.kernel.mul(self.handle, o.handle))
+        return self._binary(other, self.field.kernel.mul)
 
     __rmul__ = __mul__
 

@@ -20,7 +20,8 @@ from .errors import GuardExceededError, UsageError
 from .field import CHAR, FieldElement, FieldParams, tower_field, wrap_mod
 from .report import VerificationReport, timed
 from .residues import parity_admits, resolve_residue
-from .unity import PowerFormMap, unity_group, unity_permutation_report
+from .unity import (PowerFormMap, sparse_at, unity_group,
+                    unity_permutation_report)
 
 EXHAUSTIVE_GUARD_K = 4
 # one k = 4 sample (an oracle and a criterion verdict) takes about 4.4 ms
@@ -42,6 +43,11 @@ class NihoTrinomial:
     @property
     def exponents(self) -> tuple[int, ...]:
         return tuple(c * (self.q - 1) + 1 for _, c in self.terms)
+
+    @property
+    def monomials(self) -> list[tuple[int, int]]:
+        """The (sign, exponent) pair of each term."""
+        return [(s, c * (self.q - 1) + 1) for s, c in self.terms]
 
     @property
     def degenerate(self) -> bool:
@@ -91,11 +97,7 @@ def build_trinomial(k: int,
 
 def eval_trinomial(f: NihoTrinomial, x: FieldElement) -> FieldElement:
     """Plain evaluation; 0 maps to 0 since every exponent is positive."""
-    acc = x.field.zero
-    for (sign, _), e in zip(f.terms, f.exponents):
-        t = x ** e
-        acc = acc + t if sign > 0 else acc - t
-    return acc
+    return sparse_at(f.monomials, x)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +164,7 @@ def is_permutation_exhaustive(f: NihoTrinomial) -> VerificationReport:
         raise GuardExceededError(
             f"exhaustive oracle guarded at k <= {EXHAUSTIVE_GUARD_K} "
             f"(5^{2*f.k} elements); use the criterion method")
-    abs_terms = list(zip((s for s, _ in f.terms), f.exponents))
-    return exhaustive_permutation_report(f.field, abs_terms, f.subject())
+    return exhaustive_permutation_report(f.field, f.monomials, f.subject())
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,7 +120,6 @@ class UnityGroup:
         # as n divides q^2-1, log_g(a + b*omega) mod n is ct mod n alone
         self.nlb = n * self.lb % self.log_order
         self.ctn = np.where(self.ct < 0, -1, self.ct % n)
-        self._words = None
         self._domains: dict[str, np.ndarray] = {}
 
     def pair_logs(self, a, b) -> np.ndarray:
@@ -156,7 +155,7 @@ class UnityGroup:
         So the sum is zero iff every field of its _fold is 0.
         """
         idx = np.asarray(indices, dtype=np.int64)
-        n, words = self.n, self._packed_words()
+        n, words = self.n, self.words
         acc, weight = np.zeros(idx.shape, dtype=np.uint64), 0
         for c, e in terms:
             c, e = c % CHAR, e % n
@@ -176,45 +175,30 @@ class UnityGroup:
             weight += c
         return acc
 
-    def _packed_words(self) -> np.ndarray:
-        """The packed word of each zeta^j, built on first use."""
-        if self._words is None:
-            k, words = self.k, np.zeros(self.n, dtype=np.uint64)
-            for i, col in enumerate(self.coords.T):     # a digits, then b
-                place = FIELD_BITS * (i % k) + HALF_BITS * (i // k)
-                words |= col.astype(np.uint64) << np.uint64(place)
-            self._words = words
-        return self._words
+    @cached_property
+    def words(self) -> np.ndarray:
+        """The packed word of each zeta^j, built on first read."""
+        k, words = self.k, np.zeros(self.n, dtype=np.uint64)
+        for i, col in enumerate(self.coords.T):         # a digits, then b
+            place = FIELD_BITS * (i % k) + HALF_BITS * (i // k)
+            words |= col.astype(np.uint64) << np.uint64(place)
+        return words
 
     def __repr__(self):
         return f"mu_{self.n} in {self.field!r}"
 
-    @property
-    def omega_plus(self) -> range:
-        """Indices of the squares in mu (zeta^even)."""
-        return range(0, self.n, 2)
-
-    @property
-    def omega_minus(self) -> range:
-        """Indices of the negated squares (zeta^odd; -1 = zeta^((q+1)/2), odd)."""
-        return range(1, self.n, 2)
-
     def domain_indices(self, name: str) -> np.ndarray:
-        """The named domain's circle indices as a read-only int64 array,
-        made once per group."""
+        """A domain's circle indices, a read-only int64 array made once per
+        group: mu, its squares omega_plus (zeta^even) or omega_minus (odd)."""
         if name not in self._domains:
-            spans = {"mu": range(self.n), "omega_plus": self.omega_plus,
-                     "omega_minus": self.omega_minus}
+            spans = {"mu": (0, 1), "omega_plus": (0, 2), "omega_minus": (1, 2)}
             if name not in spans:
                 raise UsageError(f"unknown unity domain {name!r}")
-            r = spans[name]
-            arr = np.arange(r.start, r.stop, r.step, dtype=np.int64)
+            start, step = spans[name]
+            arr = np.arange(start, self.n, step, dtype=np.int64)
             arr.flags.writeable = False
             self._domains[name] = arr
         return self._domains[name]
-
-    def handle(self, i: int) -> int:
-        return self.element(i).handle
 
     def element(self, i: int) -> FieldElement:
         return self.field.from_digits(self.rows[i % self.n].tolist())
@@ -222,13 +206,6 @@ class UnityGroup:
     def csv(self, i: int) -> str:
         """element(i).csv(), read from the digit rows (for witnesses)."""
         return ",".join(map(str, self.rows[i % self.n].tolist()))
-
-    def contains_handle(self, h: int) -> bool:
-        x = FieldElement(self.field, h)
-        return not x.is_zero and x ** self.n == self.field.one
-
-    def members(self, indices) -> list[FieldElement]:
-        return [self.element(i) for i in indices]
 
 
 # A packed word holds the GF(5) digits of a point a + b*omega in 4-bit
@@ -310,8 +287,8 @@ class ClosedFormMap:
     outer: int = 2
 
     def eval_at(self, x: FieldElement) -> FieldElement:
-        num = _sparse_at(self.num, x)
-        den = _sparse_at(self.den, x)
+        num = sparse_at(self.num, x)
+        den = sparse_at(self.den, x)
         if den.is_zero:
             raise PoleError(f"{self.name} has a pole at {x.csv()}", witness=x)
         val = (num / den) ** self.outer * x ** self.pre_exp
@@ -326,11 +303,7 @@ class PowerFormMap:
     h_terms: tuple[tuple[int, int], ...]  # (sign, c) residues mod the subgroup order
 
     def h_at(self, x: FieldElement) -> FieldElement:
-        acc = x.field.zero
-        for sign, c in self.h_terms:
-            t = x ** c
-            acc = acc + t if sign > 0 else acc - t
-        return acc
+        return sparse_at(self.h_terms, x)       # a sign is a GF(5) coefficient
 
     def eval_at(self, x: FieldElement) -> FieldElement:
         q = x.field.q
@@ -340,7 +313,9 @@ class PowerFormMap:
 FractionalMap = ClosedFormMap | PowerFormMap
 
 
-def _sparse_at(terms, x: FieldElement) -> FieldElement:
+def sparse_at(terms, x: FieldElement) -> FieldElement:
+    """sum coeff * x^e over (coeff, e) pairs by scalar arithmetic, the
+    reference for the batched sums; a coefficient is read mod 5."""
     acc = x.field.zero
     for coeff, e in terms:
         acc = acc + x.field.scalar(coeff) * x ** e

@@ -153,6 +153,33 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: k must be an integer in 1..6\n"
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["lemma1"], ["mu-check", "--map", "g1"],
+        ["verify", "--family", "T1"], ["verify", "--terms", "+0,+1,+2"],
+        ["table1"], ["equivalents", "--family", "T1"],
+        ["equivalents", "--pair", "+2,-4"],
+        ["proposition", "--id", "P1"], ["proposition", "--id", "P2"],
+        ["search"], ["search", "--force"], ["oracle-compare"]])
+    def test_k_below_one_is_two(self, capsys, argv, k):
+        # each command's own k check refuses it: main has no check of its own
+        code, out, err = run_cli(capsys, *argv, "--k", k)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["13", "99999999999"])
+    def test_conjecture1_k_above_field_limit_names_k(self, capsys, k):
+        # GF(5^k) stops at k = 12; the message names k, not a field degree
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "conjecture", "--id", "1", "--k", k)
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the subfield map claim needs odd k in 1..12 "
+                       f"(got k={k})\n")
+
 
 class TestReportShapes:
     def test_mu_check_schema(self, capsys):

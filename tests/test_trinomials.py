@@ -212,7 +212,7 @@ class TestCriterion:
         # of x*h(x)^(q-1) over the circle's members
         rng = random.Random(k)
         group = unity_group(tower_field(k))
-        circle = group.members(range(group.n))
+        circle = [group.element(i) for i in range(group.n)]
         for _ in range(40):
             f = random_trinomial(k, rng)
             scalar = is_permutation_of(circle, induced_mu_map(f))
