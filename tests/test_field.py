@@ -507,6 +507,26 @@ class TestWrapMod:
         cancel = kern.log_sum([(2, 3), (-2, 3)])
         assert np.shape(cancel) == () and cancel == -1
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_log_sum_python_int_log_matches_zero_d_array(self, m):
+        # a Python-int log in every position, with every live coefficient
+        # and the zero mark -1, against the same log as a 0-d array
+        kern = make_field(m).kernel
+        la = np.arange(-1, kern.n1, dtype=np.int64)
+        lb = la[::-1].copy()
+        for log in (-1, 0, 7, kern.n1 - 1):
+            for c in (1, 2, 3, 4):
+                for rest in ([], [(1, la), (2, lb)], [(3, 5)]):
+                    for pos in range(len(rest) + 1):
+                        as_int = rest[:pos] + [(c, log)] + rest[pos:]
+                        as_arr = (rest[:pos] + [(c, np.array(log))]
+                                  + rest[pos:])
+                        got = kern.log_sum(as_int)
+                        want = kern.log_sum(as_arr)
+                        assert np.shape(got) == np.shape(want)
+                        assert got.dtype == want.dtype == np.int64
+                        assert (got == want).all(), (log, c, rest, pos)
+
     def test_log_sum_leaves_its_operands_alone(self):
         kern = make_field(4).kernel
         la = np.arange(-1, kern.n1, dtype=np.int64)

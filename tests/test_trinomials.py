@@ -1,5 +1,6 @@
 """Trinomial construction, evaluation, and the two permutation routes."""
 
+import itertools
 import math
 import random
 
@@ -165,6 +166,62 @@ class TestExhaustiveOracle:
             assert wit["type"] == "collision" and x1 != x2
             assert eval_trinomial(f, x1).csv() == wit["value"]
             assert eval_trinomial(f, x2).csv() == wit["value"]
+
+    @staticmethod
+    def seen_table_witness(f):
+        """The oracle's verdict by a scalar seen-table: eval_trinomial at
+        0, g^0, g^1, ... in log order.  The witness value is the repeated
+        value of smallest element index, x1 and x2 its first two points."""
+        field = f.field
+        points, x = [field.zero], field.one
+        for _ in range(field.order - 1):
+            points.append(x)
+            x = x * field.generator
+        seen = {}
+        for x in points:
+            seen.setdefault(eval_trinomial(f, x).index, []).append(x)
+        repeated = [v for v, xs in seen.items() if len(xs) > 1]
+        if not repeated:
+            return None
+        v = min(repeated)
+        x1, x2 = seen[v][:2]
+        return {"type": "collision", "x1": x1.csv(), "x2": x2.csv(),
+                "value": field.from_index(v).csv()}
+
+    def check_witness_choice(self, f):
+        rep = is_permutation_exhaustive(f)
+        want = self.seen_table_witness(f)
+        assert rep.passed == (want is None), f
+        assert rep.witness == want, f
+
+    def test_witness_choice_every_trinomial_at_k1(self):
+        for c0, c1, c2 in itertools.product(range(6), repeat=3):
+            for s1, s2 in itertools.product((1, -1), repeat=2):
+                self.check_witness_choice(
+                    build_trinomial(1, [(1, c0), (s1, c1), (s2, c2)]))
+
+    def test_witness_choice_seeded_at_k2(self):
+        rng = random.Random(2021)
+        for _ in range(20):
+            self.check_witness_choice(build_trinomial(2, [
+                (1, rng.randrange(26)), (rng.choice((1, -1)), rng.randrange(26)),
+                (rng.choice((1, -1)), rng.randrange(26))]))
+
+    def test_witness_choice_zero_hit_twice(self):
+        # h = 1 + x^2 + x^4 vanishes on the circle, so f vanishes on a
+        # whole coset as well as at 0: the value 0 is the witness
+        f = build_trinomial(1, [(1, 0), (1, 2), (1, 4)])
+        self.check_witness_choice(f)
+        wit = is_permutation_exhaustive(f).witness
+        assert wit["value"] == "0,0" and wit["x1"] == "0,0"
+
+    @pytest.mark.parametrize("signs", [(1, 1), (-1, -1), (1, -1)])
+    def test_witness_choice_degenerate(self, signs):
+        # c0 = c1 = c2 = 7 at k = 2: f = c * x^169 and 13 | gcd(169, 624)
+        f = build_trinomial(2, [(1, 7), (signs[0], 7), (signs[1], 7)])
+        assert f.degenerate
+        self.check_witness_choice(f)
+        assert not is_permutation_exhaustive(f).passed
 
     def test_guard(self):
         f = theorem_family("T1", 5)
