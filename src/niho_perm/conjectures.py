@@ -61,7 +61,7 @@ def conjecture1_check(k: int) -> VerificationReport:
     if poles.size:
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
-            witness={"type": "pole", "x": field.from_log(poles[0]).csv()},
+            witness={"type": "pole", "x": field.log_csv(poles[0])},
             counts={"elements": field.order})
     val_logs = kern.log_product(((logs, 1), (num, 2), (den, -2)))
     # permutation over the full field: 0 maps to 0, so nonzero values must
@@ -73,9 +73,9 @@ def conjecture1_check(k: int) -> VerificationReport:
             kern.antilog[np.nonzero(counts[1:] > 1)[0]].min()])
         positions = np.nonzero(val_logs == dup)[0][:2]
         wit = {"type": "collision",
-               "x1": field.from_log(positions[0]).csv(),
-               "x2": field.from_log(positions[-1] if positions.size > 1
-                                    else -1).csv()}
+               "x1": field.log_csv(positions[0]),
+               "x2": field.log_csv(positions[-1] if positions.size > 1
+                                   else -1)}
         return VerificationReport(subject=subject, method="exhaustive",
                                   passed=False, witness=wit,
                                   counts={"elements": field.order})
@@ -85,7 +85,7 @@ def conjecture1_check(k: int) -> VerificationReport:
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
             witness={"type": "class_escape",
-                     "x": field.from_log(escape[0]).csv()},
+                     "x": field.log_csv(escape[0])},
             counts={"elements": field.order})
     return VerificationReport(
         subject=subject, method="exhaustive", passed=True,
@@ -196,7 +196,7 @@ def profile_sweep_report(k: int, *, image=None) -> VerificationReport:
         bad = int(np.nonzero(mask)[0][0])
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
-            witness={"type": kind, "x": field.from_log(off[bad]).csv()},
+            witness={"type": kind, "x": field.log_csv(off[bad])},
             counts={"points": off.size})
 
     if np.any(lf < 0):
@@ -249,7 +249,7 @@ def subfield_stability_report(k: int, *, image=None) -> VerificationReport:
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
             witness={"type": "subfield_image",
-                     "x": field.from_log(off[bad]).csv()},
+                     "x": field.log_csv(off[bad])},
             counts={"points": off.size})
     return VerificationReport(subject=subject, method="exhaustive",
                               passed=True, counts={"points": off.size})

@@ -11,7 +11,7 @@ whole-field sweep; the exhaustive sweeps read only those tables.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -103,6 +103,29 @@ def power_rows(base: list[int], count: int, f: Sequence[int]) -> np.ndarray:
         block = _pmulmod(block, block, f)
         filled += step
     return rows
+
+
+class lazy_attribute:
+    """A method's result, built on the first read of the attribute and
+    then stored on the instance by setattr, where later reads find it
+    first.  functools.cached_property stores through instance.__dict__,
+    which under CPython 3.11+ turns the instance's inline attribute values
+    into a real dict and makes every later attribute read about 4 times
+    slower; setattr keeps them inline."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        setattr(obj, self.name, value)
+        return value
 
 
 _UNSIGNED = {np.dtype(np.int64): np.uint64, np.dtype(np.int32): np.uint32}
@@ -329,21 +352,21 @@ class TableKernel(PolyKernel):
         super().__init__(m, modulus)
         self.n1 = self.order - 1
 
-    @cached_property
+    @lazy_attribute
     def antilog(self) -> np.ndarray:
         """antilog[n] = index of g^n."""
         pow5 = CHAR ** np.arange(self.m, dtype=np.int64)
         return power_rows([0, 1], self.n1,
                           self.modulus).astype(np.int64) @ pow5
 
-    @cached_property
+    @lazy_attribute
     def logt(self) -> np.ndarray:
         """logt[i] = log of the element of index i, -1 at zero."""
         logt = np.full(self.order, -1, dtype=np.int64)
         logt[self.antilog] = np.arange(self.n1, dtype=np.int64)
         return logt
 
-    @cached_property
+    @lazy_attribute
     def zech(self) -> np.ndarray:
         """zech[n] = log(g^n + 1), -1 where g^n = -1."""
         ids = self.antilog
@@ -363,42 +386,59 @@ class TableKernel(PolyKernel):
     # -- batch ops on int64 arrays of logs, -1 standing for zero ------------
     def log_sum(self, terms):
         """Log of sum coeff * A over (coeff, logs) pairs, where logs (of A)
-        may be an array or one log; -1 where the sum is zero.  Zech steps:
-        log(A + B) = lA + zech[lB - lA], a negative lB - lA indexing from
-        the table's end, and zech < 0 marking A + B = 0.  Each operand is
-        tested for zeros (log -1) once, and the zero masks run only in a
-        step where an operand holds one.  With no coefficient live, the sum
-        is -1 in the broadcast shape of the operands."""
+        may be an array or one log, a Python int taken without numpy; -1
+        where the sum is zero.  Zech steps: log(A + B) = lA + zech[lB - lA],
+        a negative lB - lA indexing from the table's end, and zech < 0
+        marking A + B = 0.  Each array operand is tested for zeros (log -1)
+        once, and the zero masks run only in a step where an operand holds
+        one.  With no coefficient live, the sum is -1 in the broadcast
+        shape of the operands."""
         n1, acc, acc_zero, shape = self.n1, None, False, ()
         for c, lb in terms:
             c %= CHAR
-            if c == 0:
+            if isinstance(lb, int):
+                if c == 0 or lb < 0:         # the term is zero
+                    continue
+                if c != 1:
+                    lb = (lb + int(self.logt[c])) % n1
+                zero = False
+            elif c == 0:
                 shape = np.broadcast_shapes(shape, np.shape(lb))
                 continue
-            lb = np.asarray(lb, dtype=np.int64)
-            zero = bool(lb.size) and lb.min() < 0
-            if c != 1:
-                scaled = wrap_mod(lb + self.logt[c], n1)
-                if zero:
-                    np.copyto(scaled, -1, where=lb < 0)
-                lb = scaled
-            if acc is None:
+            else:
+                lb = np.asarray(lb, dtype=np.int64)
+                zero = bool(lb.size) and lb.min() < 0
+                if c != 1:
+                    scaled = wrap_mod(lb + self.logt[c], n1)
+                    if zero:
+                        np.copyto(scaled, -1, where=lb < 0)
+                    lb = scaled
+            if acc is None or isinstance(acc, int) and acc < 0:
                 acc, acc_zero = lb, zero
+                continue
+            if isinstance(acc, int) and isinstance(lb, int):
+                z = int(self.zech[(lb - acc) % n1])
+                acc = -1 if z < 0 else (acc + z) % n1
                 continue
             if acc_zero is None:             # the last step may have cancelled
                 acc_zero = bool(acc.size) and acc.min() < 0
-            d = lb - acc
-            if acc_zero:
-                d %= n1                      # lA = -1 can put d at n1
-            z = self.zech[d]
-            s = wrap_mod(acc + z, n1)
-            np.copyto(s, -1, where=z < 0)
-            if acc_zero:
-                s = np.where(acc < 0, lb, s)
+            if isinstance(acc, int) and acc == 0:
+                s = self.zech[lb]            # log(1 + B) = zech[lB]
+            else:
+                d = lb - acc
+                if acc_zero:
+                    d %= n1                  # lA = -1 can put d at n1
+                z = self.zech[d]
+                s = wrap_mod(acc + z, n1)
+                np.copyto(s, -1, where=z < 0)
+                if acc_zero:
+                    s = np.where(acc < 0, lb, s)
             if zero:
                 s = np.where(lb < 0, acc, s)
             acc, acc_zero = s, None
-        return np.full(shape, -1, dtype=np.int64) if acc is None else acc
+        if acc is None:
+            return np.full(shape, -1, dtype=np.int64)
+        return np.asarray(acc, dtype=np.int64)
 
     def log_product(self, factors):
         """Log of prod A^e over (logs, e) pairs, -1 standing for zero, with
@@ -455,7 +495,7 @@ class FieldParams:
     @property
     def accel_tables(self) -> TableKernel:
         """The log/antilog/Zech tables that every whole-field sweep reads,
-        each built on its first read (the kernel's cached properties).
+        each built on its first read (the kernel's lazy attributes).
         Only fields of at most TABLE_LIMIT = 5^8 elements have them; any
         other field raises GuardExceededError naming it."""
         if not isinstance(self.kernel, TableKernel):
@@ -499,6 +539,20 @@ class FieldParams:
         if log < 0:
             return self.zero
         return self.from_index(int(self.accel_tables.antilog[log]))
+
+    def index_csv(self, idx: int) -> str:
+        """from_index(idx).csv(), read straight from idx's base-5 digits."""
+        digits = []
+        for _ in range(self.m):
+            idx, d = divmod(idx, CHAR)
+            digits.append(str(d))
+        return ",".join(digits)
+
+    def log_csv(self, log: int) -> str:
+        """from_log(log).csv(), read from the antilog table: the witness
+        string of g^log, and of zero for a negative log."""
+        return self.index_csv(
+            int(self.accel_tables.antilog[log]) if log >= 0 else 0)
 
     def elements(self) -> Iterator["FieldElement"]:
         for idx in range(self.order):
@@ -712,7 +766,7 @@ def trace_power_identity_report(k: int) -> VerificationReport:
             return VerificationReport(
                 subject=subject, method="exhaustive", passed=False,
                 witness={"type": "identity_mismatch", "power": e,
-                         "x": field.from_log(bad[0]).csv()},
+                         "x": field.log_csv(bad[0])},
                 counts={"elements": field.order, "identities": 5})
     return VerificationReport(
         subject=subject, method="exhaustive", passed=True,

@@ -113,21 +113,34 @@ def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
     subgroup of d-th powers, at g^(d*j) for j in [0, n1/d), and the log of
     the sum at g^L is e0*L + log H[L mod n1/d].  Niho exponents give
     n1/d <= q + 1; unrelated exponents give d = 1, a sweep of every log.
+    H's terms with the same step E = e - e0 mod n1 fold into one
+    coefficient c: the step-0 term is the scalar log of c, each other the
+    logs E*j + log c.
     """
     kern = field.accel_tables
     n1 = kern.n1
     e0 = abs_terms[0][1] % n1 if abs_terms else 0
     d = math.gcd(n1, *(e - e0 for _, e in abs_terms))
     m = n1 // d
-    j = np.arange(m, dtype=np.int64)
-    h = np.broadcast_to(kern.log_sum(
-        [(sign, (j * ((e - e0) % n1)) % n1) for sign, e in abs_terms]), m)
+    coeffs: dict[int, int] = {}
+    for sign, e in abs_terms:
+        step = (e - e0) % n1
+        coeffs[step] = coeffs.get(step, 0) + sign
+    terms = []
+    for step, c in coeffs.items():
+        if c % CHAR:
+            lc = int(kern.logt[c % CHAR])
+            terms.append((1, lc if step == 0 else np.arange(
+                lc, lc + m * step, step, dtype=np.int64) % n1))
+    h = kern.log_sum(terms)
+    if h.shape != (m,):
+        h = np.broadcast_to(h, m)
     at_zero = sum(sign for sign, e in abs_terms if e == 0)    # 0^0 = 1
     out = np.empty(field.order, dtype=np.int64)
     out[0] = kern.logt[at_zero % CHAR]
     grid = out[1:].reshape(d, m)            # g^L at row L // m, column L % m
-    np.add((np.arange(d, dtype=np.int64) * m * e0 % n1)[:, None],
-           (j * e0 + h) % n1, out=grid)
+    np.add((np.arange(d, dtype=np.int64) * (m * e0 % n1) % n1)[:, None],
+           (np.arange(m, dtype=np.int64) * e0 + h) % n1, out=grid)
     wrap_mod(grid, n1)
     if h.min() < 0:
         grid[:, h < 0] = -1
@@ -138,24 +151,38 @@ def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
 def exhaustive_permutation_report(field: FieldParams,
                                   abs_terms: Sequence[tuple[int, int]],
                                   subject: str) -> VerificationReport:
-    """Ground-truth oracle: seen-table over all of GF(5^{2k})."""
+    """Ground-truth oracle: seen-table over all of GF(5^{2k}).
+
+    A failing verdict's witness value is zero if zero is hit twice, and
+    otherwise the repeated value of smallest element index (zero has index
+    0, so one rule covers both); x1 and x2 are its first two points in the
+    order 0, g^0, g^1, ...
+    """
     vals = field_values(field, abs_terms)
-    dup = np.flatnonzero(np.bincount(vals + 1, minlength=field.order) > 1) - 1
-    if not dup.size:
+    vals += 1                               # log L in bin L + 1, zero in 0
+    counts = np.bincount(vals, minlength=field.order)
+    if counts.max() <= 1:
         return VerificationReport(
             subject=subject, method="exhaustive", passed=True,
             counts={"elements": field.order})
-    # the witness value is the duplicated value of smallest field index
-    kern = field.accel_tables
-    dup_index = np.where(dup < 0, 0, kern.antilog[dup])
-    first = int(np.argmin(dup_index))
-    positions = np.flatnonzero(vals == dup[first])[:2]
+    # the repeated value of smallest index: element index i is in bin
+    # logt[i] + 1, so scan the bins in index order, in windows that double
+    logt, start, size = field.accel_tables.logt, 0, 64
+    while True:
+        repeats = np.flatnonzero(counts[logt[start:start + size] + 1] > 1)
+        if repeats.size:
+            break
+        start, size = start + size, 2 * size
+    value = start + int(repeats[0])
+    hit = vals == logt[value] + 1
+    first = int(np.argmax(hit))
+    second = first + 1 + int(np.argmax(hit[first + 1:]))
     # position p holds x = g^(p - 1), and position 0 holds zero
-    x1, x2 = (field.from_log(p - 1) for p in positions)
     return VerificationReport(
         subject=subject, method="exhaustive", passed=False,
-        witness={"type": "collision", "x1": x1.csv(), "x2": x2.csv(),
-                 "value": field.from_index(int(dup_index[first])).csv()},
+        witness={"type": "collision", "x1": field.log_csv(first - 1),
+                 "x2": field.log_csv(second - 1),
+                 "value": field.index_csv(value)},
         counts={"elements": field.order})
 
 

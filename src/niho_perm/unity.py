@@ -52,14 +52,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import PoleError, UsageError
 from .field import (CHAR, FieldElement, FieldParams, TableKernel, _ppowmod,
-                    factorize, power_rows, tower_field, wrap_mod)
+                    factorize, lazy_attribute, power_rows, tower_field,
+                    wrap_mod)
 from .report import VerificationReport, combine_reports, timed
 from .residues import parity_admits, resolve_residue
 
@@ -175,7 +176,7 @@ class UnityGroup:
             weight += c
         return acc
 
-    @cached_property
+    @lazy_attribute
     def words(self) -> np.ndarray:
         """The packed word of each zeta^j, built on first read."""
         k, words = self.k, np.zeros(self.n, dtype=np.uint64)

@@ -734,6 +734,17 @@ class TestRepresentations:
                 assert f.from_log(log) == f.generator ** log
         assert f.from_log(-1).is_zero
 
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_witness_strings_from_the_index(self, m):
+        # index_csv and log_csv read digits straight from the index; they
+        # must spell what the element handles spell, at every element
+        f = make_field(m)
+        for i in range(f.order):
+            assert f.index_csv(i) == f.from_index(i).csv()
+        for log in range(-1, f.order - 1):
+            assert f.log_csv(log) == f.from_log(log).csv()
+        assert f.log_csv(np.int64(3)) == f.from_log(3).csv()
+
     @pytest.mark.parametrize("m", [2, 5, 10, 12])
     def test_poly_kernel_against_dense_reference(self, m):
         import random
