@@ -12,7 +12,7 @@ from .field import (FieldElement, FieldParams, frobenius, in_subfield,
                     trace_power_identity_report)
 from .report import VerificationReport
 from .residues import frac_mod, resolve_residue
-from .unity import (UnityGroup, build_map, check_circle_claim, eval_map,
+from .unity import (UnityGroup, build_map, check_circle_claim,
                     is_permutation_of, mu_check_report, unity_group,
                     unity_permutation_report)
 
@@ -22,7 +22,7 @@ __all__ = [
     "FieldElement", "FieldParams", "frobenius", "in_subfield", "make_field",
     "norm", "trace", "tower_field", "trace_power_identity_report",
     "VerificationReport", "frac_mod", "resolve_residue",
-    "UnityGroup", "build_map", "check_circle_claim", "eval_map",
+    "UnityGroup", "build_map", "check_circle_claim",
     "is_permutation_of", "mu_check_report", "unity_group",
     "unity_permutation_report",
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardExceededError, NihoPermError, UsageError
-from .field import (CHAR, MAX_DEGREE, FieldElement, in_subfield, make_field,
+from .field import (CHAR, TABLE_DEGREE, FieldElement, in_subfield, make_field,
                     norm, trace, tower_field, wrap_mod)
 from .report import VerificationReport, combine_reports, timed
 from .trinomials import (eval_trinomial, field_values, induced_mu_map,
@@ -46,9 +46,13 @@ class ProfileMismatchError(NihoPermError):
 @timed
 def conjecture1_check(k: int) -> VerificationReport:
     """Exhaustive permutation and square-class stability sweep on GF(5^k)."""
-    if k % 2 == 0 or not 1 <= k <= MAX_DEGREE:
-        raise UsageError(f"the subfield map claim needs odd k in "
-                         f"1..{MAX_DEGREE} (got k={k})")
+    if k % 2 == 0 or k < 1:
+        raise UsageError(f"the subfield map claim needs odd k >= 1 "
+                         f"(got k={k})")
+    if k > TABLE_DEGREE:
+        raise GuardExceededError(
+            f"GF(5^{k}) has no log tables: the subfield map claim is "
+            f"checked at odd k in 1..{TABLE_DEGREE} (got k={k})")
     field = make_field(k)
     kern = field.accel_tables
     subject = f"x*((x^2-x+2)/(x^2+x+2))^2 permutes GF(5^{k})"

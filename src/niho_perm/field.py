@@ -3,7 +3,7 @@
 Elements live in the power basis of a validated primitive modulus.  Every
 element is a handle in one format at every m: the packed power basis, one
 32-bit limb per base-5 digit, so that products reduce with whole-integer
-operations instead of per-digit Python loops.  Small fields (5^m <= 5^8)
+operations instead of per-digit Python loops.  Small fields (m <= 8)
 also have log/antilog/Zech tables, indexed by element index (the integer
 whose base-5 digits are the coordinates) and built with numpy on the first
 whole-field sweep; the exhaustive sweeps read only those tables.
@@ -20,8 +20,7 @@ from .errors import FieldConstructionError, GuardExceededError, UsageError
 from .report import VerificationReport, timed
 
 CHAR = 5
-MAX_DEGREE = 12
-TABLE_LIMIT = CHAR ** 8
+TABLE_DEGREE = 8       # GF(5^m) has log tables up to m = TABLE_DEGREE
 
 # One validated primitive modulus per degree, coefficients lowest-degree
 # first, monic.  Degree 2 is pinned to x^2 + 4x + 2 so the documented GF(25)
@@ -41,6 +40,7 @@ PRIMITIVE_MODULI: dict[int, tuple[int, ...]] = {
     11: (2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
     12: (3, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
 }
+MAX_DEGREE = max(PRIMITIVE_MODULI)
 
 
 # ---------------------------------------------------------------------------
@@ -147,32 +147,6 @@ def wrap_mod(s, n: int, scratch=None) -> np.ndarray:
     return s
 
 
-def _psub(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return _pstrip([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0))
-                    % CHAR for i in range(n)])
-
-
-def _pmod(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], CHAR - 2, CHAR)
-    while a and len(a) - 1 >= db:
-        d = len(a) - 1 - db
-        c = a[-1] * inv_lead % CHAR
-        for j in range(len(b)):
-            a[d + j] = (a[d + j] - c * b[j]) % CHAR
-        _pstrip(a)
-    return a
-
-
-def _pgcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b)
-    return a
-
-
 def factorize(n: int) -> list[int]:
     """Prime factorization by trial division (inputs stay below 5^12)."""
     out, d = [], 2
@@ -195,29 +169,18 @@ def _validate_modulus(m: int, modulus: Sequence[int]) -> tuple[int, ...]:
         raise FieldConstructionError("modulus digits must lie in 0..4")
     if mod[-1] != 1:
         raise FieldConstructionError("modulus must be monic")
-    if m > 1:
-        # irreducible iff x^(5^m) = x mod f and x^(5^(m/r)) - x is coprime
-        # to f for every prime r | m
-        frob = [[0, 1]]
-        y = [0, 1]
-        for _ in range(m):
-            y2 = _pmulmod(y, y, mod)
-            y = _pmulmod(_pmulmod(y2, y2, mod), y, mod)
-            frob.append(y)
-        if frob[m] != [0, 1]:
-            raise FieldConstructionError(
-                "modulus is reducible (x^(5^m) != x in the quotient)")
-        for r in set(factorize(m)):
-            g = _pgcd(_psub(frob[m // r], [0, 1]), mod)
-            if len(g) > 1:
-                raise FieldConstructionError(
-                    f"modulus is reducible (shares a factor of degree "
-                    f"dividing {m // r})")
+    # with N = 5^m - 1: x^N = 1 and x^(N/r) != 1 for every prime r | N give
+    # x order N in the quotient ring, whose N nonzero residues are then all
+    # powers of x, so units: the quotient is a field and x is primitive
     order = CHAR ** m - 1
+    if _ppowmod([0, 1], order, mod) != [1]:
+        raise FieldConstructionError(
+            f"modulus is not primitive (x^{order} != 1 in the quotient)")
     for r in sorted(set(factorize(order))):
         if _ppowmod([0, 1], order // r, mod) == [1]:
             raise FieldConstructionError(
-                f"modulus is not primitive (root order divides {order // r})")
+                f"modulus is not primitive (x^{order // r} = 1: the modulus "
+                f"is reducible, or irreducible with roots of order < {order})")
     return mod
 
 
@@ -332,7 +295,7 @@ class PolyKernel:
 
 
 # ---------------------------------------------------------------------------
-# table-accelerated kernel (5^m <= TABLE_LIMIT)
+# table-accelerated kernel (m <= TABLE_DEGREE)
 
 class TableKernel(PolyKernel):
     """PolyKernel plus log/antilog/Zech tables over the element index.
@@ -470,7 +433,7 @@ class FieldParams:
         self.modulus = modulus
         self.order = CHAR ** m
         self.subfield_degree = m // 2 if m % 2 == 0 else None
-        if self.order <= TABLE_LIMIT:
+        if m <= TABLE_DEGREE:
             self.kernel: PolyKernel = TableKernel(m, modulus)
         else:
             self.kernel = PolyKernel(m, modulus)
@@ -496,12 +459,13 @@ class FieldParams:
     def accel_tables(self) -> TableKernel:
         """The log/antilog/Zech tables that every whole-field sweep reads,
         each built on its first read (the kernel's lazy attributes).
-        Only fields of at most TABLE_LIMIT = 5^8 elements have them; any
-        other field raises GuardExceededError naming it."""
+        Only GF(5^m) with m <= TABLE_DEGREE has them; any other field
+        raises GuardExceededError naming it."""
         if not isinstance(self.kernel, TableKernel):
             raise GuardExceededError(
-                f"{self!r} has no log tables (fields of at most 5^8 elements "
-                f"have them: k <= 4 for GF(5^2k))")
+                f"{self!r} has no log tables (fields of at most "
+                f"5^{TABLE_DEGREE} elements have them: k <= "
+                f"{TABLE_DEGREE // 2} for GF(5^2k))")
         return self.kernel
 
     @property
@@ -533,13 +497,6 @@ class FieldParams:
             raise UsageError("element index out of range")
         return FieldElement(self, self.kernel.from_index(idx))
 
-    def from_log(self, log: int) -> "FieldElement":
-        """g^log, read from the log tables; a negative log, the tables'
-        mark for zero, gives zero."""
-        if log < 0:
-            return self.zero
-        return self.from_index(int(self.accel_tables.antilog[log]))
-
     def index_csv(self, idx: int) -> str:
         """from_index(idx).csv(), read straight from idx's base-5 digits."""
         digits = []
@@ -549,8 +506,8 @@ class FieldParams:
         return ",".join(digits)
 
     def log_csv(self, log: int) -> str:
-        """from_log(log).csv(), read from the antilog table: the witness
-        string of g^log, and of zero for a negative log."""
+        """(g^log).csv(), read from the antilog table: the witness string
+        of g^log, and of zero for a negative log."""
         return self.index_csv(
             int(self.accel_tables.antilog[log]) if log >= 0 else 0)
 

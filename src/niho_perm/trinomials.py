@@ -17,13 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardExceededError, UsageError
-from .field import CHAR, FieldElement, FieldParams, tower_field, wrap_mod
+from .field import (CHAR, TABLE_DEGREE, FieldElement, FieldParams,
+                    tower_field, wrap_mod)
 from .report import VerificationReport, timed
 from .residues import parity_admits, resolve_residue
 from .unity import (PowerFormMap, sparse_at, unity_group,
                     unity_permutation_report)
 
-EXHAUSTIVE_GUARD_K = 4
 # one k = 4 sample (an oracle and a criterion verdict) takes about 4.4 ms
 # on a 2-vCPU Xeon VM, so the largest agreement run takes about 45 s
 AGREEMENT_SAMPLE_LIMIT = 10_000
@@ -186,11 +186,16 @@ def exhaustive_permutation_report(field: FieldParams,
         counts={"elements": field.order})
 
 
-def is_permutation_exhaustive(f: NihoTrinomial) -> VerificationReport:
-    if f.k > EXHAUSTIVE_GUARD_K:
+def _check_oracle_reach(field: FieldParams) -> None:
+    """Refuse a field beyond the log tables, which the oracle sweeps."""
+    if field.m > TABLE_DEGREE:
         raise GuardExceededError(
-            f"exhaustive oracle guarded at k <= {EXHAUSTIVE_GUARD_K} "
-            f"(5^{2*f.k} elements); use the criterion method")
+            f"exhaustive oracle guarded at k <= {TABLE_DEGREE // 2} "
+            f"(5^{field.m} elements); use the criterion method")
+
+
+def is_permutation_exhaustive(f: NihoTrinomial) -> VerificationReport:
+    _check_oracle_reach(f.field)
     return exhaustive_permutation_report(f.field, f.monomials, f.subject())
 
 
@@ -224,10 +229,10 @@ def verdicts(f: NihoTrinomial,
              method: str | None = None) -> dict[str, VerificationReport]:
     """f's permutation reports keyed by method, criterion first: by default
     the criterion, and the exhaustive oracle too where the field has log
-    tables (k <= EXHAUSTIVE_GUARD_K).  "both", "criterion" or "exhaustive"
+    tables (2k <= TABLE_DEGREE).  "both", "criterion" or "exhaustive"
     select explicitly; the oracle stays guarded."""
     if method is None:
-        method = "both" if f.k <= EXHAUSTIVE_GUARD_K else "criterion"
+        method = "both" if f.field.m <= TABLE_DEGREE else "criterion"
     elif method not in ("both", "criterion", "exhaustive"):
         raise UsageError(f"unknown method {method!r}; valid: both, "
                          "criterion, exhaustive")
@@ -317,6 +322,7 @@ def oracle_agreement_report(k: int, samples: int,
         raise GuardExceededError(
             f"agreement run takes at most {AGREEMENT_SAMPLE_LIMIT} samples "
             f"(got {samples})")
+    _check_oracle_reach(tower_field(k))
     rng = random.Random(seed)
     agreements = 0
     for idx in range(samples):

@@ -59,8 +59,7 @@ import numpy as np
 
 from .errors import PoleError, UsageError
 from .field import (CHAR, FieldElement, FieldParams, TableKernel, _ppowmod,
-                    factorize, lazy_attribute, power_rows, tower_field,
-                    wrap_mod)
+                    lazy_attribute, power_rows, tower_field, wrap_mod)
 from .report import VerificationReport, combine_reports, timed
 from .residues import parity_admits, resolve_residue
 
@@ -80,10 +79,7 @@ class UnityGroup:
         q = self.q = field.q
         n = self.n = q + 1
         f = field.modulus
-        zeta = _ppowmod([0, 1], q - 1, f)
-        for r in set(factorize(n)):
-            if _ppowmod(zeta, n // r, f) == [1]:
-                raise UsageError("zeta does not have full order q+1")
+        zeta = _ppowmod([0, 1], q - 1, f)     # order q+1: x is primitive
         self.zeta = field.from_digits(zeta).handle
         # GF(5^{2k}) = GF(q) + GF(q)*omega with omega = g^((q+1)/2),
         # omega^2 = G = g^(q+1) and omega^q = -omega.  Phi maps (a, b)
@@ -321,11 +317,6 @@ def sparse_at(terms, x: FieldElement) -> FieldElement:
     for coeff, e in terms:
         acc = acc + x.field.scalar(coeff) * x ** e
     return acc
-
-
-def eval_map(map_: FractionalMap, x: FieldElement) -> FieldElement:
-    """Exact evaluation of a named map at one point (PoleError on a pole)."""
-    return map_.eval_at(x)
 
 
 # ---------------------------------------------------------------------------

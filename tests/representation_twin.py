@@ -76,7 +76,7 @@ def identity_first_failure(k: int, identities):
                             for c, a, b in terms])
         bad = np.flatnonzero(tr_of_power(e) != rhs)
         if bad.size:
-            return e, field.from_log(bad[0]).csv()
+            return e, field.log_csv(bad[0])
     return None
 
 

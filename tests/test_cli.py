@@ -74,6 +74,15 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: modulus digits must be integers, got '9,z'\n"
 
+    def test_non_primitive_modulus_is_two(self, capsys):
+        # x itself is 0 in GF(5)[x]/(x): it generates nothing
+        code, out, err = run_cli(capsys, "field-info", "--m", "1",
+                                 "--modulus", "0,1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: modulus is not primitive (x^4 != 1 in the " \
+                      "quotient)\n"
+
     @pytest.mark.parametrize("klist", ["0", "-1", "1,0,3"])
     def test_conjecture_k_below_one_is_two(self, capsys, klist):
         code, out, err = run_cli(capsys, "conjecture", "--id", "1",
@@ -169,16 +178,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("k", ["13", "99999999999"])
+    @pytest.mark.parametrize("k", ["13", "99999999999", "9"])
     def test_conjecture1_k_above_field_limit_names_k(self, capsys, k):
-        # GF(5^k) stops at k = 12; the message names k, not a field degree
+        # the log tables stop at GF(5^8): every odd k above 8 gets one
+        # message that names k, before any field is built
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "conjecture", "--id", "1", "--k", k)
         assert time.perf_counter() - start < 2
         assert code == 2
         assert out == ""
-        assert err == ("error: the subfield map claim needs odd k in 1..12 "
-                       f"(got k={k})\n")
+        assert err == (f"error: GF(5^{k}) has no log tables: the subfield "
+                       f"map claim is checked at odd k in 1..8 (got k={k})\n")
 
 
 class TestReportShapes:

@@ -23,7 +23,7 @@ from niho_perm.field import (in_subfield, make_field, norm, tower_field,
 from niho_perm.trinomials import (build_trinomial, induced_mu_map,
                                   is_permutation_exhaustive,
                                   is_permutation_via_criterion, theorem_family)
-from niho_perm.unity import (ClosedFormMap, UnityGroup, build_map, eval_map,
+from niho_perm.unity import (ClosedFormMap, UnityGroup, build_map,
                              maps_agree_report, pointwise_agreement_report,
                              unity_group)
 from fresh_interpreter import run_python
@@ -354,7 +354,7 @@ class TestPropositions:
         assert wit["type"] == "mismatch"
         x = group.field.from_csv(wit["x"])
         assert x == group.element(wit["index"])
-        assert eval_map(g10, x ** 3) != eval_map(wrong, x)
+        assert g10.eval_at(x ** 3) != wrong.eval_at(x)
         # a pole is reported at its own circle point
         polar = ClosedFormMap(name="polar", sign=1, pre_exp=0,
                               num=((1, 0),), den=((1, 1), (4, 0)), outer=1)
@@ -363,7 +363,7 @@ class TestPropositions:
         assert rep.witness["type"] == "zero_or_pole"
         x = group.field.from_csv(rep.witness["x"])
         with pytest.raises(PoleError):
-            eval_map(polar, x)
+            polar.eval_at(x)
 
     def test_parity_guards(self):
         with pytest.raises(UsageError):

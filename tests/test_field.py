@@ -62,6 +62,33 @@ class TestConstruction:
         with pytest.raises(FieldConstructionError, match="primitive"):
             make_field(2, [1, 1, 1])
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_accepts_exactly_the_primitive_moduli(self, m):
+        # brute force: f is primitive iff the powers x^0 .. x^(5^m - 2) mod f
+        # are 5^m - 1 distinct nonzero residues; x itself (0,1) is not.
+        # make_field's build runs without its cache, so that no field built
+        # here is found cached by another test
+        import itertools
+        build = field_mod._make_field_cached.__wrapped__
+        n = 5 ** m - 1
+        accepted = []
+        for low in itertools.product(range(5), repeat=m):
+            modulus = [*low, 1]
+            seen, p = set(), [1]
+            for _ in range(n):
+                seen.add(tuple(p))
+                p = _pmulmod(p, [0, 1], modulus)
+            primitive = len(seen) == n and () not in seen
+            try:
+                build(m, tuple(modulus))
+            except FieldConstructionError as exc:
+                assert not primitive, (modulus, exc)
+            else:
+                assert primitive, modulus
+                accepted.append(modulus)
+        # GF(5^m) has phi(5^m - 1) / m primitive moduli of degree m
+        assert len(accepted) == {1: 2, 2: 4, 3: 20}[m]
+
     def test_non_monic_override_rejected(self):
         with pytest.raises(FieldConstructionError, match="monic"):
             make_field(2, [2, 4, 2])
@@ -731,8 +758,8 @@ class TestRepresentations:
             logs = rng.integers(0, kern.n1, 50).tolist() + [0, kern.n1 - 1]
             for log in logs:
                 assert kern.antilog[log] == (f.generator ** log).index
-                assert f.from_log(log) == f.generator ** log
-        assert f.from_log(-1).is_zero
+                assert f.from_index(int(kern.antilog[log])) == \
+                    f.generator ** log
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_witness_strings_from_the_index(self, m):
@@ -741,9 +768,10 @@ class TestRepresentations:
         f = make_field(m)
         for i in range(f.order):
             assert f.index_csv(i) == f.from_index(i).csv()
-        for log in range(-1, f.order - 1):
-            assert f.log_csv(log) == f.from_log(log).csv()
-        assert f.log_csv(np.int64(3)) == f.from_log(3).csv()
+        assert f.log_csv(-1) == f.zero.csv()
+        for log in range(f.order - 1):
+            assert f.log_csv(log) == (f.generator ** log).csv()
+        assert f.log_csv(np.int64(3)) == (f.generator ** 3).csv()
 
     @pytest.mark.parametrize("m", [2, 5, 10, 12])
     def test_poly_kernel_against_dense_reference(self, m):

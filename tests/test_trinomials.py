@@ -17,8 +17,9 @@ from niho_perm.trinomials import (AGREEMENT_SAMPLE_LIMIT, FAMILY_CATALOG,
                                   is_permutation_via_criterion,
                                   oracle_agreement_report, random_trinomial,
                                   theorem_family, verdicts)
-from niho_perm.unity import (eval_map, eval_power_on_unity,
-                             is_permutation_of, unity_group)
+from niho_perm.unity import (eval_power_on_unity, is_permutation_of,
+                             unity_group)
+from niho_perm import trinomials as trinomials_mod
 from niho_perm import unity as unity_mod
 from representation_twin import digit_row_field_values
 
@@ -235,8 +236,8 @@ class TestCriterion:
         m = induced_mu_map(f)
         field = f.field
         one = field.one
-        assert eval_map(m, one) == one
-        assert eval_map(m, -one) == -one
+        assert m.eval_at(one) == one
+        assert m.eval_at(-one) == -one
         # h(1) = 1 + 1 - 1 = 1
         assert m.h_at(one) == one
 
@@ -422,6 +423,23 @@ class TestAgreement:
         assert AGREEMENT_SAMPLE_LIMIT == 10_000
         with pytest.raises(GuardExceededError, match="at most 10000 "):
             oracle_agreement_report(1, samples=10_001, seed=0)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_beyond_the_tables_refused_before_any_sample(self, monkeypatch,
+                                                          k):
+        # the oracle's reach is checked first: no criterion verdict is spent
+        calls = []
+        real = trinomials_mod.is_permutation_via_criterion
+
+        def counting(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(trinomials_mod, "is_permutation_via_criterion",
+                            counting)
+        with pytest.raises(GuardExceededError, match="criterion method"):
+            oracle_agreement_report(k, samples=1, seed=0)
+        assert calls == []
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_small_agreement_run(self, k):

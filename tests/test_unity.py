@@ -10,7 +10,7 @@ from niho_perm.field import make_field, tower_field
 from niho_perm.residues import parity_admits
 from niho_perm.unity import (MAP_SPECS, OMEGA_SPECIALIZATIONS,
                              ClosedFormMap, PowerFormMap, build_map,
-                             check_circle_claim, eval_map, eval_on_unity,
+                             check_circle_claim, eval_on_unity,
                              is_permutation_of, maps_agree_report,
                              mu_check_report, pointwise_agreement_report,
                              reciprocal_identity_report, reciprocal_map,
@@ -195,13 +195,13 @@ class TestEnumeration:
 class TestMapEvaluation:
     def test_g1_at_one(self, mu6):
         g1 = build_map("g1", 1)
-        assert eval_map(g1, mu6.field.one) == mu6.field.one
+        assert g1.eval_at(mu6.field.one) == mu6.field.one
 
     def test_half_f_values(self, mu6):
         f = build_map("half_f", 1)
         one = mu6.field.one
-        assert eval_map(f, one) == one
-        assert eval_map(f, -one) == -one
+        assert f.eval_at(one) == one
+        assert f.eval_at(-one) == -one
 
     # off-catalog shapes that leave the circle, hit a pole or vanish
     EXTRA_MAPS = (
@@ -236,13 +236,13 @@ class TestMapEvaluation:
             while bad is not None:
                 x = g.element(bad)
                 try:
-                    assert eval_map(map_, x).is_zero, (name, k, bad)
+                    assert map_.eval_at(x).is_zero, (name, k, bad)
                 except PoleError:
                     pass
                 idx.remove(bad)
                 vals, bad = eval_on_unity(map_, g, idx)
             for pos, i in enumerate(idx):
-                scalar = eval_map(map_, g.element(i))
+                scalar = map_.eval_at(g.element(i))
                 if vals[pos] < 0:
                     assert (scalar.is_zero
                             or scalar ** g.n != g.field.one), (name, k, i)
@@ -296,7 +296,7 @@ class TestMapEvaluation:
         assert wit["type"] == "escape"
         x = g.field.from_csv(wit["x"])
         assert x == g.element(wit["index"])
-        assert eval_map(shift, x).csv() == wit["image"]
+        assert shift.eval_at(x).csv() == wit["image"]
         assert wit["image"] == (x + 1).csv()
 
     def test_unknown_map(self):
@@ -587,7 +587,7 @@ class TestStructure:
         dom = "omega_plus" if k % 2 == 1 else "omega_minus"
         members = {g.element(i).handle for i in g.domain_indices(dom)}
         for i in g.domain_indices(dom):
-            assert eval_map(fmap, g.element(i)).handle in members
+            assert fmap.eval_at(g.element(i)).handle in members
 
     def test_zero_witness_of_vanishing_h(self, mu6):
         from niho_perm.unity import PowerFormMap
