@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import traceback
@@ -99,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constraint", default="none",
                    choices=("none", "sum-zero", "sum-half"))
     p.add_argument("--signs", default="all")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--force", action="store_true")
     add_common(p, _cmd_search, fmt_default="tsv")
 
@@ -251,17 +250,10 @@ def _cmd_proposition(args):
 
 
 def _cmd_search(args):
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("NIHO_PERM_THREADS")
-        try:
-            threads = max(1, int(env)) if env else 1
-        except ValueError:
-            raise UsageError(f"NIHO_PERM_THREADS must be an integer, got {env!r}")
     constraint = args.constraint.replace("-", "_")
     hits = search_problem_instances(
         args.k, constraint=constraint, sign_pattern=args.signs,
-        force=args.force, threads=threads)
+        force=args.force, threads=args.threads)
     rows = [("s", "t", "sign1", "sign2", "criterion_pass")]
     for h in hits:
         rows.append((str(h.s), str(h.t), h.sign1, h.sign2, "True"))

@@ -24,8 +24,9 @@ from .errors import GuardExceededError, NihoPermError, UsageError
 from .field import (CHAR, TABLE_DEGREE, FieldElement, in_subfield, make_field,
                     norm, trace, tower_field, wrap_mod)
 from .report import VerificationReport, combine_reports, timed
-from .trinomials import (eval_trinomial, field_values, induced_mu_map,
-                         theorem_family, verdicts)
+from .trinomials import (eval_trinomial, exhaustive_permutation_report,
+                         field_values, induced_mu_map, theorem_family,
+                         verdicts)
 from .unity import (build_map, maps_agree_report, pointwise_agreement_report,
                     unity_group, unity_permutation_report)
 
@@ -68,21 +69,10 @@ def conjecture1_check(k: int) -> VerificationReport:
             witness={"type": "pole", "x": field.log_csv(poles[0])},
             counts={"elements": field.order})
     val_logs = kern.log_product(((logs, 1), (num, 2), (den, -2)))
-    # permutation over the full field: 0 maps to 0, so nonzero values must
-    # be nonzero and pairwise distinct; the duplicate reported is 0 if it
-    # is hit, else the smallest duplicated element index
-    counts = np.bincount(val_logs + 1, minlength=n1 + 1)
-    if counts.max() > 1 or counts[0] > 0:
-        dup = -1 if counts[0] else int(kern.logt[
-            kern.antilog[np.nonzero(counts[1:] > 1)[0]].min()])
-        positions = np.nonzero(val_logs == dup)[0][:2]
-        wit = {"type": "collision",
-               "x1": field.log_csv(positions[0]),
-               "x2": field.log_csv(positions[-1] if positions.size > 1
-                                   else -1)}
-        return VerificationReport(subject=subject, method="exhaustive",
-                                  passed=False, witness=wit,
-                                  counts={"elements": field.order})
+    perm = exhaustive_permutation_report(       # 0 maps to 0
+        field, np.concatenate(([-1], val_logs)), subject)
+    if not perm.passed:
+        return perm
     # square-class stability: squares sit at even logs, twice-squares at odd
     escape = np.nonzero((logs % 2) != (val_logs % 2))[0]
     if escape.size:
@@ -353,23 +343,16 @@ def _patterns_of(sign_pattern: str) -> tuple[tuple[int, int], ...]:
         f"sign pattern must be two of +/- or 'all', got {sign_pattern!r}")
 
 
-def _swap_closed(patterns) -> bool:
-    """(s, t, l1, l2) and (t, s, l2, l1) give the same h; a pattern set
-    closed under that swap lets the search evaluate t >= s only."""
-    return all((l2, l1) in patterns for l1, l2 in patterns)
-
-
-def _candidate_rows(s: np.ndarray, constraint: str, n: int, mirror: bool):
+def _candidate_rows(s: np.ndarray, constraint: str, n: int):
     """Per s: the first evaluated t and the number of them, as arrays.
 
-    t runs over Z/n, or is the one residue the sum constraint fixes; with
-    mirror only t >= s is evaluated."""
+    t runs over t >= s in Z/n, or is the one residue the sum constraint
+    fixes if that one is >= s."""
     if constraint == "none":
-        first, stop = np.zeros_like(s), np.full_like(s, n)
+        first, stop = s, np.full_like(s, n)
     else:
         first = (-s if constraint == "sum_zero" else n // 2 - s) % n
         stop = first + 1
-    if mirror:
         first = np.maximum(first, s)
     return first, np.maximum(stop - first, 0)
 
@@ -528,17 +511,17 @@ _search_tables = functools.cache(_SearchTables)    # one per circle
 def _search_chunk(args) -> list[SearchHit]:
     """Criterion hits for s in [s_lo, s_hi), sorted.
 
-    The chunk's candidates (s, t) are listed as int arrays and evaluated in
-    blocks of about SEARCH_BLOCK sample points.  For a swap-closed pattern
-    set only t >= s is evaluated and each off-diagonal hit is also emitted
-    as (t, s, l2, l1), which may lie outside [s_lo, s_hi).
+    The chunk's candidates (s, t), t >= s, are listed as int arrays and
+    evaluated in blocks of about SEARCH_BLOCK sample points.
+    (s, t, l1, l2) and (t, s, l2, l1) give the same h, so each pattern of
+    the swap closure of the requested set is evaluated once: a hit is
+    emitted if its pattern was requested, and its off-diagonal mirror
+    (t, s, l2, l1), which may lie outside [s_lo, s_hi), if that one was.
     """
     k, s_lo, s_hi, constraint, patterns = args
     tabs = _search_tables(unity_group(tower_field(k)))
-    mirror = _swap_closed(patterns)
     n = int(tabs.n)
-    starts, counts = _candidate_rows(np.arange(s_lo, s_hi), constraint, n,
-                                     mirror)
+    starts, counts = _candidate_rows(np.arange(s_lo, s_hi), constraint, n)
     live = counts > 0           # the kernel's takes leave indices unchecked
     if live.any() and not (0 <= s_lo and s_hi <= n
                            and starts[live].min() >= 0
@@ -546,16 +529,18 @@ def _search_chunk(args) -> list[SearchHit]:
         raise IndexError(f"search candidates outside Z/{n}")
     prefix = np.concatenate(([0], np.cumsum(counts)))
     size = max(1, SEARCH_BLOCK // len(tabs.points))
+    closure = dict.fromkeys(patterns + tuple((b, a) for a, b in patterns))
     found = [np.empty((4, 0), dtype=np.int64)]     # rows s, t, l1, l2
     for lo in range(0, int(prefix[-1]), size):
         pos = np.arange(lo, min(lo + size, int(prefix[-1])))
         row = np.searchsorted(prefix, pos, side="right") - 1
         s, t = s_lo + row, starts[row] + pos - prefix[row]
-        for l1, l2 in patterns:
+        for l1, l2 in closure:
             j = tabs.hits(s, t, l1, l2)
-            found.append(np.stack((s[j], t[j], np.full(j.size, l1),
-                                   np.full(j.size, l2))))
-            if mirror:
+            if (l1, l2) in patterns:
+                found.append(np.stack((s[j], t[j], np.full(j.size, l1),
+                                       np.full(j.size, l2))))
+            if (l2, l1) in patterns:
                 j = j[s[j] != t[j]]
                 found.append(np.stack((t[j], s[j], np.full(j.size, l2),
                                        np.full(j.size, l1))))
@@ -583,9 +568,9 @@ def search_problem_instances(k: int, constraint: str = "none",
     t is determined by s under the sum constraints; the full square is
     enumerated otherwise.  Output order is ascending (s, t, sign pattern)
     and is independent of the worker count.  The s-range is split into
-    chunks of equal work (only t >= s is evaluated when the pattern set is
-    swap-closed), one per worker; the worker count is
-    clamped to the CPU count and to the number of non-empty chunks.
+    chunks of equal work (only t >= s is evaluated), one per worker; the
+    worker count is clamped to the CPU count and to the number of
+    non-empty chunks.
     """
     if constraint not in CONSTRAINTS:
         raise UsageError(
@@ -597,10 +582,9 @@ def search_problem_instances(k: int, constraint: str = "none",
     group = unity_group(tower_field(k))
     for sign in {sign for pattern in patterns for sign in pattern}:
         _search_tables(group).rows(sign)        # build before any fork
-    mirror = _swap_closed(patterns)
     n = group.n
     workers = min(max(1, int(threads)), os.cpu_count() or 1)
-    work = _candidate_rows(np.arange(n), constraint, n, mirror)[1]
+    work = _candidate_rows(np.arange(n), constraint, n)[1]
     chunks = [(k, lo, hi, constraint, patterns)
               for lo, hi in _split_by_work(work, workers)]
     if len(chunks) == 1:

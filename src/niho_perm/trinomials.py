@@ -148,17 +148,17 @@ def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
 
 
 @timed
-def exhaustive_permutation_report(field: FieldParams,
-                                  abs_terms: Sequence[tuple[int, int]],
+def exhaustive_permutation_report(field: FieldParams, vals: np.ndarray,
                                   subject: str) -> VerificationReport:
-    """Ground-truth oracle: seen-table over all of GF(5^{2k}).
+    """Ground-truth oracle: seen-table over all of the field.
 
-    A failing verdict's witness value is zero if zero is hit twice, and
+    vals holds the logs of a map's values in the order 0, g^0, g^1, ...,
+    -1 for zero, as field_values gives them; it is shifted in place.  A
+    failing verdict's witness value is zero if zero is hit twice, and
     otherwise the repeated value of smallest element index (zero has index
-    0, so one rule covers both); x1 and x2 are its first two points in the
-    order 0, g^0, g^1, ...
+    0, so one rule covers both); x1 and x2 are its first two points in that
+    order.
     """
-    vals = field_values(field, abs_terms)
     vals += 1                               # log L in bin L + 1, zero in 0
     counts = np.bincount(vals, minlength=field.order)
     if counts.max() <= 1:
@@ -196,7 +196,8 @@ def _check_oracle_reach(field: FieldParams) -> None:
 
 def is_permutation_exhaustive(f: NihoTrinomial) -> VerificationReport:
     _check_oracle_reach(f.field)
-    return exhaustive_permutation_report(f.field, f.monomials, f.subject())
+    return exhaustive_permutation_report(
+        f.field, field_values(f.field, f.monomials), f.subject())
 
 
 # ---------------------------------------------------------------------------

@@ -359,18 +359,21 @@ class TestDeterminism:
         assert strip_elapsed(first) == strip_elapsed(second)
 
     def test_search_tsv_byte_identical_across_threads(self, capsys):
-        _, a, _ = run_cli(capsys, "search", "--k", "2", "--threads", "1")
-        _, b, _ = run_cli(capsys, "search", "--k", "2", "--threads", "3")
-        assert a == b
+        for constraint in ("none", "sum-zero", "sum-half"):
+            for signs in ("all", "+-", "-+"):
+                argv = ("search", "--k", "2", "--constraint", constraint,
+                        f"--signs={signs}", "--threads")
+                _, a, _ = run_cli(capsys, *argv, "1")
+                _, b, _ = run_cli(capsys, *argv, "3")
+                assert a == b, (constraint, signs)
 
-    def test_threads_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("NIHO_PERM_THREADS", "2")
+    def test_threads_env_is_not_read(self, capsys, monkeypatch):
+        # --threads is the one worker setting
+        _, want, _ = run_cli(capsys, "search", "--k", "1")
+        monkeypatch.setenv("NIHO_PERM_THREADS", "zebra")
         code, out, _ = run_cli(capsys, "search", "--k", "1")
         assert code == 0
-        monkeypatch.setenv("NIHO_PERM_THREADS", "zebra")
-        code, _, err = run_cli(capsys, "search", "--k", "1")
-        assert code == 2
-        assert "NIHO_PERM_THREADS" in err
+        assert out == want
 
     def test_seeded_compare_stable(self, capsys):
         _, a, _ = run_cli(capsys, "oracle-compare", "--k", "1", "--seed", "3")

@@ -127,8 +127,23 @@ class TestConjecture1Witnesses:
                 break
             seen[fx] = field.generator ** log
         assert log == self.J + 5
+        # fx is the scalar replay at x2, and at x1 = seen[fx] too
         assert rep.witness == {"type": "collision", "x1": seen[fx].csv(),
-                               "x2": (field.generator ** log).csv()}
+                               "x2": (field.generator ** log).csv(),
+                               "value": fx.csv()}
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_zero_image(self, monkeypatch, k):
+        # a nonzero x sent to 0 collides with x = 0, which maps to 0
+        field = make_field(k)
+
+        def edit(_, out):
+            out[self.J] = -1
+        self._corrupt(monkeypatch, field.accel_tables, "log_product", edit)
+        rep = conjecture1_check(k)
+        assert rep.witness == {"type": "collision", "x1": field.zero.csv(),
+                               "x2": (field.generator ** self.J).csv(),
+                               "value": field.zero.csv()}
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_class_escape(self, monkeypatch, k):
@@ -416,9 +431,13 @@ class TestSearch:
         assert hits == []
 
     def test_worker_count_does_not_change_output(self):
-        a = search_problem_instances(2, "none", "all", threads=1)
-        b = search_problem_instances(2, "none", "all", threads=3)
-        assert a == b
+        # a "+-" or "-+" worker emits mirrored hits outside its own s-range;
+        # only the sorted merge keeps the output the same
+        for constraint in CONSTRAINTS:
+            for signs in ("all", "+-", "-+"):
+                a = search_problem_instances(2, constraint, signs, threads=1)
+                b = search_problem_instances(2, constraint, signs, threads=3)
+                assert a == b, (constraint, signs)
 
     def test_hits_match_per_candidate_verdicts(self):
         # every (s, t, pattern) of the square on its own, by the criterion
@@ -549,16 +568,13 @@ print(len(hits), faults, tracemalloc.get_traced_memory()[1])
                  for lo, hi in ((0, 5), (5, 6), (6, 26))]
         assert sorted(h for part in parts for h in part) == whole
 
-    @pytest.mark.parametrize("cpus, threads, env, k, expected", [
-        (2, 10 ** 6, None, 2, 2),      # clamped to the CPU count
-        (2, None, "1000000", 2, 2),    # NIHO_PERM_THREADS likewise
-        (64, 64, None, 1, 6),          # clamped to the non-empty chunks
+    @pytest.mark.parametrize("cpus, threads, k, expected", [
+        (2, 10 ** 6, 2, 2),     # clamped to the CPU count
+        (64, 64, 1, 6),         # clamped to the non-empty chunks
     ])
     def test_worker_count_is_clamped(self, capsys, monkeypatch, cpus,
-                                     threads, env, k, expected):
+                                     threads, k, expected):
         _, single, _ = run_search_cli(capsys, k, 1)
-        if env is not None:
-            monkeypatch.setenv("NIHO_PERM_THREADS", env)
         started = []
 
         class RecordingPool:

@@ -1,6 +1,7 @@
 """Field construction, arithmetic, tower operations, identity suite."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -121,7 +122,10 @@ class TestConstruction:
             return real(m, modulus)
 
         monkeypatch.setattr(field_mod, "_validate_modulus", counting)
-        # x^3 + 4x^2 + 4x + 2: primitive, and built by no other test
+        # a fresh cache, so no field an earlier test built is fetched
+        monkeypatch.setattr(field_mod, "_make_field_cached", lru_cache(
+            maxsize=None)(field_mod._make_field_cached.__wrapped__))
+        # x^3 + 4x^2 + 4x + 2: primitive
         fields = [make_field(3, [2, 4, 4, 1]) for _ in range(3)]
         fields.append(make_field(3, "2,4,4,1"))
         assert all(f is fields[0] for f in fields)

@@ -1,14 +1,16 @@
 """Modular fractions, exponent transforms, pair equivalences, pair table."""
 
+import json
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from niho_perm import transforms, trinomials
+from niho_perm.cli import main
 from niho_perm.errors import NoInverseError, ResidueError, UsageError
+from niho_perm.report import VerificationReport
 from niho_perm.residues import frac_mod, resolve_residue
 from niho_perm.transforms import (PAIR_TABLE, SignedPair, equivalent_pairs,
                                   exponent_transform, pair_from_text,
@@ -260,18 +262,35 @@ class TestPairTable:
         table_report(k)
         assert len(calls) == len(set(calls)) == {2: 20, 3: 10}[k]
 
-    def test_contract_violation_raises(self, monkeypatch):
-        # the source passes and a derived pair fails: the table stops
-        source = pair_of_family("T1", 3).trinomial(3)
-        monkeypatch.setattr(
-            trinomials, "is_permutation_via_criterion",
-            lambda t: SimpleNamespace(passed=t == source))
+    def test_contract_violation_fails_with_witness(self, monkeypatch, capsys):
+        # the source passes and a derived pair fails: the verdict gates of
+        # table1 and equivalents fail (exit 1), naming the failing pair
+        pair = pair_of_family("T1", 3)
+        source = pair.trinomial(3)
+
+        def fake(passed):
+            return lambda t: VerificationReport(
+                subject=t.subject(), method="fake", passed=passed(t),
+                witness=None if passed(t) else {"type": "fake"})
+
+        monkeypatch.setattr(trinomials, "is_permutation_via_criterion",
+                            fake(lambda t: t == source))
         monkeypatch.setattr(trinomials, "is_permutation_exhaustive",
-                            lambda t: SimpleNamespace(passed=True))
-        with pytest.raises(UsageError, match="transform contract violated"):
-            table_report(3)
-        with pytest.raises(UsageError, match="transform contract violated"):
-            equivalent_pairs(pair_of_family("T1", 3), 3)
+                            fake(lambda t: True))
+        overall, rows = table_report(3)
+        row = next(r for r in rows if r["pair"] == pair.notation())
+        assert row["criterion_pass"] is True
+        assert row["equivalents_checked"] > 0
+        assert row["equivalents_pass"] is False
+        assert not overall.passed
+        assert main(["table1", "--k", "3", "--format", "json"]) == 1
+        assert json.loads(capsys.readouterr().out)["pass"] is False
+        assert main(["equivalents", "--family", "T1", "--k", "3"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["criterion_pass"] is True
+        assert out["equivalents"][0]["criterion_pass"] is False
+        assert out["witness"]["type"] == "fake"
+        assert out["witness"]["pair"] == out["equivalents"][0]["pair"]
 
     def test_conjectural_rows_labeled(self):
         _, rows = table_report(2)

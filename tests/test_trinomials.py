@@ -96,9 +96,11 @@ class TestExhaustiveOracle:
     def test_monomial_path(self):
         # x^7 permutes GF(25) because gcd(7, 24) = 1
         field = tower_field(1)
-        rep = exhaustive_permutation_report(field, [(1, 7)], "x^7")
+        rep = exhaustive_permutation_report(
+            field, field_values(field, [(1, 7)]), "x^7")
         assert rep.passed
-        rep = exhaustive_permutation_report(field, [(1, 6)], "x^6")
+        rep = exhaustive_permutation_report(
+            field, field_values(field, [(1, 6)]), "x^6")
         assert not rep.passed
 
     def test_off_theorem_sign_pattern_reported_honestly(self):
