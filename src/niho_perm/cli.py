@@ -197,11 +197,9 @@ def _verdict_fields(reports: dict) -> dict:
 def _cmd_equivalents(args):
     if (args.family is None) == (args.pair is None):
         raise UsageError("equivalents needs exactly one of --family or --pair")
-    if args.family is not None:
-        base = pair_of_family(args.family, args.k)
-    else:
-        base = pair_from_text(args.pair, args.k)
-    base_reports, derived, skipped = equivalent_pairs(base, args.k)
+    base = (pair_of_family(args.family, args.k) if args.family is not None
+            else pair_from_text(args.pair, args.k))
+    base_reports, derived, skipped = equivalent_pairs(base)
     payload = {"k": args.k, "base": base.notation(),
                **_verdict_fields(base_reports),
                "equivalents": [{"pair": p.notation(), **_verdict_fields(r),
@@ -289,18 +287,27 @@ def _render(args, passed: bool, payload: dict, tsv_rows,
     return json.dumps(body, indent=2) + "\n"
 
 
-def _join_signed_values(argv) -> list[str]:
+_SIGN_SETS = ("++", "+-", "-+", "--", "all")
+
+
+def _prepare_argv(argv) -> tuple[list[str], str | None]:
     """argv with "--pair -2,+4" joined to "--pair=-2,+4", and so for
-    --terms: argparse would read a value with a leading minus as an option
-    of its own."""
-    out: list[str] = []
+    --terms, and the sign set X of "--signs X" or "--signs=X" taken out:
+    argparse would read a value with a leading minus as an option of its
+    own, and drops a "--" value (before Python 3.13)."""
+    out, signs = [], None
     for arg in argv:
-        if out and out[-1] in ("--pair", "--terms") and arg[:1] == "-" \
+        if out[-1:] == ["--signs"] and arg in _SIGN_SETS:
+            out.pop()
+            signs = arg
+        elif arg[:8] == "--signs=" and arg[8:] in _SIGN_SETS:
+            signs = arg[8:]
+        elif out and out[-1] in ("--pair", "--terms") and arg[:1] == "-" \
                 and arg[:2] != "--":
             out[-1] += "=" + arg
         else:
             out.append(arg)
-    return out
+    return out, signs
 
 
 def main(argv=None) -> int:
@@ -308,8 +315,13 @@ def main(argv=None) -> int:
     verification failed (with a witness), 2 usage or I/O error, 3 any other
     (internal) error, reported on stderr as its traceback and an
     ``internal error:`` line."""
-    args = build_parser().parse_args(
-        _join_signed_values(sys.argv[1:] if argv is None else argv))
+    parser = build_parser()
+    argv, signs = _prepare_argv(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
+    if signs is not None:
+        if args.subcommand != "search":
+            parser.error(f"unrecognized arguments: --signs {signs}")
+        args.signs = signs
     try:
         start = time.perf_counter()
         passed, payload, tsv_rows = args.handler(args)

@@ -1,7 +1,8 @@
 """Exponent-transform calculus on circle power forms, equivalence pairs,
 and the embedded pair table with its transcription diff.
 
-A pair (s1[c1], s2[c2]) denotes x + s1*x^(c1(q-1)+1) + s2*x^(c2(q-1)+1).
+A pair (s1[c1], s2[c2]) denotes x + s1*x^(c1(q-1)+1) + s2*x^(c2(q-1)+1):
+it is a NihoTrinomial whose leading term is x, built by build_pair.
 When x*(1 + s1*x^i + s2*x^j)^(q-1) permutes the circle, substituting
 x -> x^(1/(2i-1)) (when that inverse exists mod q+1) yields another
 permuting power form; the four case clauses below track how the signs move.
@@ -20,63 +21,28 @@ from .field import tower_field
 from .report import VerificationReport, combine_reports
 from .residues import (frac_mod, parity_admits, parse_signed_residues,
                        resolve_residue)
-from .trinomials import (NihoTrinomial, build_trinomial, theorem_family,
-                         verdicts)
+from .trinomials import (NihoTrinomial, build_pair, family_is_conjectural,
+                         theorem_family, verdicts)
 
 
-@dataclass(frozen=True, order=True)
-class SignedPair:
-    """Two signed residues mod q+1, canonically ordered by (c, sign)."""
-
-    terms: tuple[tuple[int, int], ...]  # ((c, sign), (c, sign)) sort-ready
-
-    @classmethod
-    def make(cls, t1: tuple[int, int], t2: tuple[int, int],
-             n: int) -> "SignedPair":
-        # inputs are (sign, c); stored as (c, sign), + before - at equal c
-        items = sorted((c % n, -s) for s, c in (t1, t2))
-        return cls(terms=tuple((c, -s) for c, s in items))
-
-    @property
-    def signed_terms(self) -> tuple[tuple[int, int], ...]:
-        """Back in (sign, c) order."""
-        return tuple((s, c) for c, s in self.terms)
-
-    @property
-    def degenerate(self) -> bool:
-        (c1, _), (c2, _) = self.terms
-        return c1 == c2 or c1 == 0 or c2 == 0
-
-    def notation(self) -> str:
-        return "(" + ", ".join(
-            f"{'+' if s > 0 else '-'}[{c}]" for c, s in self.terms) + ")"
-
-    def trinomial(self, k: int) -> NihoTrinomial:
-        return build_trinomial(k, ((1, 0),) + self.signed_terms)
-
-
-def pair_from_text(text: str, k: int) -> SignedPair:
+def pair_from_text(text: str, k: int) -> NihoTrinomial:
     """Parse "+2,-4" (or "(+[2], -[4])") into a canonical pair."""
-    n = tower_field(k).q + 1
     cleaned = text.strip().strip("()").replace("[", "").replace("]", "")
-    return SignedPair.make(*parse_signed_residues(cleaned, 2, "pair"), n)
+    return build_pair(k, *parse_signed_residues(cleaned, 2, "pair"))
 
 
-def pair_of_family(family_id: str, k: int) -> SignedPair:
+def pair_of_family(family_id: str, k: int) -> NihoTrinomial:
     """Normalize a named family to leading-term x and return its pair.
 
     Families whose leading term is x^q are composed with the output
     Frobenius first, which sends every residue c to 1 - c and the leading
     term to x; the permutation property is unchanged.
     """
-    f = theorem_family(family_id, k)
-    n = f.q + 1
-    (s0, c0), t1, t2 = f.terms
+    (_, c0), t1, t2 = theorem_family(family_id, k).terms
     if c0 == 0:
-        return SignedPair.make(t1, t2, n)
+        return build_pair(k, t1, t2)
     if c0 == 1:
-        return SignedPair.make((t1[0], (1 - t1[1]) % n),
-                               (t2[0], (1 - t2[1]) % n), n)
+        return build_pair(k, (t1[0], 1 - t1[1]), (t2[0], 1 - t2[1]))
     raise UsageError(f"family {family_id} has leading residue {c0}, "
                      "expected 0 or 1")
 
@@ -115,9 +81,9 @@ def exponent_transform(case: str, i: int, j: int,
     return _CASES[case][1], s, t
 
 
-def _applications(pair: SignedPair) -> list[tuple[str, int, int]]:
+def _applications(pair: NihoTrinomial) -> list[tuple[str, int, int]]:
     """Which (case, i, j) apply to this pair's sign pattern."""
-    (sa, ca), (sb, cb) = pair.signed_terms
+    _, (sa, ca), (sb, cb) = pair.terms
     if sa > 0 and sb > 0:
         return [("1", ca, cb), ("1", cb, ca)]
     if sa < 0 and sb < 0:
@@ -127,9 +93,10 @@ def _applications(pair: SignedPair) -> list[tuple[str, int, int]]:
     return [("2a", plus_c, minus_c), ("2b", plus_c, minus_c)]
 
 
-def equivalent_pairs(pair: SignedPair, k: int):
+def equivalent_pairs(pair: NihoTrinomial):
     """The source's `verdicts`, every pair reachable from the source by a
     single applicable transform with its `verdicts`, and the skip log.
+    The source is a pair: a trinomial whose leading term is x.
 
     Inapplicable clauses (gcd obstruction) are skipped, each logged as one
     line of the skip log.  The pairs are deduplicated, in canonical order,
@@ -137,8 +104,10 @@ def equivalent_pairs(pair: SignedPair, k: int):
     assumed: every derived pair carries its own verdicts, and the callers
     fail on any failing one.  Each trinomial is verified once.
     """
-    n = tower_field(k).q + 1
-    found: set[SignedPair] = set()
+    if pair.terms[0] != (1, 0):
+        raise UsageError(f"not a pair (leading term x): {pair.subject()}")
+    k = pair.k
+    found: set[NihoTrinomial] = set()
     skipped: list[str] = []
     for case, i, j in _applications(pair):
         try:
@@ -146,10 +115,10 @@ def equivalent_pairs(pair: SignedPair, k: int):
         except NoInverseError as exc:
             skipped.append(f"case {case} at (i={i}, j={j}): gcd {exc.gcd}")
             continue
-        found.add(SignedPair.make((sig_s, s), (sig_t, t), n))
+        found.add(build_pair(k, (sig_s, s), (sig_t, t)))
     found.discard(pair)
-    base = verdicts(pair.trinomial(k))
-    derived = {p: verdicts(p.trinomial(k)) for p in sorted(found)}
+    base = verdicts(pair)
+    derived = {p: verdicts(p) for p in sorted(found)}
     return base, derived, skipped
 
 
@@ -163,7 +132,6 @@ class PairTableRow:
     condition: str                             # any | odd | even
     equivalents: tuple[tuple[tuple[int, str], ...], ...]
     source: str                                # family id
-    conjectural: bool = False
 
 
 PAIR_TABLE: tuple[PairTableRow, ...] = (
@@ -191,19 +159,15 @@ PAIR_TABLE: tuple[PairTableRow, ...] = (
                  (((1, "(q+3)/2"), (-1, "(q+5)/2")),
                   ((-1, "(q+2)/3*(q+5)/2"), (-1, "(q+2)/3"))), "T7c"),
     PairTableRow(10, ((1, "2"), (-1, "-2")), "odd",
-                 (((-1, "-2*5**(k-1)"), (-1, "-4*5**(k-1)")),), "P1",
-                 conjectural=True),
+                 (((-1, "-2*5**(k-1)"), (-1, "-4*5**(k-1)")),), "P1"),
     PairTableRow(11, ((-1, "(q+5)/3"), (-1, "2*(q+2)/3")), "even",
-                 (((1, "-2*5**(k-1)"), (-1, "-4*5**(k-1)")),), "P2",
-                 conjectural=True),
+                 (((1, "-2*5**(k-1)"), (-1, "-4*5**(k-1)")),), "P2"),
 )
 
 
 def _resolve_pair(raw: tuple[tuple[int, str], ...], q: int,
-                  k: int) -> SignedPair:
-    (s1, e1), (s2, e2) = raw
-    return SignedPair.make((s1, resolve_residue(e1, q, k)),
-                           (s2, resolve_residue(e2, q, k)), q + 1)
+                  k: int) -> NihoTrinomial:
+    return build_pair(k, *((s, resolve_residue(e, q, k)) for s, e in raw))
 
 
 def table_report(k: int) -> tuple[VerificationReport, list[dict]]:
@@ -218,7 +182,8 @@ def table_report(k: int) -> tuple[VerificationReport, list[dict]]:
     rows: list[dict] = []
     reports: list[VerificationReport] = []
     for row in PAIR_TABLE:
-        source = row.source + (" (conjectural)" if row.conjectural else "")
+        source = row.source + (" (conjectural)"
+                               if family_is_conjectural(row.source) else "")
         if not parity_admits(row.condition, k):
             rows.append({
                 "row": row.index, "pair": "-",
@@ -229,7 +194,7 @@ def table_report(k: int) -> tuple[VerificationReport, list[dict]]:
             })
             continue
         pair = _resolve_pair(row.pair, q, k)
-        base, derived, skipped_cases = equivalent_pairs(pair, k)
+        base, derived, skipped_cases = equivalent_pairs(pair)
         recomputed = list(derived)
         derived_reports = [r for v in derived.values() for r in v.values()]
         reports += [*base.values(), *derived_reports]

@@ -77,6 +77,15 @@ class NihoTrinomial:
     def __hash__(self):
         return hash((self.field.signature, self.terms))
 
+    def __lt__(self, other):    # by the (residue, sign) tuples
+        return ([(c, s) for s, c in self.terms]
+                < [(c, s) for s, c in other.terms])
+
+    def notation(self) -> str:
+        """The last two terms as a pair, "(+[2], -[4])"."""
+        return "(" + ", ".join(f"{'+' if s > 0 else '-'}[{c}]"
+                               for s, c in self.terms[1:]) + ")"
+
 
 def build_trinomial(k: int,
                     terms: Sequence[tuple[int, int]]) -> NihoTrinomial:
@@ -93,6 +102,15 @@ def build_trinomial(k: int,
             raise UsageError("the leading term's sign is fixed at +1")
         canon.append((sign, int(c) % n))
     return NihoTrinomial(field, tuple(canon))
+
+
+def build_pair(k: int, t1: tuple[int, int],
+               t2: tuple[int, int]) -> NihoTrinomial:
+    """The pair (s1[c1], s2[c2]), its terms ordered by residue mod q+1 and
+    + before - at an equal residue, as a trinomial led by x."""
+    n = tower_field(k).q + 1
+    (c1, s1), (c2, s2) = sorted((c % n, -s) for s, c in (t1, t2))
+    return build_trinomial(k, ((1, 0), (-s1, c1), (-s2, c2)))
 
 
 def eval_trinomial(f: NihoTrinomial, x: FieldElement) -> FieldElement:

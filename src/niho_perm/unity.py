@@ -348,34 +348,27 @@ MAP_SPECS: dict[str, dict] = {
                 h=((1, "0"), (-1, "(q+2)/3+1"), (-1, "2*(q+2)/3"))),
     # internal closed forms used by claims, cross-checks and bridges
     "identity": dict(kind="closed", parity="any", sign=1, pre="1",
-                     num=_IDENT, den=_IDENT, outer=1, internal=True),
+                     num=_IDENT, den=_IDENT, outer=1),
     "half_f": dict(kind="closed", parity="any", sign=-1, pre="1",
-                   num=((1, "1"), (-2, "0")), den=((1, "1"), (2, "0")),
-                   internal=True),
+                   num=((1, "1"), (-2, "0")), den=((1, "1"), (2, "0"))),
     "half_g": dict(kind="closed", parity="any", sign=-1, pre="1",
-                   num=((1, "1"), (2, "0")), den=((1, "1"), (-2, "0")),
-                   internal=True),
+                   num=((1, "1"), (2, "0")), den=((1, "1"), (-2, "0"))),
     "half_f_inv": dict(kind="closed", parity="any", sign=-1, pre="-1",
-                       num=((1, "1"), (-2, "0")), den=((1, "1"), (2, "0")),
-                       internal=True),
+                       num=((1, "1"), (-2, "0")), den=((1, "1"), (2, "0"))),
     "half_g_inv": dict(kind="closed", parity="any", sign=-1, pre="-1",
-                       num=((1, "1"), (2, "0")), den=((1, "1"), (-2, "0")),
-                       internal=True),
+                       num=((1, "1"), (2, "0")), den=((1, "1"), (-2, "0"))),
     "g1_plus": dict(kind="closed", parity="any", sign=-1, pre="0",
                     num=((1, "(q+3)/4"), (-2, "0")),
-                    den=((1, "(q+3)/4"), (2, "0")), internal=True),
+                    den=((1, "(q+3)/4"), (2, "0"))),
     "g1_minus": dict(kind="closed", parity="any", sign=1, pre="0",
                      num=((1, "(q+3)/4"), (-2, "0")),
-                     den=((1, "(q+3)/4"), (2, "0")), internal=True),
+                     den=((1, "(q+3)/4"), (2, "0"))),
     "conj2_map": dict(kind="closed", parity="even", sign=-1, pre="1",
-                      num=((1, "2"), (-2, "0")), den=((1, "2"), (2, "0")),
-                      internal=True),
+                      num=((1, "2"), (-2, "0")), den=((1, "2"), (2, "0"))),
     "p1_bridge": dict(kind="closed", parity="odd", sign=-1, pre="1",
-                      num=((1, "2"), (2, "0")), den=((1, "2"), (-2, "0")),
-                      internal=True),
+                      num=((1, "2"), (2, "0")), den=((1, "2"), (-2, "0"))),
     "p2_bridge": dict(kind="closed", parity="even", sign=-1, pre="-1",
-                      num=((1, "2"), (2, "0")), den=((1, "2"), (-2, "0")),
-                      internal=True),
+                      num=((1, "2"), (2, "0")), den=((1, "2"), (-2, "0"))),
 }
 
 PUBLIC_MAP_NAMES = tuple(f"g{i}" for i in range(1, 11))

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from niho_perm import cli, transforms, trinomials
 from niho_perm.cli import main
+from niho_perm.conjectures import search_problem_instances
 from niho_perm.field import tower_field
 from niho_perm.trinomials import build_trinomial, eval_trinomial
 
@@ -124,6 +125,44 @@ class TestExitCodes:
             main(["equivalents", "--pair", "--k", "1"])
         assert exc.value.code == 2
         assert "--pair: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("signs", ["++", "+-", "-+", "--", "all"])
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_every_sign_set_in_both_spellings(self, capsys, signs, fmt):
+        # argparse would read "-+" and "--" as options, and drops a "--"
+        # value on Python < 3.13
+        rest = ["--constraint", "sum-zero", "--format", fmt]
+        plain = run_cli(capsys, "search", "--k", "2", "--signs", signs, *rest)
+        joined = run_cli(capsys, "search", "--k", "2", f"--signs={signs}",
+                         *rest)
+        assert plain[0] == joined[0] == 0
+        assert strip_elapsed(plain[1]) == strip_elapsed(joined[1])
+        if fmt == "json":
+            assert json.loads(plain[1])["signs"] == signs
+
+    def test_minus_minus_lists_its_hits(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "--k", "2", "--signs", "--")
+        assert code == 0
+        want = search_problem_instances(2, "none", "--")
+        assert len(want) > 0
+        assert out.splitlines()[1:] == [
+            f"{h.s}\t{h.t}\t{h.sign1}\t{h.sign2}\tTrue" for h in want]
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--k", "1", "--signs"],
+        ["search", "--k", "1", "--signs", "+"],
+        ["verify", "--family", "T1", "--k", "1", "--signs", "++"],
+        ["verify", "--family", "T1", "--k", "1", "--signs", "--"],
+        ["table1", "--k", "1", "--signs=-+"]])
+    def test_bad_signs_is_one_error_line(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects the argv itself
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert [line for line in err.splitlines()
+                if "error:" in line] == [err.splitlines()[-1]]
 
     @settings(deadline=None, max_examples=150)
     @given(st.text(max_size=30))
@@ -325,7 +364,7 @@ class TestReportShapes:
         wit = payload["witness"]
         assert wit["pair"] == payload["base"] == "(+[2], +[4])"
         assert wit["type"] == "zero"
-        f = transforms.pair_from_text(wit["pair"], 1).trinomial(1)
+        f = transforms.pair_from_text(wit["pair"], 1)
         x = f.field.from_csv(wit["x"])
         h = f.field.zero
         for sign, c in f.terms:
@@ -425,7 +464,7 @@ class TestWitnessReplay:
         payload = json.loads(out)
         wit = payload["witness"]
         assert wit["pair"] == payload["base"]
-        f = transforms.pair_from_text(wit["pair"], 2).trinomial(2)
+        f = transforms.pair_from_text(wit["pair"], 2)
         assert wit["failing_subject"] == f.subject()
         assert wit["type"] == "collision"
         field, q = f.field, f.q

@@ -12,11 +12,14 @@ from niho_perm.cli import main
 from niho_perm.errors import NoInverseError, ResidueError, UsageError
 from niho_perm.report import VerificationReport
 from niho_perm.residues import frac_mod, resolve_residue
-from niho_perm.transforms import (PAIR_TABLE, SignedPair, equivalent_pairs,
+from niho_perm.transforms import (PAIR_TABLE, equivalent_pairs,
                                   exponent_transform, pair_from_text,
                                   pair_of_family, table_report)
-from niho_perm.trinomials import FAMILY_CATALOG, is_permutation_exhaustive
-from niho_perm.unity import MAP_SPECS
+from niho_perm.trinomials import (FAMILY_CATALOG, build_pair,
+                                  build_trinomial, family_admits,
+                                  family_parity, is_permutation_exhaustive,
+                                  theorem_family)
+from niho_perm.unity import MAP_SPECS, build_map
 
 
 class TestFracMod:
@@ -153,20 +156,31 @@ class TestExponentTransform:
         # the 2b clause followed by the case-3 clause on its output returns
         # the original signed pair (the substitution is self-inverse on the
         # exponent description)
-        n = 5 ** k + 1
         (s1, s2), s, t = exponent_transform("2b", i, j, k)
         assert (s1, s2) == (-1, -1)
         (r1, r2), u, v = exponent_transform("3", s, t, k)
         assert (r1, r2) == (-1, 1)
-        assert SignedPair.make((r1, u), (r2, v), n) == SignedPair.make(
-            (1, i), (-1, j), n)
+        assert build_pair(k, (r1, u), (r2, v)) == build_pair(
+            k, (1, i), (-1, j))
 
 
-class TestSignedPairs:
+def _every_pair(k):
+    n = 5 ** k + 1
+    return [build_pair(k, (s1, c1), (s2, c2))
+            for c1 in range(n) for c2 in range(c1, n)
+            for s1 in (1, -1) for s2 in (1, -1)
+            if c1 < c2 or s1 >= s2]
+
+
+class TestPairs:
     def test_canonical_order(self):
-        p = SignedPair.make((-1, 4), (1, 2), 6)
+        p = build_pair(1, (-1, 4), (1, 2))
         assert p.notation() == "(+[2], -[4])"
-        assert p == SignedPair.make((1, 2), (-1, 4), 6)
+        assert p == build_pair(1, (1, 2), (-1, 4))
+        assert p.terms == ((1, 0), (1, 2), (-1, 4))
+        # + before - at an equal residue, residues read mod q+1
+        assert build_pair(1, (-1, 8), (1, 2)).terms == (
+            (1, 0), (1, 2), (-1, 2))
 
     def test_parse(self):
         assert pair_from_text("+2,-4", 1).notation() == "(+[2], -[4])"
@@ -175,9 +189,25 @@ class TestSignedPairs:
             pair_from_text("+2", 1)
 
     def test_degenerate(self):
-        assert SignedPair.make((1, 2), (-1, 2), 6).degenerate
-        assert SignedPair.make((1, 0), (-1, 2), 6).degenerate
-        assert not SignedPair.make((1, 2), (-1, 4), 6).degenerate
+        assert build_pair(1, (1, 2), (-1, 2)).degenerate
+        assert build_pair(1, (1, 0), (-1, 2)).degenerate
+        assert not build_pair(1, (1, 2), (-1, 4)).degenerate
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_degenerate_is_the_pair_rule(self, k):
+        # a repeated residue among (0, c1, c2): c1 = c2, c1 = 0 or c2 = 0
+        for p in _every_pair(k):
+            (_, c1), (_, c2) = p.terms[1:]
+            assert p.degenerate == (c1 == c2 or c1 == 0 or c2 == 0), p
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_sorted_by_residue_sign_tuples(self, k):
+        # at an equal residue - sorts before + across pairs, though +
+        # comes first within one pair
+        pairs = _every_pair(k)
+        key = lambda p: tuple((c, s) for s, c in p.terms[1:])
+        assert sorted(pairs) == sorted(pairs, key=key)
+        assert sorted(pairs[::-1]) == sorted(pairs)
 
     def test_family_pairs(self):
         assert pair_of_family("T1", 1).notation() == "(+[2], -[4])"
@@ -190,30 +220,34 @@ class TestSignedPairs:
 class TestEquivalentPairs:
     def test_t1_equivalents_at_k1(self):
         base = pair_of_family("T1", 1)
-        out = equivalent_pairs(base, 1)[1]
-        assert SignedPair.make((-1, 2), (-1, 4), 6) in out
+        out = equivalent_pairs(base)[1]
+        assert build_pair(1, (-1, 2), (-1, 4)) in out
 
     def test_equivalent_trinomial_is_permutation(self):
-        p = SignedPair.make((-1, 2), (-1, 4), 6)
-        rep = is_permutation_exhaustive(p.trinomial(1))
+        p = build_pair(1, (-1, 2), (-1, 4))
+        rep = is_permutation_exhaustive(p)
         assert rep.passed    # x - x^9 - x^17 over GF(25)
 
     def test_skip_log(self):
-        skipped = equivalent_pairs(pair_of_family("T1", 1), 1)[2]
+        skipped = equivalent_pairs(pair_of_family("T1", 1))[2]
         assert any("gcd" in s for s in skipped)
+
+    def test_leading_term_must_be_x(self):
+        with pytest.raises(UsageError, match="not a pair"):
+            equivalent_pairs(build_trinomial(1, [(1, 1), (1, 2), (-1, 3)]))
 
     def test_coincident_residues(self):
         # equal residues with opposite signs: transforms at most degenerate
-        p = SignedPair.make((1, 2), (-1, 2), 6)
-        out = equivalent_pairs(p, 1)[1]
+        p = build_pair(1, (1, 2), (-1, 2))
+        out = equivalent_pairs(p)[1]
         assert all(q.degenerate for q in out)
-        p2 = SignedPair.make((1, 2), (-1, 2), 26)
-        out2 = equivalent_pairs(p2, 2)[1]
+        p2 = build_pair(2, (1, 2), (-1, 2))
+        out2 = equivalent_pairs(p2)[1]
         assert all(q.degenerate for q in out2)
 
     def test_original_excluded(self):
         base = pair_of_family("T1", 1)
-        assert base not in equivalent_pairs(base, 1)[1]
+        assert base not in equivalent_pairs(base)[1]
 
 
 class TestPairTable:
@@ -265,8 +299,7 @@ class TestPairTable:
     def test_contract_violation_fails_with_witness(self, monkeypatch, capsys):
         # the source passes and a derived pair fails: the verdict gates of
         # table1 and equivalents fail (exit 1), naming the failing pair
-        pair = pair_of_family("T1", 3)
-        source = pair.trinomial(3)
+        source = pair_of_family("T1", 3)
 
         def fake(passed):
             return lambda t: VerificationReport(
@@ -278,7 +311,7 @@ class TestPairTable:
         monkeypatch.setattr(trinomials, "is_permutation_exhaustive",
                             fake(lambda t: True))
         overall, rows = table_report(3)
-        row = next(r for r in rows if r["pair"] == pair.notation())
+        row = next(r for r in rows if r["pair"] == source.notation())
         assert row["criterion_pass"] is True
         assert row["equivalents_checked"] > 0
         assert row["equivalents_pass"] is False
@@ -291,6 +324,29 @@ class TestPairTable:
         assert out["equivalents"][0]["criterion_pass"] is False
         assert out["witness"]["type"] == "fake"
         assert out["witness"]["pair"] == out["equivalents"][0]["pair"]
+
+    def test_catalog_transcriptions_agree(self):
+        # g2..g10 restate the h residues of nine families, and each table
+        # row its source family's last two terms and parity
+        maps = {"g2": "C1", "g3": "T2", "g4": "C2", "g5": "T3a", "g6": "T3b",
+                "g7": "T5a", "g8": "T5b", "g9": "T6", "g10": "P2"}
+        checked = 0
+        for g, fam in maps.items():
+            assert MAP_SPECS[g]["parity"] == family_parity(fam), g
+            for k in range(1, 7):
+                if family_admits(fam, k):
+                    assert build_map(g, k).h_terms == \
+                        theorem_family(fam, k).terms, (g, k)
+                    checked += 1
+        for row in PAIR_TABLE:
+            assert row.condition == family_parity(row.source), row.index
+            assert FAMILY_CATALOG[row.source][1][0][1] == "0", row.index
+            for k in range(1, 7):
+                if family_admits(row.source, k):
+                    assert transforms._resolve_pair(row.pair, 5 ** k, k) == \
+                        pair_of_family(row.source, k), (row.index, k)
+                    checked += 1
+        assert checked == 30 + 36
 
     def test_conjectural_rows_labeled(self):
         _, rows = table_report(2)
