@@ -33,8 +33,20 @@ from .unity import PUBLIC_MAP_NAMES, mu_check_report
 SCHEMA_VERSION = 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with "--opt=--" read as the value "--" on every Python:
+    before 3.13 argparse drops that value and hands the option []."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="niho-perm",
         description="Construct, verify, transform and search permutation "
                     "trinomials with Niho exponents over GF(5^2k).")
@@ -290,24 +302,20 @@ def _render(args, passed: bool, payload: dict, tsv_rows,
 _SIGN_SETS = ("++", "+-", "-+", "--", "all")
 
 
-def _prepare_argv(argv) -> tuple[list[str], str | None]:
+def _prepare_argv(argv) -> list[str]:
     """argv with "--pair -2,+4" joined to "--pair=-2,+4", and so for
-    --terms, and the sign set X of "--signs X" or "--signs=X" taken out:
+    --terms, and "--signs X" joined for every sign set X, "--" included:
     argparse would read a value with a leading minus as an option of its
-    own, and drops a "--" value (before Python 3.13)."""
-    out, signs = [], None
+    own, and "--" as the end of the options."""
+    out = []
     for arg in argv:
-        if out[-1:] == ["--signs"] and arg in _SIGN_SETS:
-            out.pop()
-            signs = arg
-        elif arg[:8] == "--signs=" and arg[8:] in _SIGN_SETS:
-            signs = arg[8:]
-        elif out and out[-1] in ("--pair", "--terms") and arg[:1] == "-" \
-                and arg[:2] != "--":
+        opt = out[-1] if out else None
+        if ((opt in ("--pair", "--terms") and arg[:1] == "-"
+             and arg[:2] != "--") or (opt == "--signs" and arg in _SIGN_SETS)):
             out[-1] += "=" + arg
         else:
             out.append(arg)
-    return out, signs
+    return out
 
 
 def main(argv=None) -> int:
@@ -316,12 +324,8 @@ def main(argv=None) -> int:
     (internal) error, reported on stderr as its traceback and an
     ``internal error:`` line."""
     parser = build_parser()
-    argv, signs = _prepare_argv(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(argv)
-    if signs is not None:
-        if args.subcommand != "search":
-            parser.error(f"unrecognized arguments: --signs {signs}")
-        args.signs = signs
+    args = parser.parse_args(
+        _prepare_argv(sys.argv[1:] if argv is None else argv))
     try:
         start = time.perf_counter()
         passed, payload, tsv_rows = args.handler(args)

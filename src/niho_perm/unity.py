@@ -37,15 +37,23 @@ numpy's stable sort is a radix sort.
 A power form on the whole circle (the subgroup criterion, mu-check g2..g10)
 has a leaner verdict path.  It needs log h only mod n, and n*lb[b] is 0 mod
 n since n divides q^2-1, so one table, ctn = ct mod n, reads it with no
-division.  From k = 4 on, where n >= 4m for m = floor(4*sqrt(n)), the
-first m points are decoded first, since a failing random h repeats within
-about sqrt(n) points.  The witness stays the one a full evaluation names.
-A zero of h in the prefix is the first on the circle.  A repeat in the
-prefix is the earliest over the circle by second position, but any zero
-outranks it, so it is reported only after the packed words of the other
-n - m points show no zero (h is 0 where every field of the folded sum is
-0).  A prefix with neither leads to the other points, and a pass is read
-from the counts of the images, with no sort.
+division.  Its zeros come from index arithmetic (_circle_zero), not from
+evaluation.  Every power form has h = s0*x^c0 + s1*x^c1 + s2*x^c2 with
+signs +-1, i.e. s0*x^c0 * (1 + l1*y + l2*z) with y = x^u, z = x^v on the
+circle and l_i = s_i*s0.  At a zero, -l2*z is on the circle, so the norm
+of 1 + l1*y, 2 + l1*(y + 1/y), is 1: y^2 + l1*y + 1 = 0, and then
+z = l2*y^2.  So y has order 3 (l1 = 1) or 6 (l1 = -1), which needs 3 | n,
+i.e. odd k, and the first zero is the least common solution i of two
+linear congruences: u*i = +-n/3 (or +-n/6) and (v - 2u)*i = 0 (l2 = 1) or
+n/2 (l2 = -1) mod n.  A zero outranks any repeat, so it is the witness,
+with no point evaluated.  Otherwise, from k = 4 on, where n >= 4m for
+m = floor(4*sqrt(n)), the first m points are evaluated first, since a
+failing random h repeats within about sqrt(n) points.  A repeat there is
+the earliest over the circle by second position: the witness a full
+evaluation names.  Only a prefix with no repeat leads to the other points,
+and a pass is read from the counts of the images, with no sort.  Every
+evaluated point still decodes a zero of h to -1, and one the rule missed
+raises, so a pass has evaluated h at every point and found no zero.
 """
 
 from __future__ import annotations
@@ -294,10 +302,20 @@ class ClosedFormMap:
 
 @dataclass(frozen=True)
 class PowerFormMap:
-    """x * h(x)^(subgroup exponent) with h a sparse signed polynomial."""
+    """x * h(x)^(subgroup exponent) with h = s0*x^c0 + s1*x^c1 + s2*x^c2,
+    signs s_i = +-1: the shape whose circle zeros _circle_zero finds."""
 
     name: str
     h_terms: tuple[tuple[int, int], ...]  # (sign, c) residues mod the subgroup order
+
+    def __post_init__(self):
+        # s*s = 1 mod 5 iff s = +-1 mod 5; a check per criterion verdict
+        if len(self.h_terms) == 3:
+            (s0, _), (s1, _), (s2, _) = self.h_terms
+            if s0 * s0 % CHAR == s1 * s1 % CHAR == s2 * s2 % CHAR == 1:
+                return
+        raise UsageError(f"{self.name}: h must be three terms with signs "
+                         f"+1 or -1 (got {self.h_terms})")
 
     def h_at(self, x: FieldElement) -> FieldElement:
         return sparse_at(self.h_terms, x)       # a sign is a GF(5) coefficient
@@ -428,12 +446,7 @@ def eval_power_on_unity(map_: PowerFormMap, group: UnityGroup, indices):
     """
     idx = np.asarray(indices, dtype=np.int64)
     # the signs are the coefficients
-    return _power_images(group, idx, group.sum_words(idx, map_.h_terms))
-
-
-def _power_images(group: UnityGroup, idx: np.ndarray, words: np.ndarray):
-    """eval_power_on_unity at the points idx, from h's packed words there."""
-    logs = group.circle_logs(words)
+    logs = group.circle_logs(group.sum_words(idx, map_.h_terms))
     zeros = np.flatnonzero(logs < 0)
     if zeros.size:
         return None, int(idx[zeros[0]])
@@ -519,34 +532,66 @@ def _verdict(subject: str, group: UnityGroup, map_: FractionalMap, indices,
 
 def _circle_verdict(subject: str, group: UnityGroup,
                     map_: PowerFormMap) -> VerificationReport:
-    """_verdict's report for a power form on the whole circle, screened on
-    a prefix (see the module docstring).  A power form never escapes the
-    circle, so the first zero, else the earliest repeat, decides."""
+    """_verdict's report for a power form on the whole circle: its first
+    zero by _circle_zero, else a repeat in a screened prefix, else the
+    whole circle (see the module docstring).  A power form never escapes
+    the circle."""
     idx, n = group.domain_indices("mu"), group.n
+    zero = _circle_zero(n, map_.h_terms)
+    if zero is not None:
+        return _fail(subject, n, _zero_witness(group, map_, zero))
     m = math.isqrt(16 * n)
     if 4 * m > n:                   # k <= 3: too small a circle to screen
         m = n
-    words = group.sum_words(idx, map_.h_terms)
-    values, zero = _power_images(group, idx[:m], words[:m])
-    coll = None
-    if zero is None and m < n:
+    values = _circle_images(group, map_, idx[:m])
+    if m < n:
         coll = _first_collision(values)
-        if coll is None:
-            rest, zero = _power_images(group, idx[m:], words[m:])
-            if zero is None:
-                values = np.concatenate((values, rest))
-        else:
-            zeros = np.flatnonzero(_fold(words[m:]) == 0)
-            if zeros.size:
-                zero = int(idx[m + zeros[0]])
+        if coll is not None:
+            return _fail(subject, n,
+                         _collision_witness(group, idx, values, coll))
+        values = np.concatenate((values, _circle_images(group, map_,
+                                                        idx[m:])))
+    if np.bincount(values, minlength=n).max() <= 1:
+        return VerificationReport(subject=subject, method="enumeration",
+                                  passed=True, counts={"points": n})
+    return _fail(subject, n, _collision_witness(group, idx, values,
+                                                _first_collision(values)))
+
+
+def _circle_images(group: UnityGroup, map_: PowerFormMap,
+                   idx: np.ndarray) -> np.ndarray:
+    """The power form's image indices at the points idx, where _circle_zero
+    found no zero of h: a zero there is a fault of that rule, and raises."""
+    values, zero = eval_power_on_unity(map_, group, idx)
     if zero is not None:
-        return _fail(subject, n, _zero_witness(group, map_, zero))
-    if coll is None:
-        if np.bincount(values, minlength=n).max() <= 1:
-            return VerificationReport(subject=subject, method="enumeration",
-                                      passed=True, counts={"points": n})
-        coll = _first_collision(values)
-    return _fail(subject, n, _collision_witness(group, idx, values, coll))
+        raise RuntimeError(f"h of {map_.name} vanishes at circle index "
+                           f"{zero}, which _circle_zero missed")
+    return values
+
+
+def _circle_zero(n: int, terms) -> int | None:
+    """The first circle index i where h = sum s * x^c over three signed
+    terms vanishes at zeta^i, or None: by index arithmetic, with no point
+    evaluated (see the module docstring)."""
+    if n % 3:                       # even k: no point of order 3 on the circle
+        return None
+    (s0, c0), (s1, c1), (s2, c2) = terms
+    a = n // 3 if s1 * s0 % CHAR == 1 else n // 6      # y of order 3 or 6
+    b = 0 if s2 * s0 % CHAR == 1 else n // 2           # z = y^2 or -y^2
+    u, w = (c1 - c0) % n, (c2 + c0 - 2 * c1) % n
+    # u*i = +-a and w*i = b mod n: i = +-ry mod my and i = rz mod mz
+    gu, gw = math.gcd(u, n), math.gcd(w, n)
+    if a % gu or b % gw:
+        return None
+    my, mz = n // gu, n // gw
+    ry = a // gu * pow(u // gu, -1, my) % my
+    rz = b // gw * pow(w // gw, -1, mz) % mz
+    # the least common i of each pair, by the Chinese remainder step
+    g = math.gcd(my, mz)
+    step = pow(my // g, -1, mz // g)
+    firsts = [r + my * ((rz - r) // g * step % (mz // g))
+              for r in (ry, -ry % my) if (rz - r) % g == 0]
+    return min(firsts, default=None)
 
 
 def _fail(subject: str, points: int, witness: dict) -> VerificationReport:

@@ -7,7 +7,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from niho_perm import cli, transforms, trinomials
 from niho_perm.cli import main
@@ -166,6 +166,7 @@ class TestExitCodes:
 
     @settings(deadline=None, max_examples=150)
     @given(st.text(max_size=30))
+    @example("--")
     def test_any_terms_text_never_exits_three(self, text):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -174,6 +175,32 @@ class TestExitCodes:
             except SystemExit as exc:   # argparse rejects the argv itself
                 code = exc.code
         assert code in (0, 1, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--terms=--", "--k", "1"],
+        ["equivalents", "--pair=--", "--k", "1"],
+        ["search", "--k", "1", "--constraint=--"],
+        ["verify", "--family=--", "--k", "1"],
+        ["mu-check", "--map=--", "--k", "1"],
+        ["conjecture", "--id=--", "--k", "1"],
+        ["conjecture", "--id", "1", "--k=--"],
+        ["proposition", "--id=--", "--k", "1"],
+        ["verify", "--terms", "+0,+1,+2", "--k=--"],
+        ["verify", "--terms", "+0,+1,+2", "--k", "1", "--method=--"],
+        ["search", "--k", "1", "--format=--"],
+        ["field-info", "--m", "1", "--modulus=--"]])
+    def test_minus_minus_value_is_read_as_itself(self, capsys, argv):
+        # argparse before Python 3.13 drops the value of "--opt=--" and
+        # hands the option []; the CLI reads it as "--" on every Python
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects the value itself
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert [line for line in err.splitlines()
+                if "error:" in line] == [err.splitlines()[-1]]
+        assert "'--'" in err and "[]" not in err
 
     @pytest.mark.parametrize("argv", [
         ["mu-check", "--map", "g1"], ["verify", "--family", "T1"],

@@ -1,6 +1,7 @@
 """Circle enumeration, the map catalog, permutation checks and claims."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from niho_perm.errors import PoleError, ResidueError, UsageError
 from niho_perm.field import make_field, tower_field
 from niho_perm.residues import parity_admits
 from niho_perm.unity import (MAP_SPECS, OMEGA_SPECIALIZATIONS,
-                             ClosedFormMap, PowerFormMap, build_map,
-                             check_circle_claim, eval_on_unity,
+                             PUBLIC_MAP_NAMES, ClosedFormMap, PowerFormMap,
+                             build_map, check_circle_claim, eval_on_unity,
                              is_permutation_of, maps_agree_report,
                              mu_check_report, pointwise_agreement_report,
                              reciprocal_identity_report, reciprocal_map,
@@ -597,3 +598,139 @@ class TestStructure:
         assert not rep.passed
         assert rep.witness["type"] == "zero"
         assert rep.witness["x"] == "2,2"
+
+
+def signed_triple(rng, n, force):
+    """Three random signed residues mod n; with force, c2 = 2*c1 - c0 or
+    that plus n/2, so z = x^(c2-c0) is +-y^2 for y = x^(c1-c0) and h has
+    zeros wherever y has order 3 or 6 on the circle."""
+    (s0, c0), (s1, c1), (s2, c2) = [(rng.choice((1, -1)), rng.randrange(n))
+                                    for _ in range(3)]
+    if force:
+        c2 = (2 * c1 - c0 + rng.choice((0, n // 2))) % n
+    return (s0, c0), (s1, c1), (s2, c2)
+
+
+class TestCircleZeroRule:
+    """_circle_zero, the index rule for the zeros of h on the circle,
+    against evaluation, and the circle verdict that asks it first."""
+
+    @staticmethod
+    def evaluated_zero(g, terms):
+        """The first circle index where h vanishes, h evaluated at every
+        point."""
+        logs = g.circle_logs(g.sum_words(g.domain_indices("mu"), terms))
+        zeros = np.flatnonzero(logs < 0)
+        return int(zeros[0]) if zeros.size else None
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_signed_triple(self, k):
+        # the leading sign -1 included: s*x^c at zeta^i has the word of
+        # zeta^(c*i), or of zeta^(c*i + n/2) for s = -1, and the words of
+        # every (t1, t2) for one t0 are summed in one broadcast
+        g = unity_group(tower_field(k))
+        n, i = g.n, np.arange(g.n)
+        signed = [(s, c) for s in (1, -1) for c in range(n)]
+        words = np.array([g.words[(c * i + (s < 0) * (n // 2)) % n]
+                          for s, c in signed])
+        zeros = 0
+        for t0, w0 in zip(signed, words):
+            vanish = g.circle_logs(w0 + words[:, None] + words[None, :]) < 0
+            want = np.where(vanish.any(axis=2), vanish.argmax(axis=2), -1)
+            got = [[unity_mod._circle_zero(n, (t0, t1, t2)) for t2 in signed]
+                   for t1 in signed]
+            assert [[-1 if z is None else z for z in row]
+                    for row in got] == want.tolist(), t0
+            zeros += int((want >= 0).sum())
+        # zeros need a point of order 3 on the circle: odd k only
+        assert (zeros > 0) == (k % 2 == 1)
+
+    @pytest.mark.parametrize("k, count", [(3, 1000), (4, 500), (5, 500),
+                                          (6, 200)])
+    def test_seeded_triples_with_forced_zeros(self, k, count):
+        g = unity_group(tower_field(k))
+        rng = random.Random(2500 + k)
+        zeros = 0
+        for case in range(count):
+            terms = signed_triple(rng, g.n, force=case % 2)
+            want = self.evaluated_zero(g, terms)
+            assert unity_mod._circle_zero(g.n, terms) == want, terms
+            zeros += want is not None
+        assert (zeros > 0) == (k % 2 == 1)
+
+    @staticmethod
+    def full_circle_witness(g, map_):
+        """The witness of a full evaluation: the first zero of h, else
+        _first_collision over every image, else None."""
+        mu = g.domain_indices("mu")
+        logs = g.circle_logs(g.sum_words(mu, map_.h_terms))
+        zeros = np.flatnonzero(logs < 0)
+        if zeros.size:
+            return unity_mod._zero_witness(g, map_, int(zeros[0]))
+        values = (logs + mu) % g.n
+        coll = unity_mod._first_collision(values)
+        return (None if coll is None
+                else unity_mod._collision_witness(g, mu, values, coll))
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    def test_screened_witness_is_the_full_circle_witness(self, k):
+        g = unity_group(tower_field(k))
+        m = math.isqrt(16 * g.n)
+        rng = random.Random(2600 + k)
+        maps = [PowerFormMap(f"h{case}", signed_triple(rng, g.n, case % 2))
+                for case in range(40)]
+        maps += [build_map(name, k) for name in PUBLIC_MAP_NAMES[1:]
+                 if parity_admits(MAP_SPECS[name]["parity"], k)]
+        kinds = set()
+        for map_ in maps:
+            rep = unity_permutation_report(map_, g)
+            want = self.full_circle_witness(g, map_)
+            assert rep.witness == want, map_
+            assert rep.passed == (want is None)
+            kinds.add((want or {}).get("type"))
+            if want and want["type"] == "collision":
+                kinds.add("prefix" if want["index2"] < m else "late")
+        assert {None, "collision", "prefix"} <= kinds
+        assert ("zero" in kinds) == (k % 2 == 1)
+
+    def test_prefix_repeat_sums_only_the_prefix(self, monkeypatch):
+        # x + x^(7(q-1)+1) - x^(14(q-1)+1) fails at k = 6 by a repeat at
+        # circle index 340, inside the 500-point prefix
+        g = unity_group(tower_field(6))
+        m = math.isqrt(16 * g.n)
+        summed = []
+        sum_words = unity_mod.UnityGroup.sum_words
+
+        def counting(self, indices, terms):
+            summed.append(len(indices))
+            return sum_words(self, indices, terms)
+
+        monkeypatch.setattr(unity_mod.UnityGroup, "sum_words", counting)
+        map_ = PowerFormMap("h", ((1, 0), (1, 7), (-1, 14)))
+        rep = unity_permutation_report(map_, g)
+        assert rep.witness["type"] == "collision"
+        assert rep.witness["index2"] == 340 < m
+        assert summed == [m] == [500]
+
+    def test_a_zero_the_rule_misses_raises(self, monkeypatch):
+        # 1 + x + x^2 vanishes at k = 5 first at zeta^(n/3), index 1042,
+        # and its 223-point prefix has no repeat, so with a rule that sees
+        # no zero the verdict evaluates the rest of the circle and meets it
+        g = unity_group(tower_field(5))
+        m = math.isqrt(16 * g.n)
+        map_ = PowerFormMap("h", ((1, 0), (1, 1), (1, 2)))
+        assert unity_permutation_report(map_, g).witness == {
+            "type": "zero", "x": g.csv(1042), "index": 1042}
+        values, zero = unity_mod.eval_power_on_unity(map_, g, range(m))
+        assert zero is None and unity_mod._first_collision(values) is None
+        monkeypatch.setattr(unity_mod, "_circle_zero", lambda n, terms: None)
+        with pytest.raises(RuntimeError, match="circle index 1042"):
+            unity_permutation_report(map_, g)
+
+    @pytest.mark.parametrize("terms", [((1, 0), (1, 1)),
+                                       ((1, 0), (1, 1), (1, 2), (1, 3)),
+                                       ((1, 0), (2, 1), (1, 2)),
+                                       ((1, 0), (0, 1), (1, 2))])
+    def test_power_forms_are_signed_trinomials(self, terms):
+        with pytest.raises(UsageError, match="three terms"):
+            PowerFormMap("h", terms)
