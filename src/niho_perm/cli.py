@@ -26,7 +26,7 @@ from .transforms import equivalent_pairs, pair_from_text, pair_of_family, \
     table_report
 from .trinomials import (FAMILY_IDS, build_trinomial, family_is_conjectural,
                          oracle_agreement_report, theorem_family, verdicts)
-from .conjectures import (conjecture1_check, conjecture2_check,
+from .conjectures import (SIGN_SETS, conjecture1_check, conjecture2_check,
                           proposition_check, search_problem_instances)
 from .unity import PUBLIC_MAP_NAMES, mu_check_report
 
@@ -299,9 +299,6 @@ def _render(args, passed: bool, payload: dict, tsv_rows,
     return json.dumps(body, indent=2) + "\n"
 
 
-_SIGN_SETS = ("++", "+-", "-+", "--", "all")
-
-
 def _prepare_argv(argv) -> list[str]:
     """argv with "--pair -2,+4" joined to "--pair=-2,+4", and so for
     --terms, and "--signs X" joined for every sign set X, "--" included:
@@ -311,7 +308,7 @@ def _prepare_argv(argv) -> list[str]:
     for arg in argv:
         opt = out[-1] if out else None
         if ((opt in ("--pair", "--terms") and arg[:1] == "-"
-             and arg[:2] != "--") or (opt == "--signs" and arg in _SIGN_SETS)):
+             and arg[:2] != "--") or (opt == "--signs" and arg in SIGN_SETS)):
             out[-1] += "=" + arg
         else:
             out.append(arg)

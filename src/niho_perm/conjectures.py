@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardExceededError, NihoPermError, UsageError
-from .field import (CHAR, TABLE_DEGREE, FieldElement, in_subfield, make_field,
-                    norm, trace, tower_field, wrap_mod)
+from .field import (TABLE_DEGREE, FieldElement, in_subfield, make_field, norm,
+                    trace, tower_field, wrap_mod)
 from .report import VerificationReport, combine_reports, timed
 from .trinomials import (eval_trinomial, exhaustive_permutation_report,
                          field_values, induced_mu_map, theorem_family,
@@ -321,7 +321,9 @@ def proposition_check(prop_id: str, k: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # the (s, t, sign) search harness
 
-_SIGN_CHARS = {"+": 1, "-": -1}
+# each sign set `search --signs` takes, and the (l1, l2) patterns it names
+SIGN_SETS = {"++": ((1, 1),), "+-": ((1, -1),), "-+": ((-1, 1),),
+             "--": ((-1, -1),), "all": ((1, 1), (1, -1), (-1, 1), (-1, -1))}
 CONSTRAINTS = ("none", "sum_zero", "sum_half")
 
 
@@ -334,11 +336,8 @@ class SearchHit:
 
 
 def _patterns_of(sign_pattern: str) -> tuple[tuple[int, int], ...]:
-    if sign_pattern == "all":
-        return ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    if (len(sign_pattern) == 2 and sign_pattern[0] in _SIGN_CHARS
-            and sign_pattern[1] in _SIGN_CHARS):
-        return ((_SIGN_CHARS[sign_pattern[0]], _SIGN_CHARS[sign_pattern[1]]),)
+    if sign_pattern in SIGN_SETS:
+        return SIGN_SETS[sign_pattern]
     raise UsageError(
         f"sign pattern must be two of +/- or 'all', got {sign_pattern!r}")
 
@@ -357,85 +356,47 @@ def _candidate_rows(s: np.ndarray, constraint: str, n: int):
     return first, np.maximum(stop - first, 0)
 
 
-def _hit(s: int, t: int, l1: int, l2: int) -> SearchHit:
-    return SearchHit(s=s, t=t, sign1="+" if l1 > 0 else "-",
-                     sign2="+" if l2 > 0 else "-")
-
-
 SEARCH_BLOCK = 1 << 15      # (candidate, point) pairs per kernel block
 
 
 class _SearchTables:
-    """One circle's tables for h = 1 + l1*zeta^(si) + l2*zeta^(ti).
+    """One circle's search tables for h = 1 + l1*zeta^(si) + l2*zeta^(ti).
 
-    Each GF(q) half of sign*zeta^j is packed in base 9, so the halves of two
-    terms add without a carry; a9 and b9 take a packed sum (a9 adding the
-    1) to the group's la and lb, and ctn is the group's ctn with -2n where
-    h = 0.  x*h^(q-1) maps zeta^i to zeta^(i + log h), log h = ct mod n.
-
-    Base 9 stays, though UnityGroup.sum_logs packs the same halves in
-    uint64 words: summing h in those words and reading them through its
-    4,096-entry table gave the same hits, but one k=3 screening block of
-    744 candidates x 44 points took 307 us against 156 us here, and the
-    whole k=3 square search 25-50% longer.  The sample points are spread
-    over Z/n, both parities.  Odd points alone would let one table serve
-    both signs, since -zeta^(si) = zeta^((s + n/2)i) at odd i, but they
-    screen worse: of the 8,001 k=3 "++" candidates with t >= s, 785
-    survive them against 174 here (112 are hits).
+    The group owns the base-9 halves of +-zeta^j and base9_logs, log h mod
+    n (-2n at a zero) from their sums.  The sample points are spread over
+    Z/n, both parities: odd points alone would let one row table serve both
+    signs, but of the 8,001 k=3 "++" candidates with t >= s, 785 survive
+    them against 174 here (112 are hits).
 
     A block's intermediates go to four int32 buffers of SEARCH_BLOCK
     entries that the tables keep (np.take with out=, +=, and wrap_mod in
-    place), so no block allocates an array of its own size.  Blocks that
-    allocated and freed arrays of about 128 KiB let glibc's malloc trim and
-    regrow the heap around every block unless an earlier large free had
-    raised its trim threshold: in a process that had built no field
-    tables, a k=3 "++" square search took about 1,300 minor page faults
-    and 35% more time.  The takes are unbuffered (mode="clip"), since
-    np.take with out= and the default mode="raise" still allocates a
-    buffer for its output.  No index is ever clipped: the build checks
-    that a9 - b9 lies in ctn and that each packed half is at most
-    (9^k - 1)/2, so two of them sum below 9^k; each chunk checks that its
-    s and t lie in [0, n); and the exponents s*i are reduced mod n before
-    they index a row.  The buffers make one table object single-threaded;
-    the search's workers are processes.
+    place).  Blocks that allocated and freed arrays of about 128 KiB let
+    glibc's malloc trim and regrow the heap around each one: in a process
+    that had built no field tables, a k=3 "++" square search took about
+    1,300 minor page faults and 35% more time.  The takes are unbuffered
+    (mode="clip"): with out= the default mode="raise" still allocates.  No
+    index is clipped: the group checks base9_logs' tables, each chunk checks
+    that its s and t lie in [0, n), and s*i is reduced mod n before it
+    indexes a row.  The buffers make one table object single-threaded; the
+    search's workers are processes.
     """
 
     def __init__(self, group):
-        self.group = group
-        n, k = group.n, group.k
+        self.group, n = group, group.n
         self.n = np.int32(n)        # the kernel's arithmetic stays in int32
         m = min(n, math.isqrt(16 * n))
         self.points = (np.arange(m) * n // m).astype(np.int32)
         self.every = np.arange(n, dtype=np.int32)
-        # the GF(q) index of each of the 9^k packed values
-        red = np.zeros(1, dtype=np.int64)
-        for j in range(k):
-            red = ((np.arange(9) % CHAR * CHAR ** j)[:, None] + red).ravel()
-        self.a9 = group.la[red - red % CHAR + (red + 1) % CHAR].astype(np.int32)
-        self.b9 = group.lb[red].astype(np.int32)
-        self.ctn = np.where(group.ctn < 0, -2 * n, group.ctn).astype(np.int32)
-        # the packed halves of sign*zeta^j for j in Z/n
-        place = 9 ** np.arange(k, dtype=np.int32)
-        self.halves = {}
-        for sign in (1, -1):
-            digits = group.coords * np.int8(sign) % CHAR
-            self.halves[sign] = tuple(digits[:, h:h + k] @ place
-                                      for h in (0, k))
-        packed = np.concatenate([x for pair in self.halves.values()
-                                 for x in pair])
-        if not (self.a9.min() - self.b9.max() >= 0
-                and self.a9.max() - self.b9.min() < self.ctn.size
-                and packed.min() >= 0 and 2 * packed.max() < self.a9.size):
-            raise IndexError("search table index out of range")
+        group.a9                    # built and checked before any fork
         self._bufs = np.empty((4, max(SEARCH_BLOCK, n)), dtype=np.int32)
         self._rows: dict[int, tuple] = {}
 
     def rows(self, sign):
-        """The packed halves of sign*zeta^j for j in Z/n, and of
+        """The base-9 halves of sign*zeta^j for j in Z/n, and of
         sign*zeta^(j*i) at the stride points i (row j), built on first use,
         a block of rows at a time."""
         if sign not in self._rows:
-            every = self.halves[sign]
+            every = self.group.halves[sign]
             sampled = tuple(np.empty((self.n, self.points.size), np.int32)
                             for _ in every)
             step = max(1, SEARCH_BLOCK // self.points.size)
@@ -453,12 +414,9 @@ class _SearchTables:
         return [buf[:rows * width].reshape(rows, width) for buf in self._bufs]
 
     def _verdict(self, a, b, c, points) -> np.ndarray:
-        """Per row of packed half-sums a and b: h has no zero and distinct
-        images.  Overwrites a, b and c."""
-        np.take(self.a9, a, out=c, mode="clip")
-        np.take(self.b9, b, out=a, mode="clip")
-        c -= a
-        np.take(self.ctn, c, out=a, mode="clip")
+        """Per row of half sums a and b: h has no zero and distinct images
+        i + log h at the points i.  Overwrites a, b and c."""
+        self.group.base9_logs(a, b, c)
         a += points
         wrap_mod(a, self.n, scratch=b)  # the -2n zero marker stays negative
         a.sort(axis=1)
@@ -493,14 +451,12 @@ class _SearchTables:
         for lo in range(0, keep.size, step):
             part = keep[lo:lo + step]
             a, b, c, d = self._blocks(part.size, n)
-            np.multiply.outer(s[part].astype(np.int32), self.every, out=d)
-            d %= n                          # the exponents s*i mod n
-            np.take(pu[0], d, out=a, mode="clip")
-            np.take(pu[1], d, out=b, mode="clip")
-            np.multiply.outer(t[part].astype(np.int32), self.every, out=d)
-            d %= n
-            a += np.take(pw[0], d, out=c, mode="clip")
-            b += np.take(pw[1], d, out=c, mode="clip")
+            a[:] = b[:] = 0
+            for x, halves in ((s, pu), (t, pw)):
+                np.multiply.outer(x[part].astype(np.int32), self.every, out=d)
+                d %= n                      # the exponents x*i mod n
+                for out, half in zip((a, b), halves):
+                    out += np.take(half, d, out=c, mode="clip")
             passed.append(part[self._verdict(a, b, c, self.every)])
         return np.concatenate(passed)
 
@@ -544,11 +500,11 @@ def _search_chunk(args) -> list[SearchHit]:
                 j = j[s[j] != t[j]]
                 found.append(np.stack((t[j], s[j], np.full(j.size, l2),
                                        np.full(j.size, l1))))
-    s, t, l1, l2 = np.concatenate(found, axis=1)
+    found = np.concatenate(found, axis=1)
+    s, t, l1, l2 = found
     # SearchHit order: (s, t, sign1, sign2), with '+' before '-'
-    order = np.lexsort((-l2, -l1, t, s))
-    return [_hit(*c) for c in zip(s[order].tolist(), t[order].tolist(),
-                                  l1[order].tolist(), l2[order].tolist())]
+    rows = found[:, np.lexsort((-l2, -l1, t, s))].T.tolist()
+    return [SearchHit(s, t, "+-"[a < 0], "+-"[b < 0]) for s, t, a, b in rows]
 
 
 def _split_by_work(work, parts: int) -> list[tuple[int, int]]:

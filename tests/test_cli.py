@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from niho_perm import cli, transforms, trinomials
 from niho_perm.cli import main
-from niho_perm.conjectures import search_problem_instances
+from niho_perm.conjectures import SIGN_SETS, search_problem_instances
 from niho_perm.field import tower_field
 from niho_perm.trinomials import build_trinomial, eval_trinomial
 
@@ -126,19 +126,24 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--pair: expected one argument" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("signs", ["++", "+-", "-+", "--", "all"])
+    @pytest.mark.parametrize("signs", list(SIGN_SETS))
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_every_sign_set_in_both_spellings(self, capsys, signs, fmt):
         # argparse would read "-+" and "--" as options, and drops a "--"
-        # value on Python < 3.13
+        # value on Python < 3.13; each spelling lists the search's hits
         rest = ["--constraint", "sum-zero", "--format", fmt]
         plain = run_cli(capsys, "search", "--k", "2", "--signs", signs, *rest)
         joined = run_cli(capsys, "search", "--k", "2", f"--signs={signs}",
                          *rest)
         assert plain[0] == joined[0] == 0
         assert strip_elapsed(plain[1]) == strip_elapsed(joined[1])
+        want = search_problem_instances(2, "sum_zero", signs)
+        assert want
         if fmt == "json":
             assert json.loads(plain[1])["signs"] == signs
+        else:
+            assert plain[1].splitlines()[1:] == [
+                f"{h.s}\t{h.t}\t{h.sign1}\t{h.sign2}\tTrue" for h in want]
 
     def test_minus_minus_lists_its_hits(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--k", "2", "--signs", "--")

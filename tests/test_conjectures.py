@@ -18,8 +18,7 @@ from niho_perm.conjectures import (CONSTRAINTS, ProfileMismatchError,
                                    subfield_stability_report, _patterns_of,
                                    _quartic_report, _search_chunk,
                                    _search_tables, _SearchTables)
-from niho_perm.field import (in_subfield, make_field, norm, tower_field,
-                             trace, wrap_mod)
+from niho_perm.field import in_subfield, make_field, norm, tower_field, trace
 from niho_perm.trinomials import (build_trinomial, induced_mu_map,
                                   is_permutation_exhaustive,
                                   is_permutation_via_criterion, theorem_family)
@@ -467,16 +466,14 @@ class TestSearch:
                     assert got == want, (k, constraint, signs)
 
     def test_zero_marker_survives_the_wrap(self):
-        # ctn is -2n where h = 0: plus a point and wrapped it stays
-        # negative, so a row with a zero of h sorts it first and fails.
-        # At k=1, 10 of the 14 rows with a zero have otherwise distinct
-        # images: only the marker fails them.
+        # the group's ctn is -2n where h = 0, and stays negative plus a
+        # point and wrapped (test_unity checks it at k = 1..6), so a row
+        # with a zero of h sorts it first and fails.  At k=1, 10 of the 14
+        # rows with a zero have otherwise distinct images: only the marker
+        # fails them.
         g = unity_group(tower_field(1))
         tabs = _search_tables(g)
-        n = int(tabs.n)
-        assert tabs.ctn.min() == -2 * n
-        img = wrap_mod(tabs.ctn.min() + np.arange(n, dtype=np.int32), tabs.n)
-        assert img.dtype == np.int32 and (img < 0).all()
+        n = g.n
         s, t = np.divmod(np.arange(n * n), n)
         every = np.arange(n, dtype=np.int32)
         i, j = (np.outer(x, every) % n for x in (s, t))
@@ -539,12 +536,24 @@ print(len(hits), faults, tracemalloc.get_traced_memory()[1])
         assert faults < 100, f"{faults} minor faults in a warm search"
 
     def test_corrupted_a9_fails_the_range_check(self):
-        # a fresh, uncached circle whose la puts one a9 entry past ctn
-        group = UnityGroup(tower_field(2))
-        group.la[3] = 5 * group.q
-        with pytest.raises(IndexError, match="out of range"):
-            _SearchTables(group)
+        # fresh, uncached circles whose la puts one a9 entry past ctn: the
+        # group's first read of a9 (or of b9, built with it) refuses it, and
+        # so the search's tables do
+        for read in (lambda g: g.a9, lambda g: g.b9, _SearchTables):
+            group = UnityGroup(tower_field(2))
+            group.la[3] = 5 * group.q
+            with pytest.raises(IndexError, match="out of range"):
+                read(group)
         _SearchTables(UnityGroup(tower_field(2)))      # intact: no error
+
+    def test_block_verdict_reads_the_group_ctn(self):
+        # the search holds no ctn of its own: on a fresh circle whose ctn
+        # is set to the zero marker everywhere, no candidate passes
+        group = UnityGroup(tower_field(2))
+        s, t = np.divmod(np.arange(group.n ** 2), group.n)
+        assert _SearchTables(group).hits(s, t, 1, 1).size
+        group.ctn = np.full_like(group.ctn, -2 * group.n)
+        assert _SearchTables(group).hits(s, t, 1, 1).size == 0
 
     def test_chunk_outside_the_circle_is_refused(self):
         with pytest.raises(IndexError, match="outside Z/26"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from niho_perm.errors import PoleError, ResidueError, UsageError
-from niho_perm.field import make_field, tower_field
+from niho_perm.field import make_field, tower_field, wrap_mod
 from niho_perm.residues import parity_admits
 from niho_perm.unity import (MAP_SPECS, OMEGA_SPECIALIZATIONS,
                              PUBLIC_MAP_NAMES, ClosedFormMap, PowerFormMap,
@@ -65,8 +65,10 @@ def assert_p1_logs_replay(g):
     picks = sorted({0, 1, 2, g.q - 1} | set(range(0, g.q, max(1, g.q // 12))))
     a, b = (np.array(v) for v in zip(*[(x, y) for x in picks for y in picks]))
     logs = g.pair_logs(a, b)
-    # the circle verdicts read log mod n from one table
-    assert (g.ctn[g.la[a] - g.lb[b]] == np.where(logs < 0, -1, logs % g.n)).all()
+    # the circle verdicts read log mod n from one int32 table, -2n at zero
+    assert g.ctn.dtype == np.int32
+    assert (g.ctn[g.la[a] - g.lb[b]]
+            == np.where(logs < 0, -2 * g.n, logs % g.n)).all()
     for x, y, log in zip(a.tolist(), b.tolist(), logs.tolist()):
         elem = [field.zero, field.zero]
         for pos, idx in enumerate((x, y)):
@@ -157,6 +159,46 @@ class TestEnumeration:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_p1_logs_replay(self, k):
         assert_p1_logs_replay(unity_group(tower_field(k)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_zero_marker_survives_the_wrap(self, k):
+        # ctn is -2n where a sum is zero (ct = -1): plus a circle index and
+        # wrapped it stays negative, so a zero of h sorts first and fails
+        g = unity_group(tower_field(k))
+        n = g.n
+        assert g.ctn.dtype == np.int32
+        assert (g.ctn == np.where(g.ct < 0, -2 * n, g.ct % n)).all()
+        assert g.ctn.min() == -2 * n
+        img = wrap_mod(g.ctn.min() + np.arange(n, dtype=np.int32), n)
+        assert img.dtype == np.int32 and (img < 0).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_negated_halves_are_shifted_halves(self, k):
+        # the base-9 halves of -zeta^j, read at zeta^(j + n/2), against
+        # the digit-negated coordinates packed in base 9
+        g = unity_group(tower_field(k))
+        place = 9 ** np.arange(k, dtype=np.int32)
+        for sign in (1, -1):
+            digits = g.coords * np.int8(sign) % 5
+            want = [digits[:, h:h + k] @ place for h in (0, k)]
+            got = g.halves[sign]
+            assert [x.dtype for x in got] == [np.int32] * 2
+            assert all((x == w).all() for x, w in zip(got, want)), sign
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_base9_logs_match_circle_logs(self, k):
+        # the two packings of the circle give one log of 1 + y + z, for
+        # y = s1*zeta^(c1*i) and z = s2*zeta^(c2*i) at seeded residues
+        g = unity_group(tower_field(k))
+        n, i = g.n, np.arange(g.n)
+        rng = np.random.default_rng(70 + k)
+        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            for c1, c2 in rng.integers(0, n, size=(8, 2)).tolist():
+                y, z = g.halves[s1], g.halves[s2]
+                a, b = (y[h][c1 * i % n] + z[h][c2 * i % n] for h in (0, 1))
+                got = g.base9_logs(a, b, np.empty_like(a))
+                terms = ((1, 0), (s1, c1), (s2, c2))
+                assert (got == g.circle_logs(g.sum_words(i, terms))).all()
 
     @pytest.mark.parametrize("modulus", [(3, 2, 4, 3, 1),
                                          (2, 0, 2, 1, 1, 4, 1)])
@@ -333,7 +375,7 @@ class TestPackedKernel:
             assert got.dtype == np.int64
             assert (got == digit_row_sum_logs(g, idx, terms)).all(), terms
             assert (g.circle_logs(g.sum_words(idx, terms))
-                    == np.where(got < 0, -1, got % n)).all(), terms
+                    == np.where(got < 0, -2 * n, got % n)).all(), terms
 
     @pytest.mark.parametrize("k", [1, 3, 5, 6])
     def test_sum_logs_index_forms(self, k):
@@ -406,15 +448,17 @@ class TestPackedKernel:
 
     @pytest.mark.parametrize("k", [1, 4, 5, 6])
     def test_uint16_keys_give_the_int64_witness(self, k):
-        # the verdict sorts circle indices as uint16 (a radix sort); the
-        # witness must be the one an int64 sort gives
+        # circle indices sort as uint16 keys (a radix sort) from 512 values
+        # on; the witness must be the one an int64 sort gives, here of the
+        # values shifted past 2^16
         n = 5 ** k + 1
         rng = np.random.default_rng(k)
         for values in (rng.integers(0, n, n), rng.permutation(n),
                        np.where(np.arange(n) < n - 1, np.arange(n), 0),
                        rng.integers(0, n // 2, n) * 2, np.full(n, n - 1),
                        np.arange(n)[:1], np.arange(n)[:0]):
-            want = unity_mod._first_collision(values)
+            want = unity_mod._first_collision(values + (1 << 16))
+            assert unity_mod._first_collision(values) == want
             assert unity_mod._first_collision(values.astype(np.uint16)) == want
             if n <= 200:
                 assert want == self.brute_first_collision(list(values))
