@@ -13,6 +13,7 @@ partitioning the s-range across worker processes cannot change the output.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import multiprocessing
 import os
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardExceededError, NihoPermError, UsageError
-from .field import (TABLE_DEGREE, FieldElement, in_subfield, make_field, norm,
-                    trace, tower_field, wrap_mod)
+from .field import (TABLE_DEGREE, FieldElement, in_subfield, lazy_attribute,
+                    make_field, norm, trace, tower_field, wrap_mod)
 from .report import VerificationReport, combine_reports, timed
 from .trinomials import (eval_trinomial, exhaustive_permutation_report,
                          field_values, induced_mu_map, theorem_family,
@@ -31,6 +32,11 @@ from .unity import (build_map, maps_agree_report, pointwise_agreement_report,
                     unity_group, unity_permutation_report)
 
 SEARCH_GUARD_K = 4
+# The full square reads the group's n^2 log tables up to SQUARE_TABLE_K and
+# base 9 above, as the sum searches do.  At k=5 the tables (19.5 MB a
+# pattern) took the default all-signs square on 2 workers from 65.5 to
+# 117 MB peak RSS and saved no time (38.2 against 32.9 s).
+SQUARE_TABLE_K = 4
 
 
 class ProfileMismatchError(NihoPermError):
@@ -362,23 +368,33 @@ SEARCH_BLOCK = 1 << 15      # (candidate, point) pairs per kernel block
 class _SearchTables:
     """One circle's search tables for h = 1 + l1*zeta^(si) + l2*zeta^(ti).
 
-    The group owns the base-9 halves of +-zeta^j and base9_logs, log h mod
-    n (-2n at a zero) from their sums.  The sample points are spread over
-    Z/n, both parities: odd points alone would let one row table serve both
-    signs, but of the 8,001 k=3 "++" candidates with t >= s, 785 survive
-    them against 174 here (112 are hits).
+    Log h mod n (-2n at a zero) comes from the group in one of two ways.
+    The full square up to SQUARE_TABLE_K reads it from the group's n^2
+    table of the pattern (square_logs) at (s*i mod n)*n + (t*i mod n), one
+    gather where base9_logs takes three: a k=3 square reads each
+    (s*i, t*i) about 22 times, a k=4 square about 50 times.  (-1, 1) reads
+    the table of (1, -1) with s and t swapped.  A sum search
+    reads only n*m of the n^2 pairs, once each, so it adds the base-9
+    halves of the two terms and reads base9_logs instead: through the
+    table, the k=6 "sum-half ++" search (0.6 s and 107 MB) would build
+    244M entries per pattern to read 7.8M of them.
+    The m sample points are spread over Z/n, both parities: odd points
+    alone would let one row table serve both signs, but of the 8,001 k=3
+    "++" candidates with t >= s, 785 survive them against 174 here (112
+    are hits).
 
     A block's intermediates go to four int32 buffers of SEARCH_BLOCK
     entries that the tables keep (np.take with out=, +=, and wrap_mod in
-    place).  Blocks that allocated and freed arrays of about 128 KiB let
-    glibc's malloc trim and regrow the heap around each one: in a process
-    that had built no field tables, a k=3 "++" square search took about
-    1,300 minor page faults and 35% more time.  The takes are unbuffered
-    (mode="clip"): with out= the default mode="raise" still allocates.  No
-    index is clipped: the group checks base9_logs' tables, each chunk checks
-    that its s and t lie in [0, n), and s*i is reduced mod n before it
-    indexes a row.  The buffers make one table object single-threaded; the
-    search's workers are processes.
+    place); the int16 square table is read into an int16 view of one.
+    Blocks that allocated and freed arrays of about 128 KiB let glibc's
+    malloc trim and regrow the heap around each one: in a process that had
+    built no field tables, a k=3 "++" square search took about 1,300 minor
+    page faults and 35% more time.  The takes are unbuffered (mode="clip"):
+    with out= the default mode="raise" still allocates.  No index is
+    clipped: the group checks base9_logs' tables, each chunk checks that
+    its s and t lie in [0, n), and s*i is reduced mod n before it indexes a
+    row.  The buffers make one table object single-threaded; the search's
+    workers are processes.
     """
 
     def __init__(self, group):
@@ -409,23 +425,39 @@ class _SearchTables:
             self._rows[sign] = every, sampled
         return self._rows[sign]
 
+    @lazy_attribute
+    def square_rows(self):
+        """The two parts of the square's table index (s*i mod n)*n +
+        (t*i mod n), shaped as rows() gives halves: for all i in Z/n, the
+        scales n and 1 of s*i and t*i mod n, and at the stride points i,
+        row j holds n*(j*i mod n) and j*i mod n (the sign-free table E)."""
+        exps = np.outer(self.every, self.points) % self.n
+        return (self.n, (exps * self.n,)), (1, (exps,))
+
+    def _read_square(self, table, a, b, c) -> np.ndarray:
+        """table[a] into a, through an int16 view of c (a and c int32)."""
+        small = c.reshape(-1).view(np.int16)[:c.size].reshape(c.shape)
+        np.take(table, a, out=small, mode="clip")
+        a[...] = small
+        return a
+
     def _blocks(self, rows: int, width: int):
         """The four block buffers as (rows, width) arrays."""
         return [buf[:rows * width].reshape(rows, width) for buf in self._bufs]
 
-    def _verdict(self, a, b, c, points) -> np.ndarray:
-        """Per row of half sums a and b: h has no zero and distinct images
-        i + log h at the points i.  Overwrites a, b and c."""
-        self.group.base9_logs(a, b, c)
+    def _verdict(self, a, b, points) -> np.ndarray:
+        """Per row of logs a: h has no zero and distinct images
+        i + log h at the points i.  Overwrites a and b."""
         a += points
         wrap_mod(a, self.n, scratch=b)  # the -2n zero marker stays negative
         a.sort(axis=1)
         return (a[:, 0] >= 0) & (a[:, 1:] != a[:, :-1]).all(axis=1)
 
-    def _distinct(self, u, w, i, j, points) -> np.ndarray:
-        """Per row: h = 1 + u[i] + w[j] has no zero and distinct images,
-        the halves gathered along axis 0 a buffer's worth of rows at a
-        time."""
+    def _distinct(self, u, w, i, j, points, logs=None) -> np.ndarray:
+        """Per row: h has no zero and distinct images, reading log h by
+        logs (base9_logs if None) from u[i] + w[j], the rows gathered along
+        axis 0 a buffer's worth of rows at a time."""
+        logs = logs or self.group.base9_logs
         step = max(1, self._bufs.shape[1] // points.size)
         ok = np.empty(len(i), dtype=bool)
         for lo in range(0, len(i), step):
@@ -434,17 +466,26 @@ class _SearchTables:
                 np.take(uh, i[lo:lo + step], axis=0, out=out, mode="clip")
                 out += np.take(wh, j[lo:lo + step], axis=0, out=c,
                                mode="clip")
-            ok[lo:lo + step] = self._verdict(a, b, c, points)
+            ok[lo:lo + step] = self._verdict(logs(a, b, c), b, points)
         return ok
 
-    def hits(self, s, t, l1, l2) -> np.ndarray:
-        """Positions j where (s[j], t[j], l1, l2) passes the criterion.
+    def hits(self, s, t, l1, l2, square=False) -> np.ndarray:
+        """Positions j where (s[j], t[j], l1, l2) passes the criterion,
+        read from the square's table if square, else from base-9 halves.
 
         A repeat or a zero at the sampled points is one over the whole
         circle, so the n-point verdict runs only on the survivors, a
         buffer's worth of rows at a time."""
-        (pu, su), (pw, sw) = self.rows(l1), self.rows(l2)
-        keep = np.flatnonzero(self._distinct(su, sw, s, t, self.points))
+        if l1 < l2:     # the same h: one table serves (1, -1) and (-1, 1)
+            return self.hits(t, s, l2, l1, square)
+        if square:
+            logs = functools.partial(self._read_square,
+                                     self.group.square_logs(l1, l2))
+            (pu, su), (pw, sw) = self.square_rows
+        else:
+            logs = self.group.base9_logs
+            (pu, su), (pw, sw) = self.rows(l1), self.rows(l2)
+        keep = np.flatnonzero(self._distinct(su, sw, s, t, self.points, logs))
         n = self.n
         step = max(1, self._bufs.shape[1] // int(n))
         passed = [keep[:0]]
@@ -455,9 +496,12 @@ class _SearchTables:
             for x, halves in ((s, pu), (t, pw)):
                 np.multiply.outer(x[part].astype(np.int32), self.every, out=d)
                 d %= n                      # the exponents x*i mod n
-                for out, half in zip((a, b), halves):
-                    out += np.take(half, d, out=c, mode="clip")
-            passed.append(part[self._verdict(a, b, c, self.every)])
+                if square:                  # halves is the scale of x*i
+                    a += np.multiply(d, halves, out=c)
+                else:
+                    for out, half in zip((a, b), halves):
+                        out += np.take(half, d, out=c, mode="clip")
+            passed.append(part[self._verdict(logs(a, b, c), b, self.every)])
         return np.concatenate(passed)
 
 
@@ -468,7 +512,9 @@ def _search_chunk(args) -> list[SearchHit]:
     """Criterion hits for s in [s_lo, s_hi), sorted.
 
     The chunk's candidates (s, t), t >= s, are listed as int arrays and
-    evaluated in blocks of about SEARCH_BLOCK sample points.
+    evaluated in blocks of about SEARCH_BLOCK sample points, every block
+    of one pattern before the next, so that the square reads one pattern's
+    table at a time.
     (s, t, l1, l2) and (t, s, l2, l1) give the same h, so each pattern of
     the swap closure of the requested set is evaluated once: a hit is
     emitted if its pattern was requested, and its off-diagonal mirror
@@ -486,20 +532,20 @@ def _search_chunk(args) -> list[SearchHit]:
     prefix = np.concatenate(([0], np.cumsum(counts)))
     size = max(1, SEARCH_BLOCK // len(tabs.points))
     closure = dict.fromkeys(patterns + tuple((b, a) for a, b in patterns))
+    square = constraint == "none" and k <= SQUARE_TABLE_K
     found = [np.empty((4, 0), dtype=np.int64)]     # rows s, t, l1, l2
-    for lo in range(0, int(prefix[-1]), size):
-        pos = np.arange(lo, min(lo + size, int(prefix[-1])))
+    for (l1, l2), lo in itertools.product(closure, range(0, prefix[-1], size)):
+        pos = np.arange(lo, min(lo + size, prefix[-1]))
         row = np.searchsorted(prefix, pos, side="right") - 1
         s, t = s_lo + row, starts[row] + pos - prefix[row]
-        for l1, l2 in closure:
-            j = tabs.hits(s, t, l1, l2)
-            if (l1, l2) in patterns:
-                found.append(np.stack((s[j], t[j], np.full(j.size, l1),
-                                       np.full(j.size, l2))))
-            if (l2, l1) in patterns:
-                j = j[s[j] != t[j]]
-                found.append(np.stack((t[j], s[j], np.full(j.size, l2),
-                                       np.full(j.size, l1))))
+        j = tabs.hits(s, t, l1, l2, square=square)
+        if (l1, l2) in patterns:
+            found.append(np.stack((s[j], t[j], np.full(j.size, l1),
+                                   np.full(j.size, l2))))
+        if (l2, l1) in patterns:
+            j = j[s[j] != t[j]]
+            found.append(np.stack((t[j], s[j], np.full(j.size, l2),
+                                   np.full(j.size, l1))))
     found = np.concatenate(found, axis=1)
     s, t, l1, l2 = found
     # SearchHit order: (s, t, sign1, sign2), with '+' before '-'
@@ -536,8 +582,14 @@ def search_problem_instances(k: int, constraint: str = "none",
             f"search guarded at k <= {SEARCH_GUARD_K}; pass force to override")
     patterns = _patterns_of(sign_pattern)
     group = unity_group(tower_field(k))
-    for sign in {sign for pattern in patterns for sign in pattern}:
-        _search_tables(group).rows(sign)        # build before any fork
+    tabs = _search_tables(group)                # built before any fork
+    if constraint == "none" and k <= SQUARE_TABLE_K:
+        for pattern in patterns:
+            group.square_logs(*sorted(pattern, reverse=True))
+        tabs.square_rows
+    else:
+        for sign in {sign for pattern in patterns for sign in pattern}:
+            tabs.rows(sign)
     n = group.n
     workers = min(max(1, int(threads)), os.cpu_count() or 1)
     work = _candidate_rows(np.arange(n), constraint, n)[1]

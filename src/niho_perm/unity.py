@@ -40,7 +40,13 @@ Two halves add with no carry (4 + 4 < 9), and a9 (adding the 1) and b9,
 9^k entries each, read a sum's la and lb (base9_logs).  In base 9 a k=3
 search block of 744 x 44 points took 243 us, in words 1,089 us.  The
 criterion stays on words: 9% faster over a full k=6 circle, and at k=8
-a9 and b9 would take 172 MB each.
+a9 and b9 would take 172 MB each.  The search's full square reads each
+(y, z) of the circle many times (about 22 times at k=3, 50 at k=4), so
+square_logs keeps base9_logs of every 1 + l1*zeta^a + l2*zeta^b, one
+int16 table of n^2 entries per sign pattern (l1, l2): 31 KB at k=3 and
+0.8 MB at k=4.  The search reads it up to k=4, and the table of (1, -1)
+serves (-1, 1) transposed.  At k=5 (19.5 MB a pattern) the tables saved
+no time and took the all-signs square from 65.5 to 117 MB peak RSS.
 
 A power form on the whole circle (the subgroup criterion, mu-check g2..g10)
 has a leaner verdict path.  It needs log h only mod n, and n*lb[b] is 0 mod
@@ -135,6 +141,7 @@ class UnityGroup:
         # -2n marks a zero: plus an index and wrapped, it stays negative
         self.ctn = np.where(self.ct < 0, -2 * n, self.ct % n).astype(np.int32)
         self._domains: dict[str, np.ndarray] = {}
+        self._squares: dict[tuple[int, int], np.ndarray] = {}
 
     def pair_logs(self, a, b) -> np.ndarray:
         """log_g(a + b*omega) for arrays of GF(q) indices a and b, in
@@ -240,6 +247,24 @@ class UnityGroup:
         out -= a
         return np.take(self.ctn, out, out=a, mode="clip")
 
+    def square_logs(self, l1: int, l2: int) -> np.ndarray:
+        """base9_logs of 1 + l1*zeta^a + l2*zeta^b at entry a*n + b, for
+        every (a, b) in (Z/n)^2, as int16 (the values lie in [-2n, n)),
+        built on the first read of each pattern from ctn and the halves, a
+        block of rows at a time, so that no temporary is n^2 wide.  The
+        table of (l2, l1) is this one transposed."""
+        if (l1, l2) not in self._squares:
+            n, (ya, yb), (za, zb) = self.n, self.halves[l1], self.halves[l2]
+            self.a9                     # the range check base9_logs skips
+            table = np.empty((n, n), dtype=np.int16)
+            step = max(1, SQUARE_BLOCK // n)
+            for lo in range(0, n, step):
+                a, b = (np.add.outer(y[lo:lo + step], z)
+                        for y, z in ((ya, za), (yb, zb)))
+                table[lo:lo + step] = self.base9_logs(a, b, np.empty_like(a))
+            self._squares[l1, l2] = table.reshape(-1)
+        return self._squares[l1, l2]
+
     def __repr__(self):
         return f"mu_{self.n} in {self.field!r}"
 
@@ -271,6 +296,8 @@ class UnityGroup:
 FIELD_BITS, HALF_BITS, FOLD_WEIGHT, CHUNK_FIELDS = 4, 32, 3, 3
 _FIELDS = sum(1 << (FIELD_BITS * i) for i in range(64 // FIELD_BITS))
 _ONES, _THREES = np.uint64(_FIELDS), np.uint64(3 * _FIELDS)
+# entries of square_logs built per block: three int32 temporaries of 256 KiB
+SQUARE_BLOCK = 1 << 16
 
 
 def _fold(words: np.ndarray) -> np.ndarray:

@@ -555,6 +555,49 @@ print(len(hits), faults, tracemalloc.get_traced_memory()[1])
         group.ctn = np.full_like(group.ctn, -2 * group.n)
         assert _SearchTables(group).hits(s, t, 1, 1).size == 0
 
+    def test_square_table_reads_the_group_ctn(self):
+        # the square's n^2 table is built from the group's ctn, on the
+        # first square read, and kept: a fresh circle whose ctn is the zero
+        # marker everywhere passes no candidate, and a later read of the
+        # same pattern finds the cached table
+        group = UnityGroup(tower_field(2))
+        s, t = np.divmod(np.arange(group.n ** 2), group.n)
+        group.ctn = np.full_like(group.ctn, -2 * group.n)
+        tabs = _SearchTables(group)
+        assert tabs.hits(s, t, 1, 1, square=True).size == 0
+        assert (group.square_logs(1, 1) == -2 * group.n).all()
+        assert group.square_logs(1, 1) is group.square_logs(1, 1)
+
+    def test_swapped_pattern_reads_one_table(self):
+        # (s, t, -1, 1) is (t, s, 1, -1): the square reads (1, -1)'s table
+        # for both, and the search builds no table for (-1, 1)
+        group = UnityGroup(tower_field(2))
+        s, t = np.divmod(np.arange(group.n ** 2), group.n)
+        _SearchTables(group).hits(s, t, -1, 1, square=True)
+        assert list(group._squares) == [(1, -1)]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_square_hits_match_the_criterion(self, k):
+        # every (s, t) of the square, t < s included, through the table,
+        # and the search under every sign set: exactly the candidates that
+        # pass is_permutation_via_criterion
+        n = 5 ** k + 1
+        tabs = _search_tables(unity_group(tower_field(k)))
+        s, t = np.divmod(np.arange(n * n), n)
+        passing = set()
+        for l1, l2 in _patterns_of("all"):
+            want = [c for c in range(n * n) if is_permutation_via_criterion(
+                build_trinomial(k, [(1, 0), (l1, int(s[c])),
+                                    (l2, int(t[c]))])).passed]
+            assert tabs.hits(s, t, l1, l2, square=True).tolist() == want
+            passing |= {(int(s[c]), int(t[c]), l1, l2) for c in want}
+        for signs in ("all", "++", "+-", "-+", "--"):
+            patterns = _patterns_of(signs)
+            want = sorted(SearchHit(s_, t_, "+-"[l1 < 0], "+-"[l2 < 0])
+                          for s_, t_, l1, l2 in passing
+                          if (l1, l2) in patterns)
+            assert search_problem_instances(k, "none", signs) == want, signs
+
     def test_chunk_outside_the_circle_is_refused(self):
         with pytest.raises(IndexError, match="outside Z/26"):
             _search_chunk((2, 20, 27, "none", ((1, 1),)))

@@ -200,6 +200,31 @@ class TestEnumeration:
                 terms = ((1, 0), (s1, c1), (s2, c2))
                 assert (got == g.circle_logs(g.sum_words(i, terms))).all()
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_square_logs_match_both_packings(self, k):
+        # entry a*n + b is log h mod n of h = 1 + l1*zeta^a + l2*zeta^b,
+        # from the base-9 halves and, independently, from the packed words
+        # (-zeta^j is zeta^(j + n/2), and three unit terms add with no
+        # fold); a zero of h reads -2n, at odd k only
+        g = unity_group(tower_field(k))
+        n = g.n
+        a, b = np.divmod(np.arange(n * n), n)
+        for l1, l2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            table = g.square_logs(l1, l2)
+            assert table.dtype == np.int16 and table.shape == (n * n,)
+            assert table is g.square_logs(l1, l2)
+            y, z = g.halves[l1], g.halves[l2]
+            sums = [y[h][a] + z[h][b] for h in (0, 1)]
+            assert (table == g.base9_logs(*sums, np.empty_like(sums[0]))).all()
+            words = (g.words[0] + g.words[(a + n // 2 * (l1 < 0)) % n]
+                     + g.words[(b + n // 2 * (l2 < 0)) % n])
+            assert (table == g.circle_logs(words)).all()
+            assert (table == -2 * n).any() == (k % 2 == 1)
+            assert table.min() >= -2 * n and table.max() < n
+            # swapping the pattern transposes the table
+            swapped = g.square_logs(l2, l1).reshape(n, n)
+            assert (table.reshape(n, n) == swapped.T).all()
+
     @pytest.mark.parametrize("modulus", [(3, 2, 4, 3, 1),
                                          (2, 0, 2, 1, 1, 4, 1)])
     def test_other_primitive_modulus(self, modulus):
