@@ -266,11 +266,12 @@ def quartic_obstruction_report(k: int) -> VerificationReport:
 
 def _quartic_report(group) -> VerificationReport:
     """The quartic obstruction on any circle: a root witness carries the
-    circle index and point; with no root, gcd(13, q+1) must still be 1."""
+    circle index and point; with no root, gcd(13, q+1) must still be 1.
+    The roots are Frobenius-closed, so the first one is an orbit leader."""
     g13 = math.gcd(13, group.n)
-    logs = group.sum_logs(group.domain_indices("mu"),
-                          ((1, 4), (2, 3), (1, 2), (2, 1), (1, 0)))
-    zero = np.flatnonzero(logs < 0)
+    leaders = group.orbits.leaders
+    logs = group.sum_logs(leaders, ((1, 4), (2, 3), (1, 2), (2, 1), (1, 0)))
+    zero = leaders[np.flatnonzero(logs < 0)]
     subject = f"no circle root of x^4+2x^3+x^2+2x+1 at k={group.k}"
     counts = {"points": group.n}
     if zero.size:

@@ -60,14 +60,29 @@ z = l2*y^2.  So y has order 3 (l1 = 1) or 6 (l1 = -1), which needs 3 | n,
 i.e. odd k, and the first zero is the least common solution i of two
 linear congruences: u*i = +-n/3 (or +-n/6) and (v - 2u)*i = 0 (l2 = 1) or
 n/2 (l2 = -1) mod n.  A zero outranks any repeat, so it is the witness,
-with no point evaluated.  Otherwise, from k = 4 on, where n >= 4m for
-m = floor(4*sqrt(n)), the first m points are evaluated first, since a
-failing random h repeats within about sqrt(n) points.  A repeat there is
-the earliest over the circle by second position: the witness a full
-evaluation names.  Only a prefix with no repeat leads to the other points,
-and a pass is read from the counts of the images, with no sort.  Every
-evaluated point still decodes a zero of h to -1, and one the rule missed
-raises, so a pass has evaluated h at every point and found no zero.
+with no point evaluated.
+
+Otherwise h is summed once, at one point per Frobenius orbit.  A map f
+with GF(5) coefficients has f(x^5) = f(x)^5, and x -> x^5 permutes the
+circle as i -> 5i mod n, in orbits of at most 2k indices (UnityGroup.
+orbits: 80 leaders of 626 points at k=4, 316 of 3,126 at k=5, 1,308 of
+15,626 at k=6).  So the image index at p*L, p a power of 5, is p times the
+image index at the orbit's leader L, and f permutes the circle iff no two
+leaders' images lie in one orbit: f maps the orbit of L onto the orbit of
+f(L), which is no larger, so if the image orbits are distinct they are all
+the orbits, their sizes sum to n, every orbit keeps its size and f is
+injective.  A failing verdict fills the images from the leaders'.  From
+k = 4 on, where n >= 4m for m = floor(4*sqrt(n)), it fills the first m
+first, since a failing random h repeats within about sqrt(n) points: a
+repeat there is the earliest over the circle by second position, the
+witness a full evaluation names, and only a prefix with no repeat leads to
+the whole circle.  A zero of h at any point is one at its leader, since
+h(x^5) = h(x)^5, so the sum at the leaders still decodes a zero to -1, one
+the rule missed raises, and a pass has found no zero on the circle.  The
+other whole-circle checks read the leaders too: a closed form's first pole
+or escape, the first mismatch of two maps and the first circle root of a
+polynomial over GF(5) each lie in a Frobenius-closed set, so each is a
+leader.
 """
 
 from __future__ import annotations
@@ -75,7 +90,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -265,6 +280,27 @@ class UnityGroup:
             self._squares[l1, l2] = table.reshape(-1)
         return self._squares[l1, l2]
 
+    @lazy_attribute
+    def orbits(self) -> Orbits:
+        """The orbits of i -> 5i on Z/n, the circle indices of x -> x^5,
+        built on first read in 2k - 1 steps: an orbit holds at most 2k
+        indices, since 5^(2k) = 1 mod n."""
+        n = self.n
+        index = np.arange(n, dtype=np.int32)            # 5n < 2^31 at k <= 8
+        lead, power, step = index.copy(), np.ones(n, dtype=np.int64), index
+        for j in range(1, 2 * self.k):
+            step = step * CHAR % n                      # 5^j * i
+            less = step < lead
+            np.copyto(lead, step, where=less)
+            np.copyto(power, pow(CHAR, -j, n), where=less)  # i = 5^-j * lead
+        leaders = np.flatnonzero(lead == index)
+        position = np.empty(n, dtype=np.int64)
+        position[leaders] = np.arange(len(leaders))
+        orbits = Orbits(leaders, position[lead], power)
+        for arr in orbits:
+            arr.flags.writeable = False
+        return orbits
+
     def __repr__(self):
         return f"mu_{self.n} in {self.field!r}"
 
@@ -287,6 +323,30 @@ class UnityGroup:
     def csv(self, i: int) -> str:
         """element(i).csv(), read from the digit rows (for witnesses)."""
         return ",".join(map(str, self.rows[i % self.n].tolist()))
+
+
+class Orbits(NamedTuple):
+    """The Frobenius orbits of the circle indices: leaders, the least index
+    of each orbit, ascending; orbit[i], the position in leaders of i's
+    leader; power[i], the power of 5 mod n with i = power[i] * leader."""
+
+    leaders: np.ndarray
+    orbit: np.ndarray
+    power: np.ndarray
+
+    def fill(self, images: np.ndarray, stop: int | None = None) -> np.ndarray:
+        """The image index at each of the first `stop` circle indices (all
+        by default) from images, the image indices at the leaders, all on
+        the circle: a map with GF(5) coefficients takes zeta^(p*L) to its
+        image at zeta^L to the power p."""
+        return self.power[:stop] * images[self.orbit[:stop]] % len(self.orbit)
+
+    def permutes(self, images: np.ndarray) -> bool:
+        """Whether a map with GF(5) coefficients that keeps the circle
+        permutes it, from its image indices at the leaders: iff no two
+        images share an orbit (see the module docstring)."""
+        return bool(np.bincount(self.orbit[images],
+                                minlength=len(self.leaders)).max() <= 1)
 
 
 # A packed word holds the GF(5) digits of a point a + b*omega in 4-bit
@@ -610,25 +670,27 @@ def _verdict(subject: str, group: UnityGroup, map_: FractionalMap, indices,
 def _circle_verdict(subject: str, group: UnityGroup,
                     map_: PowerFormMap) -> VerificationReport:
     """_verdict's report for a power form on the whole circle: its first
-    zero by _circle_zero, else a repeat in a screened prefix, else the
-    whole circle (see the module docstring).  A power form never escapes
-    the circle."""
-    idx, n = group.domain_indices("mu"), group.n
+    zero by _circle_zero, else a pass by the orbit rule, else the first
+    repeat, in a screened prefix or over the whole circle, from h summed
+    at the orbit leaders once (see the module docstring).  A power form
+    never escapes the circle."""
+    n, orbits = group.n, group.orbits
     zero = _circle_zero(n, map_.h_terms)
     if zero is not None:
         return _fail(subject, n, _zero_witness(group, map_, zero))
-    m = math.isqrt(16 * n)
-    if 4 * m > n:                   # k <= 3: too small a circle to screen
-        m = n
-    values = _circle_images(group, map_, idx[:m])
-    coll = _first_collision(values) if m < n else None
-    if m < n and coll is None:
-        values = np.concatenate((values, _circle_images(group, map_, idx[m:])))
-    if coll is None and np.bincount(values, minlength=n).max() <= 1:
+    images = _circle_images(group, map_, orbits.leaders)
+    if orbits.permutes(images):
         return VerificationReport(subject=subject, method="enumeration",
                                   passed=True, counts={"points": n})
+    m = math.isqrt(16 * n)
+    # from k = 4 on (n >= 4m) the prefix first: a repeat there is the first
+    values = orbits.fill(images, m if 4 * m <= n else None)
+    coll = _first_collision(values)
+    if coll is None:
+        values = orbits.fill(images)
+        coll = _first_collision(values)
     return _fail(subject, n, _collision_witness(
-        group, idx, values, coll or _first_collision(values)))
+        group, group.domain_indices("mu"), values, coll))
 
 
 def _circle_images(group: UnityGroup, map_: PowerFormMap,
@@ -693,7 +755,18 @@ def unity_permutation_report(map_: FractionalMap, group: UnityGroup,
     if domain == "mu" and isinstance(map_, PowerFormMap):
         return _circle_verdict(subject, group, map_)
     indices = group.domain_indices(domain)
-    values, bad = eval_on_unity(map_, group, indices)
+    if domain == "mu":
+        # the first pole or escape is a leader: both sets are
+        # Frobenius-closed
+        orbits = group.orbits
+        images, bad = eval_closed_on_unity(map_, group, orbits.leaders)
+        if bad is None and images.min() >= 0 and orbits.permutes(images):
+            return VerificationReport(subject=subject, method="enumeration",
+                                      passed=True, counts={"points": group.n})
+        values = None if bad is not None else np.where(
+            images[orbits.orbit] < 0, -1, orbits.fill(images))
+    else:
+        values, bad = eval_on_unity(map_, group, indices)
     return _verdict(subject, group, map_, indices, values, bad)
 
 
@@ -782,11 +855,17 @@ def pointwise_agreement_report(subject: str, group: UnityGroup,
     """map_a at zeta^indices_a[p] equals map_b at zeta^indices_b[p] for all p.
 
     A zero or pole (map_a's first) is reported at its own circle point; a
-    mismatch at the point zeta^indices_b[p].
+    mismatch at the point zeta^indices_b[p].  When both index arrays are
+    the group's mu, only the orbit leaders are compared: zeros, poles and
+    mismatches of two maps with GF(5) coefficients are Frobenius-closed,
+    so the first of each is a leader.
     """
+    counts = {"points": len(indices_b)}
+    mu = group.domain_indices("mu")
+    if indices_a is mu and indices_b is mu:
+        indices_a = indices_b = group.orbits.leaders
     idx_a = np.asarray(indices_a, dtype=np.int64)
     idx_b = np.asarray(indices_b, dtype=np.int64)
-    counts = {"points": len(idx_b)}
     va, bad_a = eval_on_unity(map_a, group, idx_a)
     vb, bad_b = eval_on_unity(map_b, group, idx_b)
     failure = None

@@ -9,6 +9,8 @@ import pytest
 from niho_perm.errors import PoleError, ResidueError, UsageError
 from niho_perm.field import make_field, tower_field, wrap_mod
 from niho_perm.residues import parity_admits
+from niho_perm.trinomials import (FAMILY_IDS, family_admits, induced_mu_map,
+                                  theorem_family)
 from niho_perm.unity import (MAP_SPECS, OMEGA_SPECIALIZATIONS,
                              PUBLIC_MAP_NAMES, ClosedFormMap, PowerFormMap,
                              build_map, check_circle_claim, eval_on_unity,
@@ -762,9 +764,10 @@ class TestCircleZeroRule:
         assert {None, "collision", "prefix"} <= kinds
         assert ("zero" in kinds) == (k % 2 == 1)
 
-    def test_prefix_repeat_sums_only_the_prefix(self, monkeypatch):
+    def test_prefix_repeat_sums_only_the_leaders(self, monkeypatch):
         # x + x^(7(q-1)+1) - x^(14(q-1)+1) fails at k = 6 by a repeat at
-        # circle index 340, inside the 500-point prefix
+        # circle index 340, inside the 500-point prefix: h is summed once,
+        # at the 1,308 orbit leaders, and the prefix is filled from them
         g = unity_group(tower_field(6))
         m = math.isqrt(16 * g.n)
         summed = []
@@ -779,12 +782,13 @@ class TestCircleZeroRule:
         rep = unity_permutation_report(map_, g)
         assert rep.witness["type"] == "collision"
         assert rep.witness["index2"] == 340 < m
-        assert summed == [m] == [500]
+        assert summed == [len(g.orbits.leaders)] == [1308]
 
     def test_a_zero_the_rule_misses_raises(self, monkeypatch):
         # 1 + x + x^2 vanishes at k = 5 first at zeta^(n/3), index 1042,
-        # and its 223-point prefix has no repeat, so with a rule that sees
-        # no zero the verdict evaluates the rest of the circle and meets it
+        # which leads the orbit {1042, 2084} of i -> 5i, so with a rule that
+        # sees no zero the verdict meets it in its one sum at the leaders
+        # (and the 223-point prefix has no repeat that could come first)
         g = unity_group(tower_field(5))
         m = math.isqrt(16 * g.n)
         map_ = PowerFormMap("h", ((1, 0), (1, 1), (1, 2)))
@@ -803,3 +807,145 @@ class TestCircleZeroRule:
     def test_power_forms_are_signed_trinomials(self, terms):
         with pytest.raises(UsageError, match="three terms"):
             PowerFormMap("h", terms)
+
+
+class TestFrobeniusOrbits:
+    """UnityGroup.orbits, the orbits of i -> 5i on Z/n (x -> x^5 on the
+    circle), and the whole-circle verdicts that evaluate a map at the orbit
+    leaders only."""
+
+    @staticmethod
+    def walked_leaders(n):
+        """The least index of each orbit of i -> 5i on Z/n, for each index,
+        by a plain walk."""
+        lead = [None] * n
+        for i in range(n):
+            j = i
+            while lead[j] is None:
+                lead[j] = i
+                j = j * 5 % n
+        return lead
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_orbits(self, k):
+        g = unity_group(tower_field(k))
+        n, (leaders, orbit, power) = g.n, g.orbits
+        assert (np.diff(leaders) > 0).all() and leaders[0] == 0
+        assert (orbit[leaders] == np.arange(len(leaders))).all()
+        assert (power * leaders[orbit] % n == np.arange(n)).all()
+        assert set(power.tolist()) <= {pow(5, j, n) for j in range(2 * k)}
+        # each leader is the least index of its orbit, which closes after
+        # 2k steps since 5^(2k) = 1 mod n
+        step = leaders
+        for _ in range(2 * k):
+            step = step * 5 % n
+            assert (step >= leaders).all()
+        assert (step == leaders).all()
+        if k <= 3:
+            walked = self.walked_leaders(n)
+            assert leaders.tolist() == sorted(set(walked))
+            assert leaders[orbit].tolist() == walked
+        else:
+            assert len(leaders) == {4: 80, 5: 316, 6: 1308}[k]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_leader_fill_is_the_full_circle(self, k):
+        # f(x^5) = f(x)^5 for every map with GF(5) coefficients: the images
+        # at the leaders, filled over the orbits, are the full evaluation,
+        # and the first zero or pole is a leader's
+        g = unity_group(tower_field(k))
+        orbits, mu = g.orbits, g.domain_indices("mu")
+        rng = random.Random(2800 + k)
+        maps = [build_map(name, k) for name, spec in MAP_SPECS.items()
+                if parity_admits(spec["parity"], k)] + [x_plus(1), x_plus(2)]
+        maps += [reciprocal_map(m) for m in maps]       # 1/(x+1): a pole
+        maps += [PowerFormMap(f"h{case}", signed_triple(rng, g.n, case % 2))
+                 for case in range(30)]
+        kinds = set()
+        for map_ in maps:
+            full, bad = eval_on_unity(map_, g, mu)
+            images, lead_bad = eval_on_unity(map_, g, orbits.leaders)
+            assert lead_bad == bad, map_
+            if full is None:
+                kinds.add(type(map_).__name__)
+            elif (full < 0).any():
+                kinds.add("escape")
+                filled = np.where(images[orbits.orbit] < 0, -1,
+                                  orbits.fill(images))
+                assert filled.tolist() == full.tolist(), map_
+            else:
+                assert orbits.fill(images).tolist() == full.tolist(), map_
+                assert orbits.fill(images, 40).tolist() == full[:40].tolist()
+        # zeros of h need a point of order 3 on the circle: odd k only
+        assert {"ClosedFormMap", "escape"} <= kinds
+        assert ("PowerFormMap" in kinds) == (k % 2 == 1)
+
+    @pytest.mark.parametrize("k, every", [(1, 1), (2, 7)])
+    def test_pass_rule_on_signed_trinomials(self, k, every):
+        # h = t0 + t1 + t2 over every (every-th) triple of signed terms,
+        # the images of x*h(x)^(q-1) in one broadcast per t0
+        g = unity_group(tower_field(k))
+        n, orbits, i = g.n, g.orbits, np.arange(g.n)
+        signed = [(s, c) for s in (1, -1) for c in range(n)]
+        words = np.array([g.words[(c * i + (s < 0) * (n // 2)) % n]
+                          for s, c in signed])
+        checked = passed = 0
+        for a, w0 in enumerate(words):
+            logs = g.circle_logs(w0 + words[:, None] + words[None, :])
+            images = ((logs + i) % n).reshape(-1, n)
+            zero = (logs < 0).reshape(-1, n).any(axis=1)
+            ranked = np.sort(images, axis=1)
+            want = ~zero & (ranked[:, 1:] != ranked[:, :-1]).all(axis=1)
+            start = -a * len(signed) ** 2 % every
+            for row in range(start, len(images), every):
+                if zero[row]:
+                    continue
+                got = orbits.permutes(images[row, orbits.leaders])
+                assert got == want[row], (signed[a], row)
+                checked += 1
+                passed += got
+        assert checked > 0 and 0 < passed < checked
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_pass_rule_on_seeded_trinomials_and_families(self, k):
+        g = unity_group(tower_field(k))
+        orbits, mu = g.orbits, g.domain_indices("mu")
+        rng = random.Random(2900 + k)
+        maps = [PowerFormMap(f"h{case}", signed_triple(rng, g.n, False))
+                for case in range(40)]
+        families = [induced_mu_map(theorem_family(fid, k))
+                    for fid in FAMILY_IDS if family_admits(fid, k)]
+        outcomes = []
+        for map_ in maps + families:
+            full, zero = unity_mod.eval_power_on_unity(map_, g, mu)
+            if full is None:
+                continue
+            want = bool(np.bincount(full, minlength=g.n).max() <= 1)
+            images, _ = unity_mod.eval_power_on_unity(map_, g,
+                                                      orbits.leaders)
+            assert orbits.permutes(images) == want, map_
+            outcomes.append(want)
+        assert outcomes.count(True) >= len(families) > 0
+        assert False in outcomes
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_reciprocal_identity_on_leaders_is_the_full_report(self, k):
+        # the same report as a comparison at every index: index arrays that
+        # are not the group's mu take the full path
+        g = unity_group(tower_field(k))
+        full = np.arange(g.n)
+        names = [name for name in PUBLIC_MAP_NAMES
+                 if parity_admits(MAP_SPECS[name]["parity"], k)]
+        names += ["half_f", "g1_plus", "conj2_map" if k % 2 == 0
+                  else "p1_bridge"]
+        kinds = set()
+        for a in names:
+            for b in names:
+                rep = reciprocal_identity_report(a, b, k)
+                ref = pointwise_agreement_report(
+                    rep.subject, g, build_map(a, k), full,
+                    reciprocal_map(build_map(b, k)), full)
+                assert (rep.as_dict(with_elapsed=False)
+                        == ref.as_dict(with_elapsed=False)), (a, b)
+                kinds.add((rep.witness or {}).get("type"))
+        assert {None, "mismatch"} <= kinds
