@@ -8,6 +8,14 @@ an optional sum constraint, decides the subgroup criterion for candidate
 blocks on the circle's P^1 log tables (at sample points, then at every
 point for the survivors), and returns the passing set in canonical order;
 partitioning the s-range across worker processes cannot change the output.
+
+Conjecture 1's map and P1's trace/norm chain have GF(5) coefficients, so
+their whole-field sweeps evaluate one log per Frobenius orbit (the orbit
+rule in the field module, on TableKernel.orbits).  Poles, class escapes
+and failing profile checks each form a Frobenius-closed set, so the first
+of each is an orbit leader; a failing permutation fills every image log
+from the leaders' for the oracle's seen-table, so its collision witness is
+the full sweep's.
 """
 
 from __future__ import annotations
@@ -63,8 +71,8 @@ def conjecture1_check(k: int) -> VerificationReport:
     field = make_field(k)
     kern = field.accel_tables
     subject = f"x*((x^2-x+2)/(x^2+x+2))^2 permutes GF(5^{k})"
-    n1 = kern.n1
-    logs = np.arange(n1, dtype=np.int64)       # x = g^log, x != 0
+    n1, orbits = kern.n1, kern.orbits
+    logs = orbits.leaders           # x = g^log, x != 0, one per orbit
     sq = (2 * logs) % n1
     num = kern.log_sum(((1, sq), (-1, logs), (2, 0)))
     den = kern.log_sum(((1, sq), (1, logs), (2, 0)))
@@ -72,20 +80,21 @@ def conjecture1_check(k: int) -> VerificationReport:
     if poles.size:
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
-            witness={"type": "pole", "x": field.log_csv(poles[0])},
+            witness={"type": "pole", "x": field.log_csv(logs[poles[0]])},
             counts={"elements": field.order})
     val_logs = kern.log_product(((logs, 1), (num, 2), (den, -2)))
-    perm = exhaustive_permutation_report(       # 0 maps to 0
-        field, np.concatenate(([-1], val_logs)), subject)
-    if not perm.passed:
-        return perm
+    if val_logs.min() < 0 or not orbits.permutes(val_logs):
+        images = np.where(val_logs[orbits.orbit] < 0, -1,
+                          orbits.fill(val_logs))
+        return exhaustive_permutation_report(       # 0 maps to 0
+            field, np.concatenate(([-1], images)), subject)
     # square-class stability: squares sit at even logs, twice-squares at odd
     escape = np.nonzero((logs % 2) != (val_logs % 2))[0]
     if escape.size:
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
             witness={"type": "class_escape",
-                     "x": field.log_csv(escape[0])},
+                     "x": field.log_csv(logs[escape[0]])},
             counts={"elements": field.order})
     return VerificationReport(
         subject=subject, method="exhaustive", passed=True,
@@ -168,11 +177,13 @@ def profile_of(x: FieldElement) -> TraceNormProfile:
 
 
 def _p1_image_off_subfield(field):
-    """Logs of every x outside GF(5^k) (x^q != x), and the log of the
-    family-P1 image f(x) at each, -1 for zero."""
+    """The Frobenius orbit leaders among the logs of x outside GF(5^k)
+    (x^q != x), and the log of the family-P1 image f(x) at each, -1 for
+    zero: every check on them commutes with x -> x^5, so its first failing
+    log is a leader."""
     n1 = field.order - 1
-    logs = np.arange(n1, dtype=np.int64)
-    off = logs[(logs * field.q) % n1 != logs]
+    leaders = field.accel_tables.orbits.leaders
+    off = leaders[(leaders * field.q) % n1 != leaders]
     f = theorem_family("P1", field.subfield_degree)
     vals = field_values(field, f.monomials)
     return off, vals[off + 1]           # vals[0] is f(0)
@@ -180,9 +191,10 @@ def _p1_image_off_subfield(field):
 
 @timed
 def profile_sweep_report(k: int, *, image=None) -> VerificationReport:
-    """Profile chain over every x outside the subfield, vectorized on logs.
-    image is _p1_image_off_subfield's result, if the caller already has it;
-    the witness is the first failing point of the first failing check."""
+    """Profile chain over every x outside the subfield, vectorized on the
+    logs of its orbit leaders.  image is _p1_image_off_subfield's result,
+    if the caller already has it; the witness is the first failing point
+    of the first failing check."""
     if k % 2 == 0:
         raise UsageError(f"the profile chain needs odd k (got {k})")
     field = tower_field(k)
@@ -191,13 +203,14 @@ def profile_sweep_report(k: int, *, image=None) -> VerificationReport:
     n1 = kern.n1
     subject = f"trace/norm profile chain over GF(5^{2*k}) minus GF(5^{k})"
     off, lf = image or _p1_image_off_subfield(field)
+    points = field.order - q            # off holds their orbit leaders
 
     def failure(kind: str, mask) -> VerificationReport:
         bad = int(np.nonzero(mask)[0][0])
         return VerificationReport(
             subject=subject, method="exhaustive", passed=False,
             witness={"type": kind, "x": field.log_csv(off[bad])},
-            counts={"points": off.size})
+            counts={"points": points})
 
     if np.any(lf < 0):
         return failure("zero_image", lf < 0)
@@ -228,7 +241,7 @@ def profile_sweep_report(k: int, *, image=None) -> VerificationReport:
     if mism.any():
         return failure("gamma_mismatch", mism)
     return VerificationReport(subject=subject, method="exhaustive",
-                              passed=True, counts={"points": off.size})
+                              passed=True, counts={"points": points})
 
 
 @timed
@@ -243,6 +256,7 @@ def subfield_stability_report(k: int, *, image=None) -> VerificationReport:
     n1 = kern.n1
     subject = f"P1 maps GF(5^{2*k}) minus GF(5^{k}) into itself"
     off, lf = image or _p1_image_off_subfield(field)
+    points = field.order - q            # off holds their orbit leaders
     in_sub = (lf < 0) | ((lf * q) % n1 == lf)
     if np.any(in_sub):
         bad = int(np.nonzero(in_sub)[0][0])
@@ -250,9 +264,9 @@ def subfield_stability_report(k: int, *, image=None) -> VerificationReport:
             subject=subject, method="exhaustive", passed=False,
             witness={"type": "subfield_image",
                      "x": field.log_csv(off[bad])},
-            counts={"points": off.size})
+            counts={"points": points})
     return VerificationReport(subject=subject, method="exhaustive",
-                              passed=True, counts={"points": off.size})
+                              passed=True, counts={"points": points})
 
 
 @timed
@@ -311,16 +325,21 @@ def proposition_check(prop_id: str, k: int) -> VerificationReport:
         reports.append(maps_agree_report(
             induced_mu_map(f), build_map("p1_bridge", k), group, "mu"))
     else:
-        n, mu = group.n, group.domain_indices("mu")
+        n, leaders = group.n, group.orbits.leaders
         g3 = math.gcd(3, n)
         reports.append(VerificationReport(
             subject=f"cube map permutes the circle at k={k}",
             method="integer", passed=g3 == 1,
             witness=None if g3 == 1 else {"type": "gcd", "gcd": g3},
             counts={"gcd_3_q_plus_1": g3}))
-        reports.append(pointwise_agreement_report(
+        # x -> x^3 commutes with x -> x^5, so the first zero, pole or
+        # mismatch over the circle is at a leader: the leaders decide all n
+        cube = pointwise_agreement_report(
             f"g10 after the cube map matches its closed form at k={k}", group,
-            build_map("g10", k), 3 * mu % n, build_map("p2_bridge", k), mu))
+            build_map("g10", k), 3 * leaders % n, build_map("p2_bridge", k),
+            leaders)
+        cube.counts = {"points": n}
+        reports.append(cube)
     return combine_reports(f"{prop_id} at k={k} (conditional family)",
                            "criterion+oracle+reductions", reports)
 

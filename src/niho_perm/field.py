@@ -7,12 +7,27 @@ operations instead of per-digit Python loops.  Small fields (m <= 8)
 also have log/antilog/Zech tables, indexed by element index (the integer
 whose base-5 digits are the coordinates) and built with numpy on the first
 whole-field sweep; the exhaustive sweeps read only those tables.
+
+A map f with GF(5) coefficients has f(x^5) = f(x)^5, and x -> x^5 is
+L -> 5L mod 5^m - 1 on logs (i -> 5i mod q+1 on circle indices).  One
+builder, frobenius_orbits, gives the orbits of i -> 5i on Z/n for both:
+TableKernel.orbits on the logs, whose orbit sizes divide m (11,164 leaders
+of 78,124 logs at m = 7), and UnityGroup.orbits on the circle.  A sweep of
+such an f over a Frobenius-closed set of logs evaluates the orbit leaders
+only.  Its log at 5^j * L is 5^j times its log at L (Orbits.fill); a set
+of failing points closed under x -> x^5 has its first point at a leader;
+and an f with no zero on GF(5^m)* permutes it iff no two leaders' images
+share an orbit (Orbits.permutes): f maps the orbit of L onto the orbit of
+f(L), which is no larger, so distinct image orbits are all the orbits and
+each keeps its size.  The trinomial oracle stays a seen-table over every
+element, with no orbit rule: it is the verdict that owes nothing to the
+criterion's algebra.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,6 +141,50 @@ class lazy_attribute:
         value = self.build(obj)
         setattr(obj, self.name, value)
         return value
+
+
+class Orbits(NamedTuple):
+    """The orbits of i -> 5i on Z/n: leaders, the least index of each
+    orbit, ascending; orbit[i], the position in leaders of i's leader;
+    power[i], the power of 5 mod n with i = power[i] * leader."""
+
+    leaders: np.ndarray
+    orbit: np.ndarray
+    power: np.ndarray
+
+    def fill(self, images: np.ndarray, stop: int | None = None) -> np.ndarray:
+        """The image index (or log) at each of the first `stop` indices (all
+        by default) from images, those at the leaders, all >= 0: a map with
+        GF(5) coefficients takes x^(5^j) to its image at x to the power
+        5^j."""
+        return self.power[:stop] * images[self.orbit[:stop]] % len(self.orbit)
+
+    def permutes(self, images: np.ndarray) -> bool:
+        """Whether a map with GF(5) coefficients that keeps Z/n permutes
+        it, from its images (all >= 0) at the leaders: iff no two images
+        share an orbit (see the module docstring)."""
+        return bool(np.bincount(self.orbit[images],
+                                minlength=len(self.leaders)).max() <= 1)
+
+
+def frobenius_orbits(n: int, steps: int) -> Orbits:
+    """The orbits of i -> 5i on Z/n, where 5^steps = 1 mod n, so that an
+    orbit holds at most `steps` indices: built in steps - 1 vectorized
+    walks, read-only."""
+    index = np.arange(n, dtype=np.int32)        # 5n < 2^31: n <= 5^8 + 1
+    lead, power, step = index.copy(), np.ones(n, dtype=np.int64), index
+    for j in range(1, steps):
+        step = step * CHAR % n                  # 5^j * i
+        less = step < lead
+        np.copyto(lead, step, where=less)
+        np.copyto(power, pow(CHAR, -j, n), where=less)  # i = 5^-j * lead
+    leaders = np.flatnonzero(lead == index)
+    position = np.empty(n, dtype=np.int64)
+    position[leaders] = np.arange(len(leaders))
+    orbits = Orbits(leaders, position[lead], power)
+    for arr in orbits:
+        arr.flags.writeable = False
+    return orbits
 
 
 _UNSIGNED = {np.dtype(np.int64): np.uint64, np.dtype(np.int32): np.uint32}
@@ -335,6 +394,11 @@ class TableKernel(PolyKernel):
         ids = self.antilog
         # index of g^n + 1: add 1 to the lowest base-5 digit, wrapping 4 to 0
         return self.logt[ids + 1 - CHAR * (ids % CHAR == CHAR - 1)]
+
+    @lazy_attribute
+    def orbits(self) -> Orbits:
+        """The Frobenius orbits of the logs, L -> 5L on Z/(5^m - 1)."""
+        return frobenius_orbits(self.n1, self.m)
 
     # -- batch ops on int64 arrays of element indices ---------------------
     def bmul(self, a, b):

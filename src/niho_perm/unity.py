@@ -90,13 +90,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import PoleError, UsageError
-from .field import (CHAR, FieldElement, FieldParams, TableKernel, _ppowmod,
-                    lazy_attribute, power_rows, tower_field, wrap_mod)
+from .field import (CHAR, FieldElement, FieldParams, Orbits, TableKernel,
+                    _ppowmod, frobenius_orbits, lazy_attribute, power_rows,
+                    tower_field, wrap_mod)
 from .report import VerificationReport, combine_reports, timed
 from .residues import parity_admits, resolve_residue
 
@@ -282,24 +283,9 @@ class UnityGroup:
 
     @lazy_attribute
     def orbits(self) -> Orbits:
-        """The orbits of i -> 5i on Z/n, the circle indices of x -> x^5,
-        built on first read in 2k - 1 steps: an orbit holds at most 2k
-        indices, since 5^(2k) = 1 mod n."""
-        n = self.n
-        index = np.arange(n, dtype=np.int32)            # 5n < 2^31 at k <= 8
-        lead, power, step = index.copy(), np.ones(n, dtype=np.int64), index
-        for j in range(1, 2 * self.k):
-            step = step * CHAR % n                      # 5^j * i
-            less = step < lead
-            np.copyto(lead, step, where=less)
-            np.copyto(power, pow(CHAR, -j, n), where=less)  # i = 5^-j * lead
-        leaders = np.flatnonzero(lead == index)
-        position = np.empty(n, dtype=np.int64)
-        position[leaders] = np.arange(len(leaders))
-        orbits = Orbits(leaders, position[lead], power)
-        for arr in orbits:
-            arr.flags.writeable = False
-        return orbits
+        """The orbits of i -> 5i on Z/n, the circle indices of x -> x^5:
+        at most 2k indices each, since 5^(2k) = 1 mod n."""
+        return frobenius_orbits(self.n, 2 * self.k)
 
     def __repr__(self):
         return f"mu_{self.n} in {self.field!r}"
@@ -323,30 +309,6 @@ class UnityGroup:
     def csv(self, i: int) -> str:
         """element(i).csv(), read from the digit rows (for witnesses)."""
         return ",".join(map(str, self.rows[i % self.n].tolist()))
-
-
-class Orbits(NamedTuple):
-    """The Frobenius orbits of the circle indices: leaders, the least index
-    of each orbit, ascending; orbit[i], the position in leaders of i's
-    leader; power[i], the power of 5 mod n with i = power[i] * leader."""
-
-    leaders: np.ndarray
-    orbit: np.ndarray
-    power: np.ndarray
-
-    def fill(self, images: np.ndarray, stop: int | None = None) -> np.ndarray:
-        """The image index at each of the first `stop` circle indices (all
-        by default) from images, the image indices at the leaders, all on
-        the circle: a map with GF(5) coefficients takes zeta^(p*L) to its
-        image at zeta^L to the power p."""
-        return self.power[:stop] * images[self.orbit[:stop]] % len(self.orbit)
-
-    def permutes(self, images: np.ndarray) -> bool:
-        """Whether a map with GF(5) coefficients that keeps the circle
-        permutes it, from its image indices at the leaders: iff no two
-        images share an orbit (see the module docstring)."""
-        return bool(np.bincount(self.orbit[images],
-                                minlength=len(self.leaders)).max() <= 1)
 
 
 # A packed word holds the GF(5) digits of a point a + b*omega in 4-bit

@@ -1,6 +1,7 @@
 """Conjecture sweeps, the trace/norm profile chain, conditional families,
 and the search harness."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,9 +20,11 @@ from niho_perm.conjectures import (CONSTRAINTS, ProfileMismatchError,
                                    _quartic_report, _search_chunk,
                                    _search_tables, _SearchTables)
 from niho_perm.field import in_subfield, make_field, norm, tower_field, trace
-from niho_perm.trinomials import (build_trinomial, induced_mu_map,
-                                  is_permutation_exhaustive,
+from niho_perm.trinomials import (build_trinomial,
+                                  exhaustive_permutation_report, field_values,
+                                  induced_mu_map, is_permutation_exhaustive,
                                   is_permutation_via_criterion, theorem_family)
+from niho_perm.report import VerificationReport
 from niho_perm.unity import (ClosedFormMap, UnityGroup, build_map,
                              maps_agree_report, pointwise_agreement_report,
                              unity_group)
@@ -69,12 +72,42 @@ class TestConjecture1:
             conjecture1_check(9)
 
 
+def _frobenius_walk(log, n1):
+    """The orbit leader of log under L -> 5L mod n1 (x -> x^5 on logs) and
+    the j with log = 5^j * leader, by a plain walk."""
+    orbit = [log]
+    while orbit[-1] * 5 % n1 != log:
+        orbit.append(orbit[-1] * 5 % n1)
+    leader = min(orbit)
+    walk = [leader]
+    while walk[-1] != log:
+        walk.append(walk[-1] * 5 % n1)
+    return leader, len(walk) - 1
+
+
+def _oracle_collision(field, images):
+    """The oracle's collision witness over images, the scalar values at
+    0, g^0, g^1, ...: the repeated value of smallest element index, and
+    its first two points."""
+    points = {}
+    for pos, fx in enumerate(images):
+        points.setdefault(fx.index, []).append(pos)
+    value = min(v for v, ps in points.items() if len(ps) > 1)
+    x1, x2 = (field.zero if p == 0 else field.generator ** (p - 1)
+              for p in points[value][:2])
+    return {"type": "collision", "x1": x1.csv(), "x2": x2.csv(),
+            "value": field.from_index(value).csv()}
+
+
 class TestConjecture1Witnesses:
     """Failure paths the conjecture never reaches at odd k <= 8: the GF(5^k)
-    kernel's batch logs are corrupted at logs J and J + 5 (J and J + 1 for
-    the class swap).  The witness must be the first failing x in log order,
-    replayed by scalar evaluation of x*((x^2-x+2)/(x^2+x+2))^2 under the
-    same corruption; elsewhere the logs are the true ones, which pass."""
+    kernel's batch logs, which the sweep takes at the Frobenius orbit
+    leaders, are corrupted at the leaders in positions J and J + 5 (J and
+    J + 1 for the class swap), so whole orbits fail, as they must for a map
+    with GF(5) coefficients.  The witness must be the first failing x in
+    log order, replayed by scalar evaluation of x*((x^2-x+2)/(x^2+x+2))^2
+    at each orbit's leader under the same corruption, carried over the
+    orbit by x -> x^5; elsewhere the logs are the true ones, which pass."""
 
     J = 13
 
@@ -94,10 +127,25 @@ class TestConjecture1Witnesses:
         x = field.generator ** log
         return x * ((x * x - x + 2) / (x * x + x + 2)) ** 2
 
+    def _leaders(self, field, *positions):
+        """The leaders at these positions, each of a full orbit of k logs."""
+        orbits = field.accel_tables.orbits
+        leaders = [int(orbits.leaders[p]) for p in positions]
+        assert np.bincount(orbits.orbit)[list(positions)].tolist() == \
+            [field.m] * len(positions)
+        return leaders
+
+    def _replay(self, field, lead_image, log):
+        """The corrupted map at g^log: its image at the orbit's leader
+        (lead_image), to the power 5^j for log = 5^j * leader."""
+        leader, j = _frobenius_walk(log, field.order - 1)
+        return lead_image(leader) ** (5 ** j)
+
     @pytest.mark.parametrize("k", [3, 5])
     def test_pole(self, monkeypatch, k):
         field = make_field(k)
         bad = [self.J, self.J + 5]
+        poles = self._leaders(field, *bad)
 
         def edit(terms, out):
             if terms[1][0] == 1:            # the denominator x^2 + x + 2
@@ -106,48 +154,81 @@ class TestConjecture1Witnesses:
         rep = conjecture1_check(k)
         for log in range(field.order - 1):
             x = field.generator ** log
-            if (x * x + x + 2).is_zero or log in bad:
+            if (x * x + x + 2).is_zero or \
+                    _frobenius_walk(log, field.order - 1)[0] in poles:
                 break
-        assert log == self.J
+        assert log == poles[0]
         assert rep.witness == {"type": "pole", "x": x.csv()}
+        assert rep.counts == {"elements": field.order}
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_collision(self, monkeypatch, k):
+        # orbit J + 5 takes orbit J's images: k values repeat
         field = make_field(k)
+        first, copy = self._leaders(field, self.J, self.J + 5)
 
         def edit(_, out):
             out[self.J + 5] = out[self.J]
         self._corrupt(monkeypatch, field.accel_tables, "log_product", edit)
         rep = conjecture1_check(k)
-        seen = {}
-        for log in range(field.order - 1):
-            fx = self._image(field, self.J if log == self.J + 5 else log)
+
+        def lead_image(leader):
+            return self._image(field, first if leader == copy else leader)
+        images = [field.zero] + [self._replay(field, lead_image, log)
+                                 for log in range(field.order - 1)]
+        seen = set()
+        for log, fx in enumerate(images[1:]):
             if fx in seen:
                 break
-            seen[fx] = field.generator ** log
-        assert log == self.J + 5
-        # fx is the scalar replay at x2, and at x1 = seen[fx] too
-        assert rep.witness == {"type": "collision", "x1": seen[fx].csv(),
-                               "x2": (field.generator ** log).csv(),
-                               "value": fx.csv()}
+            seen.add(fx)
+        assert log == copy                  # the first repeat is a leader
+        assert rep.witness == _oracle_collision(field, images)
+        assert rep.counts == {"elements": field.order}
 
-    @pytest.mark.parametrize("k", [3, 5])
-    def test_zero_image(self, monkeypatch, k):
-        # a nonzero x sent to 0 collides with x = 0, which maps to 0
-        field = make_field(k)
+    def _zero_at(self, monkeypatch, field, position):
+        """Corrupt the leader at position to a zero image: a nonzero x sent
+        to 0 collides with x = 0, which maps to 0, and the whole orbit of
+        the leader goes to 0, first at the leader."""
+        zero = int(field.accel_tables.orbits.leaders[position])
 
         def edit(_, out):
-            out[self.J] = -1
+            out[position] = -1
         self._corrupt(monkeypatch, field.accel_tables, "log_product", edit)
-        rep = conjecture1_check(k)
+        rep = conjecture1_check(field.m)
+
+        def lead_image(leader):
+            return field.zero if leader == zero else self._image(field, leader)
+        for log in range(field.order - 1):
+            if self._replay(field, lead_image, log).is_zero:
+                break
+        assert log == zero
         assert rep.witness == {"type": "collision", "x1": field.zero.csv(),
-                               "x2": (field.generator ** self.J).csv(),
+                               "x2": (field.generator ** log).csv(),
                                "value": field.zero.csv()}
 
     @pytest.mark.parametrize("k", [3, 5])
-    def test_class_escape(self, monkeypatch, k):
+    def test_zero_image(self, monkeypatch, k):
+        self._zero_at(monkeypatch, make_field(k), self.J)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_zero_image_is_not_read_as_a_log(self, monkeypatch, k):
+        # the leader whose true image lies in the orbit of log n1 - 1: a -1
+        # read as a log would take that orbit, and the rule would pass
         field = make_field(k)
-        swap = {self.J: self.J + 1, self.J + 1: self.J}
+        orbits, logt = field.accel_tables.orbits, field.accel_tables.logt
+        last = orbits.orbit[field.order - 2]
+        position = next(
+            p for p, leader in enumerate(orbits.leaders.tolist())
+            if orbits.orbit[logt[self._image(field, leader).index]] == last)
+        self._zero_at(monkeypatch, field, position)
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_class_escape(self, monkeypatch, k):
+        # two orbits of k logs trade images: still a permutation, but the
+        # leaders differ in parity, so each orbit leaves its square class
+        field = make_field(k)
+        a, b = self._leaders(field, self.J, self.J + 1)
+        swap = {a: b, b: a}
 
         def edit(_, out):
             out[[self.J, self.J + 1]] = out[[self.J + 1, self.J]]
@@ -156,12 +237,16 @@ class TestConjecture1Witnesses:
 
         def square(y):
             return y ** ((field.order - 1) // 2) == field.one
+
+        def lead_image(leader):
+            return self._image(field, swap.get(leader, leader))
         for log in range(field.order - 1):
             x = field.generator ** log
-            if square(x) != square(self._image(field, swap.get(log, log))):
+            if square(x) != square(self._replay(field, lead_image, log)):
                 break
-        assert log == self.J
+        assert log == a
         assert rep.witness == {"type": "class_escape", "x": x.csv()}
+
 
 class TestConjecture2:
     @pytest.mark.parametrize("k", [2, 4])
@@ -255,14 +340,16 @@ def _stability_failure(x, fx):
 
 
 class TestCorruptedImages:
-    """Failure paths no real input reaches: the P1 image is corrupted at
-    positions j and j + 5, first to zero, then to a wrong nonzero value
-    (1, which also lies in the subfield); images are logs, -1 for zero.
-    The witness must be the first failing point, in sweep order, by scalar
-    arithmetic; elsewhere the image is the true one, which passes
-    (TestProfileChain, TestPropositions)."""
+    """Failure paths no real input reaches: the P1 image at the
+    off-subfield orbit leaders in positions J and J + 5 is corrupted, first
+    to zero, then to a wrong nonzero value (1, which also lies in the
+    subfield), so that x -> x^5 carries it over both orbits; images are
+    logs, -1 for zero.  The witness must be the first failing point in log
+    order over every point off the subfield, by scalar arithmetic on the
+    image replayed from its orbit's leader; elsewhere the image is the true
+    one, which passes (TestProfileChain, TestPropositions)."""
 
-    J = 13
+    J = 3           # k = 1 has 10 off-subfield leaders
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("value", [0, 1])
@@ -271,20 +358,98 @@ class TestCorruptedImages:
         (subfield_stability_report, _stability_failure)])
     def test_witness_is_first_failure(self, k, value, sweep, replay):
         field = tower_field(k)
+        n1, q = field.order - 1, field.q
         off, lf = conjectures._p1_image_off_subfield(field)
-        lf = lf.copy()
-        lf[[self.J, self.J + 5]] = field.kernel.logt[value]
-        rep = sweep(k, image=(off, lf))
+        bad = {int(off[self.J]), int(off[self.J + 5])}
+        corrupt = lf.copy()
+        corrupt[[self.J, self.J + 5]] = field.kernel.logt[value]
+        rep = sweep(k, image=(off, corrupt))
         assert not rep.passed
-        for p in range(self.J + 1):
-            x = field.generator ** int(off[p])
-            fx = field.zero if lf[p] < 0 else field.generator ** int(lf[p])
+        lead_image = dict(zip(off.tolist(), lf.tolist()))
+        for log in range(n1):
+            if log * q % n1 == log:          # x in the subfield
+                continue
+            x = field.generator ** log
+            leader, j = _frobenius_walk(log, n1)
+            fx = (field.scalar(value) if leader in bad
+                  else field.generator ** lead_image[leader]) ** (5 ** j)
             kind = replay(x, fx)
             if kind is not None:
                 break
-        assert p == self.J
+        assert log == off[self.J]
         assert rep.witness == {"type": kind, "x": x.csv()}
-        assert rep.counts == {"points": off.size}
+        assert rep.counts == {"points": q * q - q}
+
+
+class TestLeaderSweeps:
+    """The whole-field sweeps at the Frobenius orbit leaders give the
+    reports of test-side sweeps over every log."""
+
+    @staticmethod
+    def conjecture1_full(k):
+        """conjecture1_check's report, and the image logs, from a sweep
+        over every log of GF(5^k), where the conjecture holds."""
+        field = make_field(k)
+        kern, subject = field.accel_tables, conjecture1_check(k).subject
+        n1 = kern.n1
+        logs = np.arange(n1, dtype=np.int64)
+        num = kern.log_sum(((1, 2 * logs % n1), (-1, logs), (2, 0)))
+        den = kern.log_sum(((1, 2 * logs % n1), (1, logs), (2, 0)))
+        assert den.min() >= 0                       # no pole at odd k
+        images = kern.log_product(((logs, 1), (num, 2), (den, -2)))
+        assert exhaustive_permutation_report(
+            field, np.concatenate(([-1], images)), subject).passed
+        assert (logs % 2 == images % 2).all()       # no class escape
+        return VerificationReport(
+            subject=subject, method="exhaustive", passed=True,
+            counts={"elements": field.order, "square_class_stable": 1},
+            notes=["0 fixed; square and non-square classes each map into "
+                   "themselves"]), images
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_conjecture1_is_the_full_sweep(self, k):
+        want, images = self.conjecture1_full(k)
+        orbits = make_field(k).accel_tables.orbits
+        assert orbits.fill(images[orbits.leaders]).tolist() == images.tolist()
+        assert conjecture1_check(k).as_dict(False) == want.as_dict(False)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("sweep", [profile_sweep_report,
+                                       subfield_stability_report])
+    def test_p1_sweeps_are_the_full_sweeps(self, k, sweep):
+        # the leaders' sweep against the same checks at every point off
+        # the subfield, on the true images and on images corrupted over
+        # whole orbits of 2k logs (x -> x^5 carries a leader's image)
+        field = tower_field(k)
+        n1, q = field.order - 1, field.q
+        off, lf = conjectures._p1_image_off_subfield(field)
+        vals = field_values(field, theorem_family("P1", k).monomials)
+        assert lf.tolist() == vals[off + 1].tolist()
+        every = [log for log in range(n1) if log * q % n1 != log]
+        walks = [_frobenius_walk(log, n1) for log in every]
+        # a leader of an orbit smaller than 2k keeps its true image: only
+        # a full orbit takes any image consistently
+        sizes = Counter(leader for leader, _ in walks)
+        small = [leader for leader, size in sizes.items() if size < 2 * k]
+        rng = np.random.default_rng(2900 + k)
+        outcomes = []
+        for case in range(12):
+            lead = dict(zip(off.tolist(), lf.tolist()))
+            if case:        # zero, a subfield point, or any point
+                for p in rng.choice(len(off), 2, replace=False):
+                    lead[int(off[p])] = int(
+                        (-1, (q + 1) * rng.integers(q - 1),
+                         rng.integers(n1))[case % 3])
+            for leader in small:
+                lead[leader] = int(vals[leader + 1])
+            full = [-1 if lead[leader] < 0 else lead[leader] * 5 ** j % n1
+                    for leader, j in walks]
+            want = sweep(k, image=(np.array(every), np.array(full)))
+            got = sweep(k, image=(off, np.array([lead[x] for x in
+                                                 off.tolist()])))
+            assert got.as_dict(False) == want.as_dict(False), case
+            outcomes.append(got.passed)
+        assert outcomes[0] and outcomes.count(False) >= 6
 
 
 class TestPropositions:
@@ -308,6 +473,34 @@ class TestPropositions:
     def test_p2(self, k):
         rep = proposition_check("P2", k)
         assert rep.passed
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_p2_compares_at_the_leaders(self, monkeypatch, k):
+        # g10 at 3 * leaders against the closed form at the leaders: the
+        # report of the comparison at every point, counts n included
+        calls = []
+        agree = conjectures.pointwise_agreement_report
+
+        def recording(*args):
+            calls.append((args, agree(*args)))
+            return calls[-1][1]
+        monkeypatch.setattr(conjectures, "pointwise_agreement_report",
+                            recording)
+        assert proposition_check("P2", k).passed
+        ((subject, group, g10, idx_a, bridge, idx_b), got), = calls
+        n, leaders = group.n, group.orbits.leaders
+        assert idx_b is leaders
+        assert idx_a.tolist() == (3 * leaders % n).tolist()
+        mu = np.arange(n)
+        want = agree(subject, group, g10, 3 * mu % n, bridge, mu)
+        assert got.as_dict(False) == want.as_dict(False)
+        assert got.counts == {"points": n}
+        # a wrong closed form fails first at a leader
+        wrong = build_map("half_f_inv", k)
+        failed = agree("wrong", group, g10, 3 * mu % n, wrong, mu)
+        assert failed.witness["type"] == "mismatch"
+        assert agree("wrong", group, g10, 3 * leaders % n, wrong,
+                     leaders).witness == failed.witness
 
     def test_p2_exponents_at_k2(self):
         f = theorem_family("P2", 2)

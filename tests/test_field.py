@@ -17,7 +17,9 @@ from niho_perm.field import (PRIMITIVE_MODULI, PolyKernel, TableKernel,
                              in_subfield, factorize, power_rows,
                              trace_power_identity_report, wrap_mod, _pmulmod,
                              _pstrip)
-from niho_perm.trinomials import build_trinomial, field_values, induced_mu_map
+from niho_perm.trinomials import (build_trinomial,
+                                  exhaustive_permutation_report, field_values,
+                                  induced_mu_map)
 from niho_perm.unity import eval_power_on_unity, unity_group
 from fresh_interpreter import run_python
 from representation_twin import (bsum, identity_first_failure,
@@ -407,6 +409,8 @@ assert search_problem_instances(4, "sum_half", "++")
 assert not tables & set(vars(kern)), vars(kern).keys()
 assert not is_permutation_exhaustive(f).passed
 assert tables <= set(vars(kern)), vars(kern).keys()
+# the oracle is a seen-table over every element, with no orbit leaders
+assert "orbits" not in vars(kern), vars(kern).keys()
 """
         run = run_python(script)
         assert run.returncode == 0, run.stderr
@@ -811,3 +815,80 @@ class TestRepresentations:
     def test_factorize(self):
         assert factorize(5 ** 4 - 1) == [2, 2, 2, 2, 3, 13]
         assert math.prod(factorize(5 ** 12 - 1)) == 5 ** 12 - 1
+
+
+class TestFieldLogOrbits:
+    """TableKernel.orbits, the orbits of L -> 5L on Z/(5^m - 1) (x -> x^5
+    on logs), and the leader rule on maps with GF(5) coefficients."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_orbits(self, m):
+        kern = TableKernel(m, PRIMITIVE_MODULI[m])
+        assert "orbits" not in vars(kern)           # built on first read
+        n1, (leaders, orbit, power) = kern.n1, kern.orbits
+        assert leaders[0] == 0 and (np.diff(leaders) > 0).all()
+        assert (orbit[leaders] == np.arange(len(leaders))).all()
+        assert (power * leaders[orbit] % n1 == np.arange(n1)).all()
+        sizes = np.bincount(orbit)
+        assert sizes.sum() == n1 and (m % sizes == 0).all()
+        # each leader is the least log of its orbit, closed after m steps
+        step = leaders
+        for _ in range(m):
+            step = step * 5 % n1
+            assert (step >= leaders).all()
+        assert (step == leaders).all()
+        if m <= 4:
+            for log in range(n1):
+                walk = [log]
+                while walk[-1] * 5 % n1 != log:
+                    walk.append(walk[-1] * 5 % n1)
+                assert leaders[orbit[log]] == min(walk)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_random_rational_maps(self, m):
+        # f = x^e * P^a / Q^b with GF(5) coefficients and Q(0) != 0, so
+        # f(0) = 0: the leader fill is the full evaluation, the first pole
+        # is a leader, and the orbit rule is the oracle's verdict
+        import random
+        rng = random.Random(2900 + m)
+        field = make_field(m)
+        kern = field.accel_tables
+        n1, orbits = kern.n1, kern.orbits
+        every, leaders = np.arange(n1, dtype=np.int64), orbits.leaders
+
+        def poly(constant):
+            terms = [(rng.randrange(1, 5) if constant else rng.randrange(5),
+                      0)]
+            return terms + [(rng.randrange(1, 5), d)
+                            for d in rng.sample(range(1, 5), 2)]
+
+        outcomes = []
+        for case in range(40):
+            e = rng.randrange(1, n1 + 1)
+            a, b = (0, 0) if case % 4 == 0 else (rng.randrange(3),
+                                                 rng.randrange(1, 3))
+            num, den = poly(False), poly(True)
+
+            def evaluate(logs):
+                def at(terms):
+                    return kern.log_sum([(c, d * logs % n1)
+                                         for c, d in terms])
+                q = at(den)
+                return q, kern.log_product(((logs, e), (at(num), a),
+                                            (q, -b)))
+            den_full, full = evaluate(every)
+            den_lead, lead = evaluate(leaders)
+            poles = np.flatnonzero(den_full < 0) if b else []
+            if len(poles):
+                assert leaders[orbits.orbit[poles[0]]] == poles[0]
+                assert leaders[np.flatnonzero(den_lead < 0)[0]] == poles[0]
+                outcomes.append("pole")
+                continue
+            filled = np.where(lead[orbits.orbit] < 0, -1, orbits.fill(lead))
+            assert filled.tolist() == full.tolist()
+            rule = lead.min() >= 0 and orbits.permutes(lead)
+            oracle = exhaustive_permutation_report(
+                field, np.concatenate(([-1], full)), "f")
+            assert rule == oracle.passed, (case, e, a, b, num, den)
+            outcomes.append(rule)
+        assert True in outcomes and False in outcomes
