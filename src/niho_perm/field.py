@@ -144,24 +144,24 @@ class lazy_attribute:
 
 
 class Orbits(NamedTuple):
-    """The orbits of i -> 5i on Z/n: leaders, the least index of each
-    orbit, ascending; orbit[i], the position in leaders of i's leader;
-    power[i], the power of 5 mod n with i = power[i] * leader."""
+    """The orbits of i -> 5i on Z/n, or on a union of them (a domain):
+    leaders, the least index of each orbit, ascending; orbit[i], the
+    position in leaders of i's leader, for i in the domain; power[i], the
+    power of 5 mod n with i = power[i] * leader."""
 
     leaders: np.ndarray
     orbit: np.ndarray
     power: np.ndarray
 
-    def fill(self, images: np.ndarray, stop: int | None = None) -> np.ndarray:
-        """The image index (or log) at each of the first `stop` indices (all
-        by default) from images, those at the leaders, all >= 0: a map with
-        GF(5) coefficients takes x^(5^j) to its image at x to the power
-        5^j."""
-        return self.power[:stop] * images[self.orbit[:stop]] % len(self.orbit)
+    def fill(self, images: np.ndarray, at=slice(None)) -> np.ndarray:
+        """The image index (or log) at each index `at` (all by default) from
+        images, those at the leaders, all >= 0: a map with GF(5)
+        coefficients takes x^(5^j) to its image at x to the power 5^j."""
+        return self.power[at] * images[self.orbit[at]] % len(self.orbit)
 
     def permutes(self, images: np.ndarray) -> bool:
-        """Whether a map with GF(5) coefficients that keeps Z/n permutes
-        it, from its images (all >= 0) at the leaders: iff no two images
+        """Whether a map with GF(5) coefficients that keeps the domain
+        permutes it, from its images at the leaders: iff no two images
         share an orbit (see the module docstring)."""
         return bool(np.bincount(self.orbit[images],
                                 minlength=len(self.leaders)).max() <= 1)

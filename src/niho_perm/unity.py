@@ -30,7 +30,7 @@ while the summed coefficient weight stays <= 3, since 3 * 4 < 16.  A term
 that would pass that weight is added to the sum folded mod 5 field by
 field (weight 1).  A 2^12-entry table that is the same at every k reads
 three fields at a time into the GF(q) indices a and b.  The words are built
-on the first sum, and each domain's index array once per group; the
+on the first sum, and each domain's indices and leaders once per group; the
 collision witness sorts 512 or more circle indices as uint16 keys at
 k <= 6, where numpy's stable sort is a radix sort.
 
@@ -48,41 +48,44 @@ int16 table of n^2 entries per sign pattern (l1, l2): 31 KB at k=3 and
 serves (-1, 1) transposed.  At k=5 (19.5 MB a pattern) the tables saved
 no time and took the all-signs square from 65.5 to 117 MB peak RSS.
 
-A power form on the whole circle (the subgroup criterion, mu-check g2..g10)
-has a leaner verdict path.  It needs log h only mod n, and n*lb[b] is 0 mod
-n since n divides q^2-1, so one table, ctn = ct mod n, reads it with no
-division.  Its zeros come from index arithmetic (_circle_zero), not from
-evaluation.  Every power form has h = s0*x^c0 + s1*x^c1 + s2*x^c2 with
-signs +-1, i.e. s0*x^c0 * (1 + l1*y + l2*z) with y = x^u, z = x^v on the
-circle and l_i = s_i*s0.  At a zero, -l2*z is on the circle, so the norm
-of 1 + l1*y, 2 + l1*(y + 1/y), is 1: y^2 + l1*y + 1 = 0, and then
-z = l2*y^2.  So y has order 3 (l1 = 1) or 6 (l1 = -1), which needs 3 | n,
-i.e. odd k, and the first zero is the least common solution i of two
-linear congruences: u*i = +-n/3 (or +-n/6) and (v - 2u)*i = 0 (l2 = 1) or
-n/2 (l2 = -1) mod n.  A zero outranks any repeat, so it is the witness,
-with no point evaluated.
+A power form needs log h only mod n, and n*lb[b] is 0 mod n since n
+divides q^2-1, so one table, ctn = ct mod n, reads it with no division.  On
+the whole circle (the subgroup criterion, mu-check g2..g10) its zeros come
+from index arithmetic (_circle_zero), not from evaluation.  Every power form
+has h = s0*x^c0 + s1*x^c1 + s2*x^c2 with signs +-1, i.e.
+s0*x^c0 * (1 + l1*y + l2*z) with y = x^u, z = x^v on the circle and
+l_i = s_i*s0.  At a zero, -l2*z is on the circle, so the norm of 1 + l1*y,
+2 + l1*(y + 1/y), is 1: y^2 + l1*y + 1 = 0, and then z = l2*y^2.  So y has
+order 3 (l1 = 1) or 6 (l1 = -1), which needs 3 | n, i.e. odd k, and the
+first zero is the least common solution i of two linear congruences:
+u*i = +-n/3 (or +-n/6) and (v - 2u)*i = 0 (l2 = 1) or n/2 (l2 = -1) mod n.
+A zero outranks any repeat, so it is the witness, with no point evaluated.
 
-Otherwise h is summed once, at one point per Frobenius orbit.  A map f
-with GF(5) coefficients has f(x^5) = f(x)^5, and x -> x^5 permutes the
-circle as i -> 5i mod n, in orbits of at most 2k indices (UnityGroup.
-orbits: 80 leaders of 626 points at k=4, 316 of 3,126 at k=5, 1,308 of
-15,626 at k=6).  So the image index at p*L, p a power of 5, is p times the
-image index at the orbit's leader L, and f permutes the circle iff no two
-leaders' images lie in one orbit: f maps the orbit of L onto the orbit of
-f(L), which is no larger, so if the image orbits are distinct they are all
-the orbits, their sizes sum to n, every orbit keeps its size and f is
-injective.  A failing verdict fills the images from the leaders'.  From
-k = 4 on, where n >= 4m for m = floor(4*sqrt(n)), it fills the first m
-first, since a failing random h repeats within about sqrt(n) points: a
-repeat there is the earliest over the circle by second position, the
-witness a full evaluation names, and only a prefix with no repeat leads to
-the whole circle.  A zero of h at any point is one at its leader, since
-h(x^5) = h(x)^5, so the sum at the leaders still decodes a zero to -1, one
-the rule missed raises, and a pass has found no zero on the circle.  The
-other whole-circle checks read the leaders too: a closed form's first pole
-or escape, the first mismatch of two maps and the first circle root of a
-polynomial over GF(5) each lie in a Frobenius-closed set, so each is a
-leader.
+Every verdict, on mu or on either half, evaluates its map once, at one
+point per Frobenius orbit of its domain.  A map f with GF(5) coefficients
+has f(x^5) = f(x)^5, and x -> x^5 permutes the circle as i -> 5i mod n, in
+orbits of at most 2k indices (UnityGroup.orbits: 80 leaders of 626 points
+at k=4, 316 of 3,126 at k=5, 1,308 of 15,626 at k=6).  As n is even,
+i -> 5i keeps parity, so each half is a union of orbits with half the
+leaders (158 at k=5, 654 at k=6).  The image index at p*L, p a power of 5,
+is p times the image index at the orbit's leader L.  The zeros, poles and
+escapes of f each form a Frobenius-closed set, so the first of each in a
+domain is a leader; with none, f permutes the domain iff no two leaders'
+images lie in one orbit: f maps the orbit of L onto the orbit of f(L),
+which is no larger, so if the image orbits are distinct they are all the
+domain's orbits, their sizes sum to its size, every orbit keeps its size
+and f is injective.  A failing verdict fills the images from the leaders'.
+Where the domain's N points are >= 4m for m = floor(4*sqrt(N)) (mu from
+k = 4 on), it fills the first m first, since a failing random map repeats
+within about sqrt(N) points: a repeat there is the earliest over the domain
+by second position, the witness a full evaluation names, and only a prefix
+with no repeat leads to the whole domain.  On mu a zero of a power form at
+a leader is one _circle_zero missed, and raises, so a pass has found no
+zero on the circle.  The comparisons of two maps on a domain (the
+reciprocal identities, the half specializations, P1's bridge and P2's g10
+after x -> x^3, which commutes with x -> x^5) and the first circle root of a
+polynomial over GF(5) read the leaders too: a first zero, pole, mismatch or
+root lies in a Frobenius-closed set, so it is a leader.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,6 +103,17 @@ from .field import (CHAR, FieldElement, FieldParams, Orbits, TableKernel,
                     tower_field, wrap_mod)
 from .report import VerificationReport, combine_reports, timed
 from .residues import parity_admits, resolve_residue
+
+
+class Domain(NamedTuple):
+    """A Frobenius-closed set of circle indices: indices, ascending; orbits,
+    its orbits under i -> 5i, numbered among its own leaders (orbit is read
+    at its indices only); inside, True at its indices, over n + 1 slots
+    (slot n, read by an off-circle image -1, stays False)."""
+
+    indices: np.ndarray
+    orbits: Orbits
+    inside: np.ndarray
 
 
 class UnityGroup:
@@ -156,7 +170,7 @@ class UnityGroup:
         self.nlb = n * self.lb % self.log_order
         # -2n marks a zero: plus an index and wrapped, it stays negative
         self.ctn = np.where(self.ct < 0, -2 * n, self.ct % n).astype(np.int32)
-        self._domains: dict[str, np.ndarray] = {}
+        self._domains: dict[str, Domain] = {}
         self._squares: dict[tuple[int, int], np.ndarray] = {}
 
     def pair_logs(self, a, b) -> np.ndarray:
@@ -290,17 +304,25 @@ class UnityGroup:
     def __repr__(self):
         return f"mu_{self.n} in {self.field!r}"
 
-    def domain_indices(self, name: str) -> np.ndarray:
-        """A domain's circle indices, a read-only int64 array made once per
-        group: mu, its squares omega_plus (zeta^even) or omega_minus (odd)."""
+    def domain(self, name: str) -> Domain:
+        """A domain made once per group: mu, or its squares omega_plus
+        (zeta^even) and omega_minus (odd).  i -> 5i keeps parity mod the
+        even n, so a half's orbits are the group's of its parity."""
         if name not in self._domains:
             spans = {"mu": (0, 1), "omega_plus": (0, 2), "omega_minus": (1, 2)}
             if name not in spans:
                 raise UsageError(f"unknown unity domain {name!r}")
             start, step = spans[name]
-            arr = np.arange(start, self.n, step, dtype=np.int64)
-            arr.flags.writeable = False
-            self._domains[name] = arr
+            inside = np.zeros(self.n + 1, dtype=bool)
+            inside[start:self.n:step] = True
+            leaders, orbit, power = self.orbits
+            ours = inside[leaders]
+            dom = Domain(np.arange(start, self.n, step, dtype=np.int64),
+                         Orbits(leaders[ours], (np.cumsum(ours) - 1)[orbit],
+                                power), inside)
+            for arr in (dom.indices, *dom.orbits, inside):
+                arr.flags.writeable = False
+            self._domains[name] = dom
         return self._domains[name]
 
     def element(self, i: int) -> FieldElement:
@@ -600,72 +622,6 @@ def _first_collision(values) -> tuple[int, int] | None:
     return int(np.argmax(arr == arr[second])), second
 
 
-def _verdict(subject: str, group: UnityGroup, map_: FractionalMap, indices,
-             values, failure_index) -> VerificationReport:
-    """Shared pass/fail logic: pole/zero beats escape beats collision order.
-
-    values are the circle indices of the images of the domain indices; an
-    image escapes when it is off the circle or outside the domain.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if values is None:
-        return _fail(subject, len(idx), _zero_witness(group, map_,
-                                                      failure_index))
-    # slot n stays False, so an off-circle -1 reads as outside the domain
-    inside = np.zeros(group.n + 1, dtype=bool)
-    inside[idx] = True
-    escapes = np.flatnonzero(~inside[values])
-    if escapes.size:
-        i = int(idx[escapes[0]])
-        x = group.element(i)
-        return _fail(subject, len(idx), {"type": "escape", "x": x.csv(),
-                                         "index": i,
-                                         "image": map_.eval_at(x).csv()})
-    coll = _first_collision(values)
-    if coll is not None:
-        return _fail(subject, len(idx),
-                     _collision_witness(group, idx, values, coll))
-    return VerificationReport(subject=subject, method="enumeration",
-                              passed=True, counts={"points": len(idx)})
-
-
-def _circle_verdict(subject: str, group: UnityGroup,
-                    map_: PowerFormMap) -> VerificationReport:
-    """_verdict's report for a power form on the whole circle: its first
-    zero by _circle_zero, else a pass by the orbit rule, else the first
-    repeat, in a screened prefix or over the whole circle, from h summed
-    at the orbit leaders once (see the module docstring).  A power form
-    never escapes the circle."""
-    n, orbits = group.n, group.orbits
-    zero = _circle_zero(n, map_.h_terms)
-    if zero is not None:
-        return _fail(subject, n, _zero_witness(group, map_, zero))
-    images = _circle_images(group, map_, orbits.leaders)
-    if orbits.permutes(images):
-        return VerificationReport(subject=subject, method="enumeration",
-                                  passed=True, counts={"points": n})
-    m = math.isqrt(16 * n)
-    # from k = 4 on (n >= 4m) the prefix first: a repeat there is the first
-    values = orbits.fill(images, m if 4 * m <= n else None)
-    coll = _first_collision(values)
-    if coll is None:
-        values = orbits.fill(images)
-        coll = _first_collision(values)
-    return _fail(subject, n, _collision_witness(
-        group, group.domain_indices("mu"), values, coll))
-
-
-def _circle_images(group: UnityGroup, map_: PowerFormMap,
-                   idx: np.ndarray) -> np.ndarray:
-    """The power form's image indices at the points idx, where _circle_zero
-    found no zero of h: a zero there is a fault of that rule, and raises."""
-    values, zero = eval_power_on_unity(map_, group, idx)
-    if zero is not None:
-        raise RuntimeError(f"h of {map_.name} vanishes at circle index "
-                           f"{zero}, which _circle_zero missed")
-    return values
-
-
 def _circle_zero(n: int, terms) -> int | None:
     """The first circle index i where h = sum s * x^c over three signed
     terms vanishes at zeta^i, or None: by index arithmetic, with no point
@@ -712,24 +668,44 @@ def _collision_witness(group: UnityGroup, idx, values, coll) -> dict:
 @timed
 def unity_permutation_report(map_: FractionalMap, group: UnityGroup,
                              domain: str = "mu") -> VerificationReport:
-    """Does the map permute the named subset of the circle?"""
+    """Does the map permute the named domain?  Its first zero or pole, else
+    its first escape, else a pass by the orbit rule, else its first repeat,
+    all from the images at the domain's orbit leaders (see the module
+    docstring).  A power form on mu takes its zeros from _circle_zero: a
+    zero at a leader is a fault of that rule, and raises."""
     subject = f"{map_.name} on {domain} over {group.field!r}"
-    if domain == "mu" and isinstance(map_, PowerFormMap):
-        return _circle_verdict(subject, group, map_)
-    indices = group.domain_indices(domain)
-    if domain == "mu":
-        # the first pole or escape is a leader: both sets are
-        # Frobenius-closed
-        orbits = group.orbits
-        images, bad = eval_closed_on_unity(map_, group, orbits.leaders)
-        if bad is None and images.min() >= 0 and orbits.permutes(images):
-            return VerificationReport(subject=subject, method="enumeration",
-                                      passed=True, counts={"points": group.n})
-        values = None if bad is not None else np.where(
-            images[orbits.orbit] < 0, -1, orbits.fill(images))
-    else:
-        values, bad = eval_on_unity(map_, group, indices)
-    return _verdict(subject, group, map_, indices, values, bad)
+    dom = group.domain(domain)
+    orbits, points = dom.orbits, len(dom.indices)
+    ruled = domain == "mu" and isinstance(map_, PowerFormMap)
+    bad = _circle_zero(group.n, map_.h_terms) if ruled else None
+    if bad is None:
+        images, bad = eval_on_unity(map_, group, orbits.leaders)
+        if ruled and bad is not None:
+            raise RuntimeError(f"h of {map_.name} vanishes at circle index "
+                               f"{bad}, which _circle_zero missed")
+    if bad is not None:
+        return _fail(subject, points, _zero_witness(group, map_, bad))
+    inside = None if ruled else dom.inside[images]  # a power form keeps mu
+    if inside is not None and not inside.all():
+        i = int(orbits.leaders[inside.argmin()])    # the first escape
+        x = group.element(i)
+        return _fail(subject, points, {"type": "escape", "x": x.csv(),
+                                       "index": i,
+                                       "image": map_.eval_at(x).csv()})
+    if orbits.permutes(images):
+        return VerificationReport(subject=subject, method="enumeration",
+                                  passed=True, counts={"points": points})
+    m = math.isqrt(16 * points)
+    # where points >= 4m (mu from k = 4 on) the prefix first: a repeat
+    # there is the first
+    values = orbits.fill(images, dom.indices[:m] if 4 * m <= points
+                         else dom.indices)
+    coll = _first_collision(values)
+    if coll is None:
+        values = orbits.fill(images, dom.indices)
+        coll = _first_collision(values)
+    return _fail(subject, points,
+                 _collision_witness(group, dom.indices, values, coll))
 
 
 def is_permutation_of(domain: Sequence[FieldElement],
@@ -802,32 +778,29 @@ def reciprocal_identity_report(name_a: str, name_b: str,
                                k: int) -> VerificationReport:
     """Pointwise product of two maps equals 1 everywhere on the circle:
     the first map agrees with the reciprocal of the second."""
-    group = unity_group(tower_field(k))
-    mu = group.domain_indices("mu")
     return pointwise_agreement_report(
-        f"{name_a}*{name_b} = 1 on mu over GF(5^{2*k})", group,
-        build_map(name_a, k), mu, reciprocal_map(build_map(name_b, k)), mu)
+        f"{name_a}*{name_b} = 1 on mu over GF(5^{2*k})",
+        unity_group(tower_field(k)), build_map(name_a, k),
+        reciprocal_map(build_map(name_b, k)), "mu")
 
 
 @timed
 def pointwise_agreement_report(subject: str, group: UnityGroup,
-                               map_a: FractionalMap, indices_a,
-                               map_b: FractionalMap,
-                               indices_b) -> VerificationReport:
-    """map_a at zeta^indices_a[p] equals map_b at zeta^indices_b[p] for all p.
+                               map_a: FractionalMap, map_b: FractionalMap,
+                               domain: str, power: int = 1
+                               ) -> VerificationReport:
+    """map_a at x^power equals map_b at x for every x in the named domain.
 
     A zero or pole (map_a's first) is reported at its own circle point; a
-    mismatch at the point zeta^indices_b[p].  When both index arrays are
-    the group's mu, only the orbit leaders are compared: zeros, poles and
-    mismatches of two maps with GF(5) coefficients are Frobenius-closed,
-    so the first of each is a leader.
+    mismatch at x.  Only the domain's orbit leaders are compared: x^power
+    commutes with x -> x^5, so the zeros, poles and mismatches of two maps
+    with GF(5) coefficients are Frobenius-closed, and the first of each is
+    a leader.
     """
-    counts = {"points": len(indices_b)}
-    mu = group.domain_indices("mu")
-    if indices_a is mu and indices_b is mu:
-        indices_a = indices_b = group.orbits.leaders
-    idx_a = np.asarray(indices_a, dtype=np.int64)
-    idx_b = np.asarray(indices_b, dtype=np.int64)
+    dom = group.domain(domain)
+    counts = {"points": len(dom.indices)}
+    idx_b = dom.orbits.leaders
+    idx_a = power * idx_b % group.n
     va, bad_a = eval_on_unity(map_a, group, idx_a)
     vb, bad_b = eval_on_unity(map_b, group, idx_b)
     failure = None
@@ -855,11 +828,9 @@ def pointwise_agreement_report(subject: str, group: UnityGroup,
 def maps_agree_report(map_a: FractionalMap, map_b: FractionalMap,
                       group: UnityGroup, domain: str) -> VerificationReport:
     """Pointwise equality of two maps on a unity subset."""
-    indices = group.domain_indices(domain)
-    subject = (f"{map_a.name} = {map_b.name} on {domain} "
-               f"over {group.field!r}")
-    return pointwise_agreement_report(subject, group, map_a, indices,
-                                      map_b, indices)
+    return pointwise_agreement_report(
+        f"{map_a.name} = {map_b.name} on {domain} over {group.field!r}",
+        group, map_a, map_b, domain)
 
 
 @timed

@@ -1,6 +1,7 @@
 """Cross-checks of the log/Zech table kernel: its tables against PolyKernel
 arithmetic over the same modulus, the whole-field sweep and the circle sum
-against their digit-row forms, and the coset identity sweep against the
+against their digit-row forms, the circle verdicts and comparisons against
+their evaluation at every point, and the coset identity sweep against the
 sweep over every log (test helpers, not collected)."""
 
 import functools
@@ -10,6 +11,7 @@ import numpy as np
 
 from niho_perm.field import CHAR, FieldParams, PolyKernel, tower_field
 from niho_perm.report import VerificationReport, timed
+from niho_perm.unity import PowerFormMap, eval_on_unity
 
 
 @functools.lru_cache(maxsize=None)
@@ -55,6 +57,62 @@ def digit_row_sum_logs(group, indices, terms):
                           dtype=np.int16) for c, e in terms)
     b, a = np.divmod((acc % CHAR).astype(np.int64) @ pow5, group.q)
     return group.pair_logs(a, b)
+
+
+def full_permutation_report(map_, group, domain="mu") -> VerificationReport:
+    """unity_permutation_report from the map at every index of the domain:
+    its first zero or pole, else its first escape, else its first repeat by
+    a plain scan in domain order, else a pass."""
+    idx = group.domain(domain).indices.tolist()
+    values, bad = eval_on_unity(map_, group, idx)
+    pairs = [] if bad is not None else list(zip(idx, values.tolist()))
+    members = set(idx)
+    escapes = [i for i, v in pairs if v not in members]
+    witness, seen = None, {}
+    if bad is not None:
+        kind = "zero" if isinstance(map_, PowerFormMap) else "pole"
+        witness = {"type": kind, "x": group.csv(bad), "index": bad}
+    elif escapes:
+        x = group.element(escapes[0])
+        witness = {"type": "escape", "x": x.csv(), "index": escapes[0],
+                   "image": map_.eval_at(x).csv()}
+    else:
+        for i, v in pairs:
+            if v in seen:
+                witness = {"type": "collision", "x1": group.csv(seen[v]),
+                           "x2": group.csv(i), "index1": seen[v],
+                           "index2": i, "value": group.csv(v)}
+                break
+            seen[v] = i
+    return VerificationReport(
+        subject=f"{map_.name} on {domain} over {group.field!r}",
+        method="enumeration", passed=witness is None, witness=witness,
+        counts={"points": len(idx)})
+
+
+def full_agreement_report(subject, group, map_a, map_b, domain="mu",
+                          power=1) -> VerificationReport:
+    """pointwise_agreement_report from both maps at every index i of the
+    domain, map_a at power * i: map_a's first zero or pole, else map_b's,
+    else the first i where the images differ (off-circle images compared
+    as elements), else a pass."""
+    n, idx = group.n, group.domain(domain).indices.tolist()
+    va, bad_a = eval_on_unity(map_a, group, [power * i % n for i in idx])
+    vb, bad_b = eval_on_unity(map_b, group, idx)
+    witness = None
+    if bad_a is not None or bad_b is not None:
+        i = bad_a if bad_a is not None else bad_b
+        witness = {"type": "zero_or_pole", "x": group.csv(i), "index": i}
+    else:
+        for i, a, b in zip(idx, va.tolist(), vb.tolist()):
+            if a != b or a < 0 and (
+                    map_a.eval_at(group.element(power * i % n))
+                    != map_b.eval_at(group.element(i))):
+                witness = {"type": "mismatch", "x": group.csv(i), "index": i}
+                break
+    return VerificationReport(subject=subject, method="enumeration",
+                              passed=witness is None, witness=witness,
+                              counts={"points": len(idx)})
 
 
 def identity_first_failure(k: int, identities):

@@ -29,6 +29,7 @@ from niho_perm.unity import (ClosedFormMap, UnityGroup, build_map,
                              maps_agree_report, pointwise_agreement_report,
                              unity_group)
 from fresh_interpreter import run_python
+from representation_twin import full_agreement_report
 
 
 class TestConjecture1:
@@ -476,31 +477,39 @@ class TestPropositions:
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_p2_compares_at_the_leaders(self, monkeypatch, k):
-        # g10 at 3 * leaders against the closed form at the leaders: the
-        # report of the comparison at every point, counts n included
-        calls = []
+        # g10 at x^3 against the closed form at x, summed at the orbit
+        # leaders only: the report of the comparison at every point, counts
+        # n included
+        calls, summed = [], []
         agree = conjectures.pointwise_agreement_report
+        sum_words = UnityGroup.sum_words
 
         def recording(*args):
             calls.append((args, agree(*args)))
             return calls[-1][1]
+
+        def counting(group, indices, terms):
+            summed.append(len(indices))
+            return sum_words(group, indices, terms)
         monkeypatch.setattr(conjectures, "pointwise_agreement_report",
                             recording)
         assert proposition_check("P2", k).passed
-        ((subject, group, g10, idx_a, bridge, idx_b), got), = calls
+        (args, got), = calls
+        subject, group, g10, bridge, domain, power = args
+        assert (domain, power) == ("mu", 3)
         n, leaders = group.n, group.orbits.leaders
-        assert idx_b is leaders
-        assert idx_a.tolist() == (3 * leaders % n).tolist()
-        mu = np.arange(n)
-        want = agree(subject, group, g10, 3 * mu % n, bridge, mu)
+        monkeypatch.setattr(UnityGroup, "sum_words", counting)
+        assert agree(*args).as_dict(False) == got.as_dict(False)
+        assert summed and set(summed) == {len(leaders)}
+        want = full_agreement_report(subject, group, g10, bridge, "mu", 3)
         assert got.as_dict(False) == want.as_dict(False)
         assert got.counts == {"points": n}
         # a wrong closed form fails first at a leader
         wrong = build_map("half_f_inv", k)
-        failed = agree("wrong", group, g10, 3 * mu % n, wrong, mu)
+        failed = full_agreement_report("wrong", group, g10, wrong, "mu", 3)
         assert failed.witness["type"] == "mismatch"
-        assert agree("wrong", group, g10, 3 * leaders % n, wrong,
-                     leaders).witness == failed.witness
+        assert agree("wrong", group, g10, wrong, "mu",
+                     3).witness == failed.witness
 
     def test_p2_exponents_at_k2(self):
         f = theorem_family("P2", 2)
@@ -551,11 +560,10 @@ class TestPropositions:
     def test_p2_witness_replays(self, k):
         # the P2 comparison with a wrong closed form: g10(x^3) vs -x^-1
         group = unity_group(tower_field(k))
-        n = group.n
         g10, wrong = build_map("g10", k), build_map("half_f_inv", k)
         rep = pointwise_agreement_report(
             "g10 after the cube map vs a wrong closed form", group,
-            g10, [(3 * i) % n for i in range(n)], wrong, range(n))
+            g10, wrong, "mu", 3)
         assert not rep.passed
         wit = rep.witness
         assert wit["type"] == "mismatch"
@@ -565,8 +573,7 @@ class TestPropositions:
         # a pole is reported at its own circle point
         polar = ClosedFormMap(name="polar", sign=1, pre_exp=0,
                               num=((1, 0),), den=((1, 1), (4, 0)), outer=1)
-        rep = pointwise_agreement_report("pole", group, g10,
-                                         range(n), polar, range(n))
+        rep = pointwise_agreement_report("pole", group, g10, polar, "mu")
         assert rep.witness["type"] == "zero_or_pole"
         x = group.field.from_csv(rep.witness["x"])
         with pytest.raises(PoleError):

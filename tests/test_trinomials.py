@@ -20,8 +20,7 @@ from niho_perm.trinomials import (AGREEMENT_SAMPLE_LIMIT, FAMILY_CATALOG,
 from niho_perm.unity import (eval_power_on_unity, is_permutation_of,
                              unity_group)
 from niho_perm import trinomials as trinomials_mod
-from niho_perm import unity as unity_mod
-from representation_twin import digit_row_field_values
+from representation_twin import digit_row_field_values, full_permutation_report
 
 
 class TestConstruction:
@@ -278,14 +277,6 @@ class TestCriterion:
             scalar = is_permutation_of(circle, induced_mu_map(f))
             assert is_permutation_via_criterion(f).passed == scalar.passed
 
-    @staticmethod
-    def unscreened_verdict(subject, group, map_):
-        """The circle verdict with no prefix screen: every point, then
-        _verdict."""
-        mu = group.domain_indices("mu")
-        return unity_mod._verdict(subject, group, map_, mu,
-                                  *eval_power_on_unity(map_, group, mu))
-
     @pytest.mark.parametrize("k", [4, 5, 6])
     def test_screen_gives_the_full_circle_report(self, k, monkeypatch):
         rng = random.Random(300 + k)
@@ -309,8 +300,10 @@ class TestCriterion:
             cases.append(pinned)
         screened = [is_permutation_via_criterion(f).as_dict(with_elapsed=False)
                     for f in cases]
-        monkeypatch.setattr(unity_mod, "_circle_verdict",
-                            self.unscreened_verdict)
+        # the circle verdict with no prefix screen and no orbit rule: the
+        # map at every point, then a plain scan
+        monkeypatch.setattr(trinomials_mod, "unity_permutation_report",
+                            full_permutation_report)
         full = [is_permutation_via_criterion(f).as_dict(with_elapsed=False)
                 for f in cases]
         assert screened == full

@@ -20,7 +20,8 @@ from niho_perm.unity import (MAP_SPECS, OMEGA_SPECIALIZATIONS,
                              unity_group, unity_permutation_report)
 from niho_perm import unity as unity_mod
 
-from representation_twin import digit_row_sum_logs
+from representation_twin import (digit_row_sum_logs, full_agreement_report,
+                                 full_permutation_report)
 
 
 def x_plus(c):
@@ -94,10 +95,10 @@ class TestEnumeration:
         assert listed == [(1, 0), (2, 2), (1, 2), (4, 0), (3, 3), (4, 3)]
 
     def test_omega_split(self, mu6):
-        plus_idx = mu6.domain_indices("omega_plus")
+        plus_idx = mu6.domain("omega_plus").indices
         plus = {mu6.element(i).digits for i in plus_idx}
         minus = {mu6.element(i).digits
-                 for i in mu6.domain_indices("omega_minus")}
+                 for i in mu6.domain("omega_minus").indices}
         assert plus == {(1, 0), (1, 2), (3, 3)}
         assert minus == {(-mu6.element(i)).digits for i in plus_idx}
         assert plus | minus == {mu6.element(i).digits for i in range(6)}
@@ -113,7 +114,7 @@ class TestEnumeration:
                     if field.kernel.pow(h, g.n // 2) == field.kernel.one}
         assert squares == by_power
         assert squares == {g.element(i).handle
-                           for i in g.domain_indices("omega_plus")}
+                           for i in g.domain("omega_plus").indices}
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_zeta_order_and_minus_one(self, k):
@@ -412,7 +413,7 @@ class TestPackedKernel:
         step = max(1, n // 50)
         for indices in (range(n), range(0, n, step), list(range(1, n, step)),
                         np.arange(2, n, step, dtype=np.int64),
-                        g.domain_indices("omega_minus"),
+                        g.domain("omega_minus").indices,
                         np.array([], dtype=np.int64), []):
             got = g.sum_logs(indices, terms)
             assert got.shape == (len(indices),)
@@ -603,9 +604,8 @@ class TestStructure:
     def test_reciprocal_of_vanishing_h_is_a_zero(self, mu6):
         # 1 + y^2 + y^4 vanishes first at zeta on the 6-circle
         pf = PowerFormMap(name="vanishing", h_terms=((1, 0), (1, 2), (1, 4)))
-        mu = mu6.domain_indices("mu")
-        rep = pointwise_agreement_report("pf = 1/pf", mu6, pf, mu,
-                                         reciprocal_map(pf), mu)
+        rep = pointwise_agreement_report("pf = 1/pf", mu6, pf,
+                                         reciprocal_map(pf), "mu")
         assert rep.witness == {"type": "zero_or_pole", "x": "2,2", "index": 1}
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -657,8 +657,8 @@ class TestStructure:
         g = unity_group(tower_field(k))
         fmap = build_map("half_f", k)
         dom = "omega_plus" if k % 2 == 1 else "omega_minus"
-        members = {g.element(i).handle for i in g.domain_indices(dom)}
-        for i in g.domain_indices(dom):
+        members = {g.element(i).handle for i in g.domain(dom).indices}
+        for i in g.domain(dom).indices:
             assert fmap.eval_at(g.element(i)).handle in members
 
     def test_zero_witness_of_vanishing_h(self, mu6):
@@ -690,7 +690,7 @@ class TestCircleZeroRule:
     def evaluated_zero(g, terms):
         """The first circle index where h vanishes, h evaluated at every
         point."""
-        logs = g.circle_logs(g.sum_words(g.domain_indices("mu"), terms))
+        logs = g.circle_logs(g.sum_words(g.domain("mu").indices, terms))
         zeros = np.flatnonzero(logs < 0)
         return int(zeros[0]) if zeros.size else None
 
@@ -733,7 +733,7 @@ class TestCircleZeroRule:
     def full_circle_witness(g, map_):
         """The witness of a full evaluation: the first zero of h, else
         _first_collision over every image, else None."""
-        mu = g.domain_indices("mu")
+        mu = g.domain("mu").indices
         logs = g.circle_logs(g.sum_words(mu, map_.h_terms))
         zeros = np.flatnonzero(logs < 0)
         if zeros.size:
@@ -854,7 +854,7 @@ class TestFrobeniusOrbits:
         # at the leaders, filled over the orbits, are the full evaluation,
         # and the first zero or pole is a leader's
         g = unity_group(tower_field(k))
-        orbits, mu = g.orbits, g.domain_indices("mu")
+        orbits, mu = g.orbits, g.domain("mu").indices
         rng = random.Random(2800 + k)
         maps = [build_map(name, k) for name, spec in MAP_SPECS.items()
                 if parity_admits(spec["parity"], k)] + [x_plus(1), x_plus(2)]
@@ -875,7 +875,7 @@ class TestFrobeniusOrbits:
                 assert filled.tolist() == full.tolist(), map_
             else:
                 assert orbits.fill(images).tolist() == full.tolist(), map_
-                assert orbits.fill(images, 40).tolist() == full[:40].tolist()
+                assert orbits.fill(images, mu[:40]).tolist() == full[:40].tolist()
         # zeros of h need a point of order 3 on the circle: odd k only
         assert {"ClosedFormMap", "escape"} <= kinds
         assert ("PowerFormMap" in kinds) == (k % 2 == 1)
@@ -909,7 +909,7 @@ class TestFrobeniusOrbits:
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_pass_rule_on_seeded_trinomials_and_families(self, k):
         g = unity_group(tower_field(k))
-        orbits, mu = g.orbits, g.domain_indices("mu")
+        orbits, mu = g.orbits, g.domain("mu").indices
         rng = random.Random(2900 + k)
         maps = [PowerFormMap(f"h{case}", signed_triple(rng, g.n, False))
                 for case in range(40)]
@@ -930,10 +930,8 @@ class TestFrobeniusOrbits:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_reciprocal_identity_on_leaders_is_the_full_report(self, k):
-        # the same report as a comparison at every index: index arrays that
-        # are not the group's mu take the full path
+        # the same report as a comparison at every index
         g = unity_group(tower_field(k))
-        full = np.arange(g.n)
         names = [name for name in PUBLIC_MAP_NAMES
                  if parity_admits(MAP_SPECS[name]["parity"], k)]
         names += ["half_f", "g1_plus", "conj2_map" if k % 2 == 0
@@ -942,10 +940,95 @@ class TestFrobeniusOrbits:
         for a in names:
             for b in names:
                 rep = reciprocal_identity_report(a, b, k)
-                ref = pointwise_agreement_report(
-                    rep.subject, g, build_map(a, k), full,
-                    reciprocal_map(build_map(b, k)), full)
+                ref = full_agreement_report(
+                    rep.subject, g, build_map(a, k),
+                    reciprocal_map(build_map(b, k)))
                 assert (rep.as_dict(with_elapsed=False)
                         == ref.as_dict(with_elapsed=False)), (a, b)
                 kinds.add((rep.witness or {}).get("type"))
         assert {None, "mismatch"} <= kinds
+
+
+class TestHalves:
+    """The verdicts and comparisons on the square half Omega+ and its
+    negation Omega-, from the maps at the half's orbit leaders, against the
+    maps at every point of the half."""
+
+    @staticmethod
+    def half_maps(g, k):
+        """Every catalog map admissible at k, -x (it swaps the halves),
+        1/(x+1) (a pole at -1, in Omega-) and seeded power forms: twelve
+        whose h is forced to vanish where y has order 3 or 6, and six free
+        ones, which keep the point 1 but can leave a half further on."""
+        rng = random.Random(3000 + k)
+        maps = [build_map(name, k) for name, spec in MAP_SPECS.items()
+                if parity_admits(spec["parity"], k)]
+        maps.append(ClosedFormMap("-x", -1, 1, ((1, 0),), ((1, 0),), 1))
+        maps.append(ClosedFormMap("1/(x+1)", 1, 0, ((1, 0),),
+                                  ((1, 1), (1, 0)), 1))
+        return maps + [PowerFormMap(f"h{case}",
+                                    signed_triple(rng, g.n, case < 12))
+                       for case in range(18)]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_half_reports_are_the_full_reports(self, k):
+        g = unity_group(tower_field(k))
+        maps = self.half_maps(g, k)
+        kinds, agreements, late_escapes = set(), set(), 0
+        for dom in ("omega_plus", "omega_minus"):
+            first = int(g.domain(dom).indices[0])
+            for map_ in maps:
+                rep = unity_permutation_report(map_, g, dom)
+                want = full_permutation_report(map_, g, dom)
+                assert rep.as_dict(False) == want.as_dict(False), (map_, dom)
+                wit = rep.witness or {}
+                kinds.add(wit.get("type"))
+                late_escapes += wit.get("type") == "escape" and (
+                    wit["index"] != first)
+            pairs = [(a, b) for a, b in zip(maps, maps[1:] + maps[:1])]
+            # 1/(x+1) leaves the circle almost everywhere, and the reference
+            # compares off-circle images as elements, one point at a time:
+            # compared with itself only up to k = 5
+            pairs += [(a, a) for a in maps if k < 6 or a.name != "1/(x+1)"]
+            pairs += [(build_map(name, k), build_map(spec[dom], k))
+                      for name, spec in OMEGA_SPECIALIZATIONS.items()
+                      if parity_admits(MAP_SPECS[name]["parity"], k)]
+            for a, b in pairs:
+                rep = maps_agree_report(a, b, g, dom)
+                want = full_agreement_report(rep.subject, g, a, b, dom)
+                assert rep.as_dict(False) == want.as_dict(False), (a, b, dom)
+                agreements.add((rep.witness or {}).get("type"))
+        assert {None, "escape", "pole", "collision"} <= kinds
+        # the first escape is not always the half's first point
+        assert late_escapes
+        # zeros of h need a point of order 3 on the circle: odd k only
+        assert ("zero" in kinds) == (k % 2 == 1)
+        assert {None, "mismatch", "zero_or_pole"} <= agreements
+
+    @pytest.mark.parametrize("k, claim, leaders", [(5, "halves-odd", 158),
+                                                   (6, "halves-even", 654)])
+    def test_a_half_sums_only_its_leaders(self, monkeypatch, k, claim,
+                                          leaders):
+        # half_f and half_g permute their halves: num and den are each
+        # summed once, at the half's orbit leaders, not at its n/2 points
+        g = unity_group(tower_field(k))
+        summed = []
+        sum_words = unity_mod.UnityGroup.sum_words
+
+        def counting(self, indices, terms):
+            summed.append(len(indices))
+            return sum_words(self, indices, terms)
+
+        monkeypatch.setattr(unity_mod.UnityGroup, "sum_words", counting)
+        assert check_circle_claim(claim, k).passed
+        assert summed == [leaders] * 4
+        assert [len(g.domain(dom).orbits.leaders)
+                for dom in ("omega_plus", "omega_minus")] == [leaders] * 2
+        # a power form against its closed form on Omega+: h, num and den
+        # are each summed once, at the leaders
+        summed.clear()
+        name = "g3" if k % 2 else "g9"
+        closed = OMEGA_SPECIALIZATIONS[name]["omega_plus"]
+        assert maps_agree_report(build_map(name, k), build_map(closed, k), g,
+                                 "omega_plus").passed
+        assert summed == [leaders] * 3
