@@ -36,15 +36,11 @@ from .report import VerificationReport, combine_reports, timed
 from .trinomials import (eval_trinomial, exhaustive_permutation_report,
                          field_values, induced_mu_map, theorem_family,
                          verdicts)
-from .unity import (build_map, maps_agree_report, pointwise_agreement_report,
-                    unity_group, unity_permutation_report)
+from .unity import (SQUARE_TABLE_K, build_map, maps_agree_report,
+                    pointwise_agreement_report, unity_group,
+                    unity_permutation_report)
 
 SEARCH_GUARD_K = 4
-# The full square reads the group's n^2 log tables up to SQUARE_TABLE_K and
-# base 9 above, as the sum searches do.  At k=5 the tables (19.5 MB a
-# pattern) took the default all-signs square on 2 workers from 65.5 to
-# 117 MB peak RSS and saved no time (38.2 against 32.9 s).
-SQUARE_TABLE_K = 4
 
 
 class ProfileMismatchError(NihoPermError):
@@ -387,10 +383,11 @@ class _SearchTables:
     table of the pattern (square_logs) at (s*i mod n)*n + (t*i mod n), one
     gather where base9_logs takes three: a k=3 square reads each
     (s*i, t*i) about 22 times, a k=4 square about 50 times.  (-1, 1) reads
-    the table of (1, -1) with s and t swapped.  A sum search
-    reads only n*m of the n^2 pairs, once each, so it adds the base-9
-    halves of the two terms and reads base9_logs instead: through the
-    table, the k=6 "sum-half ++" search (0.6 s and 107 MB) would build
+    the table of (1, -1) with s and t swapped (square_table).  Above
+    SQUARE_TABLE_K the square reads base 9, as every sum search does: a
+    sum search reads only n*m of the n^2 pairs, once each, so it adds the
+    base-9 halves of the two terms and reads base9_logs instead: through
+    the table, the k=6 "sum-half ++" search (0.6 s and 107 MB) would build
     244M entries per pattern to read 7.8M of them.
     The m sample points are spread over Z/n, both parities: odd points
     alone would let one row table serve both signs, but of the 8,001 k=3
@@ -490,11 +487,9 @@ class _SearchTables:
         A repeat or a zero at the sampled points is one over the whole
         circle, so the n-point verdict runs only on the survivors, a
         buffer's worth of rows at a time."""
-        if l1 < l2:     # the same h: one table serves (1, -1) and (-1, 1)
-            return self.hits(t, s, l2, l1, square)
         if square:
-            logs = functools.partial(self._read_square,
-                                     self.group.square_logs(l1, l2))
+            table, s, t = self.group.square_table(l1, l2, s, t)
+            logs = functools.partial(self._read_square, table)
             (pu, su), (pw, sw) = self.square_rows
         else:
             logs = self.group.base9_logs
@@ -599,7 +594,7 @@ def search_problem_instances(k: int, constraint: str = "none",
     tabs = _search_tables(group)                # built before any fork
     if constraint == "none" and k <= SQUARE_TABLE_K:
         for pattern in patterns:
-            group.square_logs(*sorted(pattern, reverse=True))
+            group.square_table(*pattern, 0, 0)
         tabs.square_rows
     else:
         for sign in {sign for pattern in patterns for sign in pattern}:

@@ -171,7 +171,9 @@ def frobenius_orbits(n: int, steps: int) -> Orbits:
     """The orbits of i -> 5i on Z/n, where 5^steps = 1 mod n, so that an
     orbit holds at most `steps` indices: built in steps - 1 vectorized
     walks, read-only."""
-    index = np.arange(n, dtype=np.int32)        # 5n < 2^31: n <= 5^8 + 1
+    # 5 * (n - 1) < 2^31: every circle (n = 5^k + 1) up to k = 12 and every
+    # log range (n = 5^m - 1) up to m = 12
+    index = np.arange(n, dtype=np.int32)
     lead, power, step = index.copy(), np.ones(n, dtype=np.int64), index
     for j in range(1, steps):
         step = step * CHAR % n                  # 5^j * i

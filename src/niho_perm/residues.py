@@ -88,11 +88,14 @@ def _evaluate(node: ast.expr, names: dict[str, Fraction]):
                        f"formula (integers, q, k, + - * / ** only)")
 
 
+@functools.lru_cache(maxsize=1024)
 def resolve_residue(expr: str, q: int, k: int | None = None) -> int:
     """Evaluate a closed formula in q (and k) to a residue mod q + 1.
 
     The expression is evaluated with exact Fractions; a fractional result
-    raises ResidueError.
+    raises ResidueError.  The result depends on the arguments alone, so it
+    is kept (every catalog formula at k = 1..6 is 108 entries); an error is
+    not, and raises on every call.
     """
     names = {"q": Fraction(q)}
     if k is not None:

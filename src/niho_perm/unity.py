@@ -31,22 +31,26 @@ that would pass that weight is added to the sum folded mod 5 field by
 field (weight 1).  A 2^12-entry table that is the same at every k reads
 three fields at a time into the GF(q) indices a and b.  The words are built
 on the first sum, and each domain's indices and leaders once per group; the
-collision witness sorts 512 or more circle indices as uint16 keys at
-k <= 6, where numpy's stable sort is a radix sort.
+collision witness scans fewer than 256 images to their first repeat, and
+sorts 512 or more as uint16 keys at k <= 6, where numpy's stable sort is
+a radix sort.
 
 The group owns a second packing, for the search's h = 1 + y + z with y, z
 = +-zeta^j: the a and b digit halves of zeta^j, each as one base-9 number.
 Two halves add with no carry (4 + 4 < 9), and a9 (adding the 1) and b9,
 9^k entries each, read a sum's la and lb (base9_logs).  In base 9 a k=3
 search block of 744 x 44 points took 243 us, in words 1,089 us.  The
-criterion stays on words: 9% faster over a full k=6 circle, and at k=8
-a9 and b9 would take 172 MB each.  The search's full square reads each
-(y, z) of the circle many times (about 22 times at k=3, 50 at k=4), so
-square_logs keeps base9_logs of every 1 + l1*zeta^a + l2*zeta^b, one
-int16 table of n^2 entries per sign pattern (l1, l2): 31 KB at k=3 and
-0.8 MB at k=4.  The search reads it up to k=4, and the table of (1, -1)
-serves (-1, 1) transposed.  At k=5 (19.5 MB a pattern) the tables saved
-no time and took the all-signs square from 65.5 to 117 MB peak RSS.
+search's full square reads each (y, z) of the circle many times (about 22
+times at k=3, 50 at k=4), so square_logs keeps base9_logs of every
+1 + l1*zeta^a + l2*zeta^b, one int16 table of n^2 entries per sign
+pattern (l1, l2): 31 KB at k=3 and 0.8 MB at k=4.
+Up to SQUARE_TABLE_K = 4 the full square and every power-form verdict
+read it, and the table of (1, -1) serves (-1, 1) transposed
+(square_table).  Above, a power form sums words (9% faster than base 9
+over a full k=6 circle, and at k=8 a9 and b9 would take 172 MB each): at
+k=5 (19.5 MB a pattern) the tables saved the search no time and took the
+all-signs square from 65.5 to 117 MB peak RSS.  Closed forms always sum
+words.
 
 A power form needs log h only mod n, and n*lb[b] is 0 mod n since n
 divides q^2-1, so one table, ctn = ct mod n, reads it with no division.  On
@@ -54,7 +58,11 @@ the whole circle (the subgroup criterion, mu-check g2..g10) its zeros come
 from index arithmetic (_circle_zero), not from evaluation.  Every power form
 has h = s0*x^c0 + s1*x^c1 + s2*x^c2 with signs +-1, i.e.
 s0*x^c0 * (1 + l1*y + l2*z) with y = x^u, z = x^v on the circle and
-l_i = s_i*s0.  At a zero, -l2*z is on the circle, so the norm of 1 + l1*y,
+l_i = s_i*s0.  Up to k = 4 that reads log h from the square's table T of
+(l1, l2): log s0 is 0 mod n (log -1 = (q^2-1)/2 = n*(q-1)/2), and
+(x^c0)^(q-1) = x^(-2*c0) as q-1 = -2 mod n, so the image index at zeta^i
+is (1 - 2*c0)*i + T[(u*i mod n)*n + (v*i mod n)] mod n, and an entry -2n
+is a zero.  At a zero, -l2*z is on the circle, so the norm of 1 + l1*y,
 2 + l1*(y + 1/y), is 1: y^2 + l1*y + 1 = 0, and then z = l2*y^2.  So y has
 order 3 (l1 = 1) or 6 (l1 = -1), which needs 3 | n, i.e. odd k, and the
 first zero is the least common solution i of two linear congruences:
@@ -295,6 +303,15 @@ class UnityGroup:
             self._squares[l1, l2] = table.reshape(-1)
         return self._squares[l1, l2]
 
+    def square_table(self, l1: int, l2: int, u, v):
+        """The square_logs table that reads 1 + l1*zeta^u + l2*zeta^v at
+        entry u*n + v, and the u and v to read it at: (-1, 1) reads the
+        table of (1, -1) with u and v swapped, the same h, so that one
+        table serves both patterns."""
+        if l1 < l2:
+            l1, l2, u, v = l2, l1, v, u
+        return self.square_logs(l1, l2), u, v
+
     @lazy_attribute
     def orbits(self) -> Orbits:
         """The orbits of i -> 5i on Z/n, the circle indices of x -> x^5:
@@ -342,6 +359,12 @@ _FIELDS = sum(1 << (FIELD_BITS * i) for i in range(64 // FIELD_BITS))
 _ONES, _THREES = np.uint64(_FIELDS), np.uint64(3 * _FIELDS)
 # entries of square_logs built per block: three int32 temporaries of 256 KiB
 SQUARE_BLOCK = 1 << 16
+# Power-form verdicts and the full square search read the n^2 log tables
+# (square_logs) up to SQUARE_TABLE_K, packed words and base 9 above.  At
+# k=5 the tables (19.5 MB a pattern) took the search's default all-signs
+# square on 2 workers from 65.5 to 117 MB peak RSS and saved no time (38.2
+# against 32.9 s).
+SQUARE_TABLE_K = 4
 
 
 def _fold(words: np.ndarray) -> np.ndarray:
@@ -564,16 +587,29 @@ def eval_power_on_unity(map_: PowerFormMap, group: UnityGroup, indices):
 
     x * h(x)^(q-1) at x = zeta^i is zeta^(i + index of h^(q-1)), so it stays
     on the circle.  If h vanishes at some point the first such index is
-    returned and values is None (the image would leave the circle).
+    returned and values is None (the image would leave the circle).  Log h
+    comes from the square's table up to SQUARE_TABLE_K, else from packed
+    words (see the module docstring).
     """
     idx = np.asarray(indices, dtype=np.int64)
-    # the signs are the coefficients
-    logs = group.circle_logs(group.sum_words(idx, map_.h_terms))
+    n = group.n
+    if group.k <= SQUARE_TABLE_K:
+        # h = s0*x^c0 * (1 + l1*x^u + l2*x^v), l_i = s_i*s0: log s0 is 0 mod
+        # n, and as q-1 = -2 mod n, x * (x^c0)^(q-1) is x^(1 - 2*c0)
+        (s0, c0), (s1, c1), (s2, c2) = map_.h_terms
+        table, u, v = group.square_table(
+            1 if s1 * s0 % CHAR == 1 else -1, 1 if s2 * s0 % CHAR == 1 else -1,
+            (c1 - c0) % n, (c2 - c0) % n)
+        logs = table[idx * u % n * n + idx * v % n]
+        at = idx * ((1 - 2 * c0) % n) % n
+    else:       # the signs are the coefficients
+        logs = group.circle_logs(group.sum_words(idx, map_.h_terms))
+        at = idx
     zeros = np.flatnonzero(logs < 0)
     if zeros.size:
         return None, int(idx[zeros[0]])
     # h^(q-1) = g^((q-1) log h) = zeta^(log h mod n), as int64
-    return wrap_mod(logs + idx, group.n), None
+    return wrap_mod(logs + at, n), None
 
 
 def eval_closed_on_unity(map_: ClosedFormMap, group: UnityGroup, indices):
@@ -607,9 +643,20 @@ def eval_on_unity(map_: FractionalMap, group: UnityGroup, indices):
 def _first_collision(values) -> tuple[int, int] | None:
     """Earliest (i, j), i < j with values[i] == values[j], by second position.
 
-    From 512 values on, values in [0, 2^16) sort as uint16 keys, where
-    numpy's stable sort is a radix sort (below, int64 keys cost less)."""
+    Below 256 values a scan stops at the first repeat, the earliest by
+    second position: a failing map's prefix of m points repeats within
+    about m/3 of them, and past about 250 values the sort costs less (on
+    the 500-point k=6 prefix, 17 against 26 us).  From 512 values on,
+    values in [0, 2^16) sort as uint16 keys, where numpy's stable sort is
+    a radix sort (below, int64 keys cost less)."""
     arr = keys = np.asarray(values)
+    if arr.size < 256:
+        seen: dict[int, int] = {}
+        for j, value in enumerate(arr.tolist()):
+            if value in seen:
+                return seen[value], j
+            seen[value] = j
+        return None
     if arr.size >= 512 and arr.min() >= 0 and arr.max() < 1 << 16:
         keys = arr.astype(np.uint16, copy=False)
     order = np.argsort(keys, kind="stable")

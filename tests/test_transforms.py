@@ -88,6 +88,28 @@ class TestResolveResidue:
         assert resolve_residue("-1", 5, 1) == 5
         assert resolve_residue("-2*5**(k-1)", 25, 2) == 16
 
+    def test_cached_residue_is_the_fresh_value(self):
+        # a kept result equals a fresh Fraction evaluation (the uncached
+        # function) on every read; an error is not kept and raises each time
+        exprs = {e for spec in MAP_SPECS.values()
+                 for key in ("h", "num", "den") for _, e in spec.get(key, ())}
+        for k in range(1, 7):
+            q = 5 ** k
+            for expr in sorted(exprs):
+                try:
+                    fresh = resolve_residue.__wrapped__(expr, q, k)
+                except ResidueError:
+                    continue
+                for _ in range(2):
+                    assert resolve_residue(expr, q, k) == fresh, (expr, k)
+        before = resolve_residue.cache_info()
+        for expr, q, k in (("(q+2)/3", 5, 1), ("(q+2)/3", 125, 3),
+                           ("1/(q-5**k)", 25, 2), ("q/(k-2)", 25, 2)):
+            for _ in range(3):
+                with pytest.raises(ResidueError):
+                    resolve_residue(expr, q, k)
+        assert resolve_residue.cache_info().currsize == before.currsize
+
     @staticmethod
     def _eval_reference(expr, q, k):
         """The former resolver: Python eval with q a Fraction, k an int."""

@@ -227,6 +227,51 @@ class TestEnumeration:
             # swapping the pattern transposes the table
             swapped = g.square_logs(l2, l1).reshape(n, n)
             assert (table.reshape(n, n) == swapped.T).all()
+        self.assert_power_forms_read_the_table(k)
+
+    @staticmethod
+    def assert_power_forms_read_the_table(k):
+        """eval_power_on_unity, which reads square_logs at k <= 4, against
+        circle_logs of the packed words plus the index: every signed power
+        form (s0 = -1 and c0 != 0 included) at k = 1, 2, and seeded ones,
+        half with forced zeros, at k = 3, 4, on mu and both halves (at
+        k = 2, where h has no zero on the circle, every 13th form on the
+        halves).  A fresh group reads (-1, 1) through the table of (1, -1),
+        and builds none for (-1, 1)."""
+        g = unity_mod.UnityGroup(tower_field(k))
+        n, mu = g.n, np.arange(g.n)
+        if k <= 2:          # the words of every (t1, t2), one t0 at a time
+            signed = [(s, c) for s in (1, -1) for c in range(n)]
+            words = np.array([g.words[(c * mu + (s < 0) * (n // 2)) % n]
+                              for s, c in signed])
+            forms = [((t0, t1, t2), row)
+                     for t0, w0 in zip(signed, words)
+                     for t1, rows in zip(signed, g.circle_logs(
+                         w0 + words[:, None] + words[None, :]))
+                     for t2, row in zip(signed, rows)]
+        else:
+            rng = random.Random(3100 + k)
+            triples = [signed_triple(rng, n, case % 2) for case in range(60)]
+            forms = [(terms, g.circle_logs(g.sum_words(mu, terms)))
+                     for terms in triples]
+        for dom in ("mu", "omega_plus", "omega_minus"):
+            picked = forms[::13 if k == 2 and dom != "mu" else 1]
+            maps = [PowerFormMap("h", terms) for terms, _ in picked]
+            logs = np.array([row for _, row in picked])
+            idx = g.domain(dom).indices
+            got = [unity_mod.eval_power_on_unity(map_, g, idx)
+                   for map_ in maps]
+            vanish = logs[:, idx] < 0
+            zero = vanish.any(axis=1)
+            assert [-1 if z is None else z for _, z in got] == np.where(
+                zero, idx[vanish.argmax(axis=1)], -1).tolist()
+            assert [v is None for v, _ in got] == zero.tolist()
+            vals = np.array([v for v, _ in got if v is not None])
+            assert vals.dtype == np.int64
+            assert (vals == (logs[~zero][:, idx] + idx) % n).all(), dom
+            # zeros of h need a point of order 3 on the circle: odd k only
+            assert zero.any() == (k % 2 == 1)
+        assert sorted(g._squares) == [(-1, -1), (1, -1), (1, 1)]
 
     @pytest.mark.parametrize("modulus", [(3, 2, 4, 3, 1),
                                          (2, 0, 2, 1, 1, 4, 1)])
@@ -467,9 +512,20 @@ class TestPackedKernel:
         cases = [np.array([], dtype=np.int64), np.array([7]), [3, 3],
                  np.arange(50), np.arange(50)[::-1], np.full(40, 11),
                  np.array([5, -2, 9, -2, 5]), [1 << 20, 3, 1 << 20]]
-        for size in (2, 3, 10, 57, 200):
+        for size in (2, 3, 10, 57, 200, 255, 256, 257, 511, 512, 513):
             for span in (2, size, 1 << 17, 1 << 40):
                 cases.append(rng.integers(-span // 2, span, size))
+        # the scan below 256 values, the int64 sort below 512 and the
+        # uint16 sort from 512 on: a repeat early, a repeat late, none, as
+        # int64, int32 and uint16
+        for size in (255, 256, 257, 511, 512, 513):
+            distinct = rng.permutation(1 << 16)[:size]
+            early, late = distinct.copy(), distinct.copy()
+            early[4] = early[1]
+            late[-1] = late[size // 3]
+            for values in (distinct, early, late):
+                cases += [values.astype(dtype)
+                          for dtype in (np.int64, np.int32, np.uint16)]
         for values in cases:
             want = self.brute_first_collision(list(values))
             assert unity_mod._first_collision(values) == want, values
@@ -481,10 +537,21 @@ class TestPackedKernel:
         # values shifted past 2^16
         n = 5 ** k + 1
         rng = np.random.default_rng(k)
-        for values in (rng.integers(0, n, n), rng.permutation(n),
-                       np.where(np.arange(n) < n - 1, np.arange(n), 0),
-                       rng.integers(0, n // 2, n) * 2, np.full(n, n - 1),
-                       np.arange(n)[:1], np.arange(n)[:0]):
+        cases = [rng.integers(0, n, n), rng.permutation(n),
+                 np.where(np.arange(n) < n - 1, np.arange(n), 0),
+                 rng.integers(0, n // 2, n) * 2, np.full(n, n - 1),
+                 np.arange(n)[:1], np.arange(n)[:0]]
+        # either side of 256 values, where the scan gives way to the sort,
+        # and of 512, where the sort takes uint16 keys: a repeat early, a
+        # repeat late, none, as int64 and int32
+        for size in (255, 256, 257, 511, 512, 513):
+            distinct = rng.permutation(1 << 16)[:size]
+            early, late = distinct.copy(), distinct.copy()
+            early[2] = early[0]
+            late[-1] = late[size - 2]
+            cases += [values.astype(dtype) for values in (distinct, early, late)
+                      for dtype in (np.int64, np.int32)]
+        for values in cases:
             want = unity_mod._first_collision(values + (1 << 16))
             assert unity_mod._first_collision(values) == want
             assert unity_mod._first_collision(values.astype(np.uint16)) == want
