@@ -5,9 +5,11 @@ trace/norm profile chain behind the first conditional family, and the
 Conjecture checks are finite sweeps and are reported as VERIFIED over the
 checked range, never as proved.  The search enumerates residue pairs with
 an optional sum constraint, decides the subgroup criterion for candidate
-blocks on the circle's P^1 log tables (at sample points, then at every
-point for the survivors), and returns the passing set in canonical order;
-partitioning the s-range across worker processes cannot change the output.
+blocks on the circle's P^1 log tables at the circle's Frobenius orbit
+leaders (the full square up to k = 4 in one read of its n^2 table there;
+every other search screens by exact images at sample points first), and
+returns the passing set in canonical order; partitioning the s-range
+across worker processes cannot change the output.
 
 Conjecture 1's map and P1's trace/norm chain have GF(5) coefficients, so
 their whole-field sweeps evaluate one log per Frobenius orbit (the orbit
@@ -33,9 +35,9 @@ from .errors import GuardExceededError, NihoPermError, UsageError
 from .field import (TABLE_DEGREE, FieldElement, in_subfield, lazy_attribute,
                     make_field, norm, trace, tower_field, wrap_mod)
 from .report import VerificationReport, combine_reports, timed
-from .trinomials import (eval_trinomial, exhaustive_permutation_report,
-                         field_values, induced_mu_map, theorem_family,
-                         verdicts)
+from .trinomials import (coset_logs, eval_trinomial,
+                         exhaustive_permutation_report, induced_mu_map,
+                         theorem_family, verdicts)
 from .unity import (SQUARE_TABLE_K, build_map, maps_agree_report,
                     pointwise_agreement_report, unity_group,
                     unity_permutation_report)
@@ -175,14 +177,15 @@ def profile_of(x: FieldElement) -> TraceNormProfile:
 def _p1_image_off_subfield(field):
     """The Frobenius orbit leaders among the logs of x outside GF(5^k)
     (x^q != x), and the log of the family-P1 image f(x) at each, -1 for
-    zero: every check on them commutes with x -> x^5, so its first failing
-    log is a leader."""
+    zero, from f's coset logs at those leaders only: every check on them
+    commutes with x -> x^5, so its first failing log is a leader."""
     n1 = field.order - 1
     leaders = field.accel_tables.orbits.leaders
     off = leaders[(leaders * field.q) % n1 != leaders]
-    f = theorem_family("P1", field.subfield_degree)
-    vals = field_values(field, f.monomials)
-    return off, vals[off + 1]           # vals[0] is f(0)
+    e0, m, h = coset_logs(field, theorem_family("P1", field.subfield_degree)
+                          .monomials)
+    logs = h[off % m]
+    return off, np.where(logs < 0, -1, (e0 * off + logs) % n1)
 
 
 @timed
@@ -378,34 +381,47 @@ SEARCH_BLOCK = 1 << 15      # (candidate, point) pairs per kernel block
 class _SearchTables:
     """One circle's search tables for h = 1 + l1*zeta^(si) + l2*zeta^(ti).
 
+    h has GF(5) coefficients, so the orbit rule (see the unity module)
+    decides each candidate at the circle's Frobenius orbit leaders L
+    (group.orbits: 24 at k=3, 80 at k=4): it passes iff h has no zero at a
+    leader and the images L + log h mod n lie in distinct orbits.  One
+    gather reads the orbit of each image from image_orbit at
+    log h + L + 2n, with no wrap: a zero's -2n marker lands below n, where
+    it reads -1, so a row passes iff its sorted orbit ids are 0, 1, 2, ...
+
     Log h mod n (-2n at a zero) comes from the group in one of two ways.
     The full square up to SQUARE_TABLE_K reads it from the group's n^2
-    table of the pattern (square_logs) at (s*i mod n)*n + (t*i mod n), one
-    gather where base9_logs takes three: a k=3 square reads each
-    (s*i, t*i) about 22 times, a k=4 square about 50 times.  (-1, 1) reads
-    the table of (1, -1) with s and t swapped (square_table).  Above
-    SQUARE_TABLE_K the square reads base 9, as every sum search does: a
-    sum search reads only n*m of the n^2 pairs, once each, so it adds the
-    base-9 halves of the two terms and reads base9_logs instead: through
-    the table, the k=6 "sum-half ++" search (0.6 s and 107 MB) would build
-    244M entries per pattern to read 7.8M of them.
+    table of the pattern (square_logs) at (s*L mod n)*n + (t*L mod n), one
+    gather where base9_logs takes three, and that read at the leaders is
+    the whole verdict: a k=3 square reads each (s*L, t*L) about 12 times, a
+    k=4 square about 40 times.  (-1, 1) reads the table of (1, -1) with s
+    and t swapped (square_table).  Above SQUARE_TABLE_K the square reads
+    base 9, as every sum search does: a sum search reads only n*m of the
+    n^2 pairs, once each, so it adds the base-9 halves of the two terms and
+    reads base9_logs instead: through the table, the k=6 "sum-half ++"
+    search would build 244M entries per pattern to read 7.8M of them.
+    Base 9 screens each candidate by its exact images at m sample points
+    (a repeat or a zero there is one over the whole circle) and confirms
+    the survivors at the leaders, their exponents s*L mod n computed per
+    block: a table of them would hold n x leaders entries, 82 MB at k=6.
     The m sample points are spread over Z/n, both parities: odd points
     alone would let one row table serve both signs, but of the 8,001 k=3
-    "++" candidates with t >= s, 785 survive them against 174 here (112
-    are hits).
+    "++" square candidates with t >= s, 785 survive them against 174 here
+    (112 are hits).
 
     A block's intermediates go to four int32 buffers of SEARCH_BLOCK
-    entries that the tables keep (np.take with out=, +=, and wrap_mod in
-    place); the int16 square table is read into an int16 view of one.
-    Blocks that allocated and freed arrays of about 128 KiB let glibc's
-    malloc trim and regrow the heap around each one: in a process that had
-    built no field tables, a k=3 "++" square search took about 1,300 minor
-    page faults and 35% more time.  The takes are unbuffered (mode="clip"):
+    entries that the tables keep (np.take with out=, +=, %= and wrap_mod
+    in place); the int16 square table and orbit ids are read into an int16
+    view of one (the ids stay below 2^15: 1,308 leaders at k=6).  Blocks
+    that allocated and freed arrays of about 128 KiB let glibc's malloc
+    trim and regrow the heap around each one: in a process that had built
+    no field tables, a k=3 "++" square search took about 1,300 minor page
+    faults and 35% more time.  The takes are unbuffered (mode="clip"):
     with out= the default mode="raise" still allocates.  No index is
     clipped: the group checks base9_logs' tables, each chunk checks that
-    its s and t lie in [0, n), and s*i is reduced mod n before it indexes a
-    row.  The buffers make one table object single-threaded; the search's
-    workers are processes.
+    its s and t lie in [0, n), and s*L is reduced mod n before it indexes
+    a row.  The buffers make one table object single-threaded; the
+    search's workers are processes.
     """
 
     def __init__(self, group):
@@ -413,41 +429,49 @@ class _SearchTables:
         self.n = np.int32(n)        # the kernel's arithmetic stays in int32
         m = min(n, math.isqrt(16 * n))
         self.points = (np.arange(m) * n // m).astype(np.int32)
-        self.every = np.arange(n, dtype=np.int32)
+        leaders, orbit, _ = group.orbits
+        self.leaders = leaders.astype(np.int32)
+        self.shift = self.leaders + 2 * self.n
+        self.ranks = np.arange(leaders.size, dtype=np.int16)
+        self.image_orbit = np.full(4 * n, -1, dtype=np.int16)
+        self.image_orbit[2 * n:].reshape(2, n)[:] = orbit
         group.a9                    # built and checked before any fork
         self._bufs = np.empty((4, max(SEARCH_BLOCK, n)), dtype=np.int32)
         self._rows: dict[int, tuple] = {}
 
     def rows(self, sign):
-        """The base-9 halves of sign*zeta^j for j in Z/n, and of
-        sign*zeta^(j*i) at the stride points i (row j), built on first use,
-        a block of rows at a time."""
+        """The base-9 halves of sign*zeta^(j*i) at the stride points i (row
+        j), built on first use, a block of rows at a time."""
         if sign not in self._rows:
-            every = self.group.halves[sign]
             sampled = tuple(np.empty((self.n, self.points.size), np.int32)
-                            for _ in every)
+                            for _ in range(2))
             step = max(1, SEARCH_BLOCK // self.points.size)
             for lo in range(0, self.n, step):
                 exps = np.outer(np.arange(lo, min(lo + step, self.n),
                                           dtype=np.int32), self.points)
                 exps %= self.n
-                for half, out in zip(every, sampled):
+                for half, out in zip(self.group.halves[sign], sampled):
                     np.take(half, exps, out=out[lo:lo + step])
-            self._rows[sign] = every, sampled
+            self._rows[sign] = sampled
         return self._rows[sign]
 
     @lazy_attribute
     def square_rows(self):
-        """The two parts of the square's table index (s*i mod n)*n +
-        (t*i mod n), shaped as rows() gives halves: for all i in Z/n, the
-        scales n and 1 of s*i and t*i mod n, and at the stride points i,
-        row j holds n*(j*i mod n) and j*i mod n (the sign-free table E)."""
-        exps = np.outer(self.every, self.points) % self.n
-        return (self.n, (exps * self.n,)), (1, (exps,))
+        """The two parts of the square's table index (s*L mod n)*n +
+        (t*L mod n) at the leaders L, shaped as rows() gives halves: row j
+        holds n*(j*L mod n), and j*L mod n (the sign-free table E)."""
+        exps = np.outer(np.arange(self.n, dtype=np.int32),
+                        self.leaders) % self.n
+        return (exps * self.n,), (exps,)
+
+    @staticmethod
+    def _int16(c) -> np.ndarray:
+        """An int16 array of c's shape over the first half of int32 c."""
+        return c.reshape(-1).view(np.int16)[:c.size].reshape(c.shape)
 
     def _read_square(self, table, a, b, c) -> np.ndarray:
         """table[a] into a, through an int16 view of c (a and c int32)."""
-        small = c.reshape(-1).view(np.int16)[:c.size].reshape(c.shape)
+        small = self._int16(c)
         np.take(table, a, out=small, mode="clip")
         a[...] = small
         return a
@@ -456,61 +480,67 @@ class _SearchTables:
         """The four block buffers as (rows, width) arrays."""
         return [buf[:rows * width].reshape(rows, width) for buf in self._bufs]
 
-    def _verdict(self, a, b, points) -> np.ndarray:
-        """Per row of logs a: h has no zero and distinct images
-        i + log h at the points i.  Overwrites a and b."""
-        a += points
+    def _screen(self, a, b) -> np.ndarray:
+        """Per row of logs a at the sample points i: h has no zero and
+        distinct images i + log h.  Overwrites a and b."""
+        a += self.points
         wrap_mod(a, self.n, scratch=b)  # the -2n zero marker stays negative
         a.sort(axis=1)
         return (a[:, 0] >= 0) & (a[:, 1:] != a[:, :-1]).all(axis=1)
 
-    def _distinct(self, u, w, i, j, points, logs=None) -> np.ndarray:
-        """Per row: h has no zero and distinct images, reading log h by
-        logs (base9_logs if None) from u[i] + w[j], the rows gathered along
+    def _orbits_distinct(self, a, b) -> np.ndarray:
+        """Per row of logs a at the leaders: no zero of h and no two images
+        in one orbit.  Overwrites a and b."""
+        a += self.shift
+        ids = self._int16(b)
+        np.take(self.image_orbit, a, out=ids, mode="clip")
+        ids.sort(axis=1)
+        return (ids == self.ranks).all(axis=1)
+
+    def _distinct(self, u, w, i, j, logs, verdict) -> np.ndarray:
+        """Per row: verdict on log h, read by logs from u[i] + w[j] (each a
+        tuple of row tables, added half by half), the rows gathered along
         axis 0 a buffer's worth of rows at a time."""
-        logs = logs or self.group.base9_logs
-        step = max(1, self._bufs.shape[1] // points.size)
+        width = u[0].shape[1]
+        step = max(1, self._bufs.shape[1] // width)
         ok = np.empty(len(i), dtype=bool)
         for lo in range(0, len(i), step):
-            a, b, c, _ = self._blocks(min(step, len(i) - lo), points.size)
+            a, b, c, _ = self._blocks(min(step, len(i) - lo), width)
             for out, uh, wh in zip((a, b), u, w):
                 np.take(uh, i[lo:lo + step], axis=0, out=out, mode="clip")
                 out += np.take(wh, j[lo:lo + step], axis=0, out=c,
                                mode="clip")
-            ok[lo:lo + step] = self._verdict(logs(a, b, c), b, points)
+            ok[lo:lo + step] = verdict(logs(a, b, c), b)
         return ok
 
     def hits(self, s, t, l1, l2, square=False) -> np.ndarray:
-        """Positions j where (s[j], t[j], l1, l2) passes the criterion,
-        read from the square's table if square, else from base-9 halves.
-
-        A repeat or a zero at the sampled points is one over the whole
-        circle, so the n-point verdict runs only on the survivors, a
-        buffer's worth of rows at a time."""
+        """Positions j where (s[j], t[j], l1, l2) passes the criterion:
+        the square's table at the leaders if square, else the base-9
+        screen at the sample points, its survivors confirmed at the
+        leaders a buffer's worth of rows at a time."""
         if square:
             table, s, t = self.group.square_table(l1, l2, s, t)
-            logs = functools.partial(self._read_square, table)
-            (pu, su), (pw, sw) = self.square_rows
-        else:
-            logs = self.group.base9_logs
-            (pu, su), (pw, sw) = self.rows(l1), self.rows(l2)
-        keep = np.flatnonzero(self._distinct(su, sw, s, t, self.points, logs))
-        n = self.n
-        step = max(1, self._bufs.shape[1] // int(n))
+            return np.flatnonzero(self._distinct(
+                *self.square_rows, s, t,
+                functools.partial(self._read_square, table),
+                self._orbits_distinct))
+        logs = self.group.base9_logs
+        keep = np.flatnonzero(self._distinct(
+            self.rows(l1), self.rows(l2), s, t, logs, self._screen))
+        n, width = self.n, self.leaders.size
+        step = max(1, self._bufs.shape[1] // width)
         passed = [keep[:0]]
         for lo in range(0, keep.size, step):
             part = keep[lo:lo + step]
-            a, b, c, d = self._blocks(part.size, n)
+            a, b, c, d = self._blocks(part.size, width)
             a[:] = b[:] = 0
-            for x, halves in ((s, pu), (t, pw)):
-                np.multiply.outer(x[part].astype(np.int32), self.every, out=d)
-                d %= n                      # the exponents x*i mod n
-                if square:                  # halves is the scale of x*i
-                    a += np.multiply(d, halves, out=c)
-                else:
-                    for out, half in zip((a, b), halves):
-                        out += np.take(half, d, out=c, mode="clip")
-            passed.append(part[self._verdict(logs(a, b, c), b, self.every)])
+            for x, sign in ((s, l1), (t, l2)):
+                np.multiply.outer(x[part].astype(np.int32), self.leaders,
+                                  out=d)
+                d %= n                      # the exponents x*L mod n
+                for out, half in zip((a, b), self.group.halves[sign]):
+                    out += np.take(half, d, out=c, mode="clip")
+            passed.append(part[self._orbits_distinct(logs(a, b, c), b)])
         return np.concatenate(passed)
 
 
@@ -521,9 +551,10 @@ def _search_chunk(args) -> list[SearchHit]:
     """Criterion hits for s in [s_lo, s_hi), sorted.
 
     The chunk's candidates (s, t), t >= s, are listed as int arrays and
-    evaluated in blocks of about SEARCH_BLOCK sample points, every block
-    of one pattern before the next, so that the square reads one pattern's
-    table at a time.
+    evaluated in blocks of about SEARCH_BLOCK (candidate, point) pairs of
+    the first stage (leaders or sample points), every block of one pattern
+    before the next, so that the square reads one pattern's table at a
+    time.
     (s, t, l1, l2) and (t, s, l2, l1) give the same h, so each pattern of
     the swap closure of the requested set is evaluated once: a hit is
     emitted if its pattern was requested, and its off-diagonal mirror
@@ -539,9 +570,10 @@ def _search_chunk(args) -> list[SearchHit]:
                            and (starts + counts)[live].max() <= n):
         raise IndexError(f"search candidates outside Z/{n}")
     prefix = np.concatenate(([0], np.cumsum(counts)))
-    size = max(1, SEARCH_BLOCK // len(tabs.points))
     closure = dict.fromkeys(patterns + tuple((b, a) for a, b in patterns))
     square = constraint == "none" and k <= SQUARE_TABLE_K
+    first = tabs.leaders if square else tabs.points     # the first stage
+    size = max(1, SEARCH_BLOCK // first.size)
     found = [np.empty((4, 0), dtype=np.int64)]     # rows s, t, l1, l2
     for (l1, l2), lo in itertools.product(closure, range(0, prefix[-1], size)):
         pos = np.arange(lo, min(lo + size, prefix[-1]))

@@ -121,25 +121,23 @@ def eval_trinomial(f: NihoTrinomial, x: FieldElement) -> FieldElement:
 # ---------------------------------------------------------------------------
 # exhaustive oracle over the whole field
 
-def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
-    """Logs of sum sign * x^e over every field element, -1 where the sum is
-    zero, in index order [0, g^0, g^1, ...], read from the field's log
-    tables (FieldParams.accel_tables).
+def coset_logs(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
+    """(e0, m, H) for sum sign * x^e over the nonzero elements: its log at
+    g^L is e0*L + H[L mod m] mod n1, and it is zero where H < 0, read from
+    the field's log tables (FieldParams.accel_tables).
 
     With d = gcd(n1, e - e0 over the terms), e0 the first exponent, the sum
     is x^e0 * H(x^d): H is taken by Zech steps once per coset of the
-    subgroup of d-th powers, at g^(d*j) for j in [0, n1/d), and the log of
-    the sum at g^L is e0*L + log H[L mod n1/d].  Niho exponents give
-    n1/d <= q + 1; unrelated exponents give d = 1, a sweep of every log.
-    H's terms with the same step E = e - e0 mod n1 fold into one
-    coefficient c: the step-0 term is the scalar log of c, each other the
-    logs E*j + log c.
+    subgroup of d-th powers, at g^(d*j) for j in [0, m = n1/d).  Niho
+    exponents give m <= q + 1; unrelated exponents give d = 1, a sweep of
+    every log.  H's terms with the same step E = e - e0 mod n1 fold into
+    one coefficient c: the step-0 term is the scalar log of c, each other
+    the logs E*j + log c.
     """
     kern = field.accel_tables
     n1 = kern.n1
     e0 = abs_terms[0][1] % n1 if abs_terms else 0
-    d = math.gcd(n1, *(e - e0 for _, e in abs_terms))
-    m = n1 // d
+    m = n1 // math.gcd(n1, *(e - e0 for _, e in abs_terms))
     coeffs: dict[int, int] = {}
     for sign, e in abs_terms:
         step = (e - e0) % n1
@@ -153,6 +151,17 @@ def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
     h = kern.log_sum(terms)
     if h.shape != (m,):
         h = np.broadcast_to(h, m)
+    return e0, m, h
+
+
+def field_values(field: FieldParams, abs_terms: Sequence[tuple[int, int]]):
+    """Logs of sum sign * x^e over every field element, -1 where the sum is
+    zero, in index order [0, g^0, g^1, ...], from coset_logs: one row of
+    the grid per coset of the d = n1/m d-th powers."""
+    kern = field.accel_tables
+    n1 = kern.n1
+    e0, m, h = coset_logs(field, abs_terms)
+    d = n1 // m
     at_zero = sum(sign for sign, e in abs_terms if e == 0)    # 0^0 = 1
     out = np.empty(field.order, dtype=np.int64)
     out[0] = kern.logt[at_zero % CHAR]

@@ -40,8 +40,9 @@ The group owns a second packing, for the search's h = 1 + y + z with y, z
 Two halves add with no carry (4 + 4 < 9), and a9 (adding the 1) and b9,
 9^k entries each, read a sum's la and lb (base9_logs).  In base 9 a k=3
 search block of 744 x 44 points took 243 us, in words 1,089 us.  The
-search's full square reads each (y, z) of the circle many times (about 22
-times at k=3, 50 at k=4), so square_logs keeps base9_logs of every
+search decides each candidate by the orbit rule below, at the leaders:
+its full square reads each (y, z) of the circle many times (about 12
+times at k=3, 40 at k=4), so square_logs keeps base9_logs of every
 1 + l1*zeta^a + l2*zeta^b, one int16 table of n^2 entries per sign
 pattern (l1, l2): 31 KB at k=3 and 0.8 MB at k=4.
 Up to SQUARE_TABLE_K = 4 the full square and every power-form verdict
@@ -50,7 +51,8 @@ read it, and the table of (1, -1) serves (-1, 1) transposed
 over a full k=6 circle, and at k=8 a9 and b9 would take 172 MB each): at
 k=5 (19.5 MB a pattern) the tables saved the search no time and took the
 all-signs square from 65.5 to 117 MB peak RSS.  Closed forms always sum
-words.
+words.  The sum searches, and the square above SQUARE_TABLE_K, screen in
+base 9 by exact images at sample points before they read the leaders.
 
 A power form needs log h only mod n, and n*lb[b] is 0 mod n since n
 divides q^2-1, so one table, ctn = ct mod n, reads it with no division.  On
@@ -93,7 +95,9 @@ zero on the circle.  The comparisons of two maps on a domain (the
 reciprocal identities, the half specializations, P1's bridge and P2's g10
 after x -> x^3, which commutes with x -> x^5) and the first circle root of a
 polynomial over GF(5) read the leaders too: a first zero, pole, mismatch or
-root lies in a Frobenius-closed set, so it is a leader.
+root lies in a Frobenius-closed set, so it is a leader.  Two images off the
+circle carry no circle index, so a comparison reads their logs mod q^2-1
+(closed_logs).
 """
 
 from __future__ import annotations
@@ -612,23 +616,33 @@ def eval_power_on_unity(map_: PowerFormMap, group: UnityGroup, indices):
     return wrap_mod(logs + at, n), None
 
 
-def eval_closed_on_unity(map_: ClosedFormMap, group: UnityGroup, indices):
-    """Closed-form circle indices (-1 off the circle); returns
-    (values, pole_index) as eval_power_on_unity does."""
+def closed_logs(map_: ClosedFormMap, group: UnityGroup, indices):
+    """log_g of a closed form's values at zeta^i for i in indices, in
+    Z/(q^2-1), and -1 where the value is zero; returns (logs, pole_index)
+    as eval_power_on_unity does.  x^pre at x = zeta^i is g^((q-1)*pre*i),
+    and -1 is g^((q^2-1)/2)."""
     idx = np.asarray(indices, dtype=np.int64)
     num = group.sum_logs(idx, map_.num)
     den = group.sum_logs(idx, map_.den)
     poles = np.flatnonzero(den < 0)
     if poles.size:
         return None, int(idx[poles[0]])
-    n, q = group.n, group.q
+    order = group.log_order
+    shift = order // 2 if map_.sign < 0 else 0
+    logs = (map_.outer * (num - den) + shift
+            + idx * ((group.q - 1) * map_.pre_exp % order)) % order
+    return np.where(num < 0, -1, logs), None
+
+
+def eval_closed_on_unity(map_: ClosedFormMap, group: UnityGroup, indices):
+    """Closed-form circle indices (-1 off the circle); returns
+    (values, pole_index) as eval_power_on_unity does."""
+    logs, pole = closed_logs(map_, group, indices)
+    if pole is not None:
+        return None, pole
     # g^L lies on the circle iff (q-1) | L, and is then zeta^(L/(q-1))
-    logs = map_.outer * (num - den) % group.log_order
-    ratio = np.where((num >= 0) & (logs % (q - 1) == 0), logs // (q - 1), -1)
-    # x^pre = zeta^(i*pre) and -1 = zeta^(n/2) keep a point on the circle
-    shift = n // 2 if map_.sign < 0 else 0
-    vals = (ratio + idx * (map_.pre_exp % n) + shift) % n
-    return np.where(ratio < 0, -1, vals), None
+    q1 = group.q - 1
+    return np.where((logs >= 0) & (logs % q1 == 0), logs // q1, -1), None
 
 
 def eval_on_unity(map_: FractionalMap, group: UnityGroup, indices):
@@ -855,10 +869,12 @@ def pointwise_agreement_report(subject: str, group: UnityGroup,
         failure = ("zero_or_pole", bad_a if bad_a is not None else bad_b)
     else:
         diff = va != vb
-        # two off-circle images carry no index: compare them exactly
-        for p in np.flatnonzero((va < 0) & (vb < 0)):
-            diff[p] = (map_a.eval_at(group.element(int(idx_a[p])))
-                       != map_b.eval_at(group.element(int(idx_b[p]))))
+        # two off-circle images carry no circle index, and only closed
+        # forms leave the circle: compare their logs
+        off = np.flatnonzero((va < 0) & (vb < 0))
+        if off.size:
+            diff[off] = (closed_logs(map_a, group, idx_a[off])[0]
+                         != closed_logs(map_b, group, idx_b[off])[0])
         mism = np.flatnonzero(diff)
         if mism.size:
             failure = ("mismatch", int(idx_b[mism[0]]))

@@ -1,13 +1,14 @@
 """Conjecture sweeps, the trace/norm profile chain, conditional families,
 and the search harness."""
 
+import math
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from niho_perm import conjectures
+from niho_perm import conjectures, trinomials
 from niho_perm.cli import main
 from niho_perm.errors import GuardExceededError, PoleError, UsageError
 from niho_perm.conjectures import (CONSTRAINTS, ProfileMismatchError,
@@ -25,9 +26,9 @@ from niho_perm.trinomials import (build_trinomial,
                                   induced_mu_map, is_permutation_exhaustive,
                                   is_permutation_via_criterion, theorem_family)
 from niho_perm.report import VerificationReport
-from niho_perm.unity import (ClosedFormMap, UnityGroup, build_map,
-                             maps_agree_report, pointwise_agreement_report,
-                             unity_group)
+from niho_perm.unity import (SQUARE_TABLE_K, ClosedFormMap, UnityGroup,
+                             build_map, maps_agree_report,
+                             pointwise_agreement_report, unity_group)
 from fresh_interpreter import run_python
 from representation_twin import full_agreement_report
 
@@ -460,9 +461,11 @@ class TestPropositions:
         assert rep.passed
 
     def test_p1_evaluates_the_field_once(self, monkeypatch):
+        # the oracle's sweep is the one whole-field evaluation: P1's image
+        # off the subfield reads f's coset logs at the leaders only
         calls = []
-        values = conjectures.field_values
-        monkeypatch.setattr(conjectures, "field_values",
+        values = trinomials.field_values
+        monkeypatch.setattr(trinomials, "field_values",
                             lambda *a: calls.append(a) or values(*a))
         assert proposition_check("P1", 3).passed
         assert len(calls) == 1
@@ -665,33 +668,53 @@ class TestSearch:
                     got = _search_chunk((k, 0, n, constraint, patterns))
                     assert got == want, (k, constraint, signs)
 
-    def test_zero_marker_survives_the_wrap(self):
-        # the group's ctn is -2n where h = 0, and stays negative plus a
-        # point and wrapped (test_unity checks it at k = 1..6), so a row
-        # with a zero of h sorts it first and fails.  At k=1, 10 of the 14
-        # rows with a zero have otherwise distinct images: only the marker
-        # fails them.
+    def test_zero_marker_reads_no_orbit(self):
+        # the group's ctn is -2n where h = 0; plus L + 2n it lands below n,
+        # where image_orbit reads -1, so a row with a zero of h at a leader
+        # fails.  At k=1, 10 of the 14 rows with a zero have otherwise
+        # distinct image orbits: only the marker fails them.
         g = unity_group(tower_field(1))
         tabs = _search_tables(g)
-        n = g.n
+        n, leaders, orbit = g.n, tabs.leaders, g.orbits.orbit
         s, t = np.divmod(np.arange(n * n), n)
-        every = np.arange(n, dtype=np.int32)
-        i, j = (np.outer(x, every) % n for x in (s, t))
-        zeros = 0
+        zeros = marker_only = 0
         for l1, l2 in _patterns_of("all"):
-            distinct = tabs._distinct(tabs.rows(l1)[0], tabs.rows(l2)[0],
-                                      i, j, every)
+            table, u, v = g.square_table(l1, l2, s, t)
+            logs = table[np.outer(u, leaders) % n * n
+                         + np.outer(v, leaders) % n].astype(np.int32)
+            distinct = tabs._orbits_distinct(logs.copy(),
+                                             np.empty_like(logs))
+            assert (tabs.hits(s, t, l1, l2, square=True).tolist()
+                    == np.flatnonzero(distinct).tolist())
             for c in range(n * n):
                 f = build_trinomial(1, [(1, 0), (l1, int(s[c])),
                                         (l2, int(t[c]))])
                 rep = is_permutation_via_criterion(f)
                 assert distinct[c] == rep.passed, (int(s[c]), int(t[c]))
-                zeros += not rep.passed and rep.witness["type"] == "zero"
+                if not rep.passed and rep.witness["type"] == "zero":
+                    zeros += 1
+                    live = logs[c] >= 0
+                    images = orbit[(leaders + logs[c])[live] % n]
+                    marker_only += len(set(images.tolist())) == images.size
         assert zeros == 14
+        assert marker_only == 10
+        # k=3 rows whose leaders' images fill every orbit, leader j's
+        # image in the orbit of leader j - 1: each passes, and with the
+        # zero marker at leader j each fails, whichever orbit that leader
+        # would have filled
+        g = unity_group(tower_field(3))
+        tabs = _search_tables(g)
+        leaders, n = tabs.leaders, g.n
+        row = (np.roll(leaders, 1) - leaders) % n
+        logs = np.tile(row, (leaders.size + 1, 1)).astype(np.int32)
+        np.fill_diagonal(logs[1:], -2 * n)
+        distinct = tabs._orbits_distinct(logs, np.empty_like(logs))
+        assert distinct.tolist() == [True] + [False] * leaders.size
 
     def test_sample_survivors_that_fail(self):
         # seeded k=4 candidates whose images are distinct and nonzero at
-        # the sampled points but not over the whole circle: no hits
+        # the sampled points but not over the whole circle: the base-9
+        # screen keeps them, and the confirm at the leaders drops them
         g = unity_group(tower_field(4))
         tabs = _search_tables(g)
         rng = np.random.default_rng(4)
@@ -699,7 +722,8 @@ class TestSearch:
         false_survivors = 0
         for l1, l2 in _patterns_of("all"):
             keep = np.flatnonzero(tabs._distinct(
-                tabs.rows(l1)[1], tabs.rows(l2)[1], s, t, tabs.points))
+                tabs.rows(l1), tabs.rows(l2), s, t, g.base9_logs,
+                tabs._screen))
             hits = set(tabs.hits(s, t, l1, l2).tolist())
             assert hits <= set(keep.tolist())
             for j in keep.tolist():
@@ -709,6 +733,62 @@ class TestSearch:
                 assert (j in hits) == passed, (int(s[j]), int(t[j]), l1, l2)
                 false_survivors += not passed
         assert false_survivors >= 3
+
+    @pytest.mark.parametrize("k, size", [(3, 300), (4, 150)])
+    def test_both_paths_match_the_criterion(self, k, size):
+        # a seeded sample of (s, t) in the square, t < s included, under
+        # each pattern, with 10 of the pattern's sum-search hits mixed in
+        # (random candidates almost all fail): the square's table at the
+        # leaders and the base-9 screen with its leader confirm pass
+        # exactly the candidates that pass is_permutation_via_criterion
+        g = unity_group(tower_field(k))
+        tabs = _search_tables(g)
+        rng = np.random.default_rng(32 + k)
+        for l1, l2 in _patterns_of("all"):
+            signs = "+-"[l1 < 0] + "+-"[l2 < 0]
+            found = np.array([(h.s, h.t) for c in ("sum_zero", "sum_half")
+                              for h in search_problem_instances(k, c, signs)])
+            picks = rng.choice(len(found), size=10, replace=False)
+            s, t = np.concatenate((rng.integers(0, g.n, size=(2, size)),
+                                   found[picks].T), axis=1)
+            want = [c for c in range(s.size) if is_permutation_via_criterion(
+                build_trinomial(k, [(1, 0), (l1, int(s[c])),
+                                    (l2, int(t[c]))])).passed]
+            assert len(want) >= 10
+            for square in (True, False):
+                got = tabs.hits(s, t, l1, l2, square=square).tolist()
+                assert got == want, (l1, l2, square)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_zero_off_a_leader_fails(self, k):
+        # h = 1 + y + 1/y with y = zeta^(s*i) (t = -s, signs ++) is
+        # y + y^q + 1, in GF(q), so h^(q-1) = 1 and the map is the
+        # identity where h != 0: a zero is the one way to fail.  h = 0 iff
+        # y has order 3, i.e. s*i = +-n/3 mod n, which some i solves iff
+        # gcd(s, n) divides n/3.  Each failing s has a zero off the
+        # leaders (the zeros are Frobenius-closed, so its orbit's leader
+        # is one too); at k=5 some fail only at points the base-9 screen
+        # does not sample, so the leader confirm alone drops them
+        g = unity_group(tower_field(k))
+        tabs = _search_tables(g)
+        n = g.n
+        s = np.arange(n)
+        t = -s % n
+        want = [c for c in range(n) if (n // 3) % math.gcd(c, n)]
+        paths = (True, False) if k <= SQUARE_TABLE_K else (False,)
+        for square in paths:
+            assert tabs.hits(s, t, 1, 1, square=square).tolist() == want
+        leader = np.zeros(n, dtype=bool)
+        leader[tabs.leaders] = True
+        sampled = np.zeros(n, dtype=bool)
+        sampled[tabs.points] = True
+        unsampled = 0
+        for c in sorted(set(range(n)) - set(want)):
+            zero = np.flatnonzero(
+                np.isin(c * np.arange(n) % n, (n // 3, 2 * n // 3)))
+            assert zero.size and not leader[zero].all(), c
+            unsampled += not sampled[zero].any()
+        assert unsampled > 0 if k == 5 else unsampled == 0
 
     def test_warm_search_allocates_no_block(self):
         # in a process that built no field tables, so that no earlier

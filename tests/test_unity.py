@@ -1,5 +1,6 @@
 """Circle enumeration, the map catalog, permutation checks and claims."""
 
+import dataclasses
 import math
 import random
 
@@ -1071,6 +1072,57 @@ class TestHalves:
         # zeros of h need a point of order 3 on the circle: odd k only
         assert ("zero" in kinds) == (k % 2 == 1)
         assert {None, "mismatch", "zero_or_pole"} <= agreements
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_off_circle_agreement_is_the_scalar_comparison(self, k):
+        # seeded closed forms that leave the circle at most points, each
+        # against itself, against x^(n/2) times itself (equal on
+        # omega_plus, -1 times it on omega_minus), against -x^(n/2) times
+        # itself (the reverse) and against x^n times itself (equal on mu):
+        # where both images are off the circle the report compares their
+        # logs, and its witness must be the first leader where a scalar
+        # comparison of the two values (the elements) differs
+        g = unity_group(tower_field(k))
+        n, rng = g.n, random.Random(3200 + k)
+        kinds, compared = set(), 0
+        for case in range(6):
+            # case 5: num = x^a - 1 vanishes at x = 1, so some images are 0
+            base = ClosedFormMap(
+                f"m{case}", rng.choice((1, -1)), rng.randrange(n),
+                ((1, rng.randrange(1, n)),
+                 (4 if case == 5 else rng.randrange(1, 5), 0)),
+                ((1, rng.randrange(1, n)), (rng.randrange(1, 5), 0)),
+                rng.choice((1, 2)))
+            twins = [base,
+                     dataclasses.replace(base, pre_exp=base.pre_exp + n // 2),
+                     dataclasses.replace(base, sign=-base.sign,
+                                         pre_exp=base.pre_exp + n // 2),
+                     dataclasses.replace(base, pre_exp=base.pre_exp + n)]
+            for dom in ("mu", "omega_plus", "omega_minus"):
+                leaders = g.domain(dom).orbits.leaders.tolist()
+                for twin in twins:
+                    rep = maps_agree_report(base, twin, g, dom)
+                    va, bad_a = eval_on_unity(base, g, leaders)
+                    vb, bad_b = eval_on_unity(twin, g, leaders)
+                    if bad_a is not None or bad_b is not None:
+                        assert rep.witness["type"] == "zero_or_pole"
+                        continue
+                    first = None
+                    for i, a, b in zip(leaders, va.tolist(), vb.tolist()):
+                        if a < 0 and b < 0:
+                            compared += 1
+                            x = g.element(i)
+                            if base.eval_at(x) != twin.eval_at(x):
+                                first = i
+                                break
+                        elif a != b:
+                            first = i
+                            break
+                    assert (rep.witness or {}).get("index") == first, (
+                        base, twin, dom)
+                    kinds.add((rep.witness or {}).get("type"))
+        assert {None, "mismatch"} <= kinds
+        assert compared
 
     @pytest.mark.parametrize("k, claim, leaders", [(5, "halves-odd", 158),
                                                    (6, "halves-even", 654)])
